@@ -5,11 +5,13 @@ language:
 
 * single-trace bounded symbolic execution that over-approximates loops
   past a user bound instead of silently dropping them (``soundse``),
-* its reduced product with an interval analysis (``redsoundse``),
+* its reduced product with an interval analysis (``redsoundse``); with no
+  domain the product's step is the plain engine's step,
 * a relational pair-of-traces variant for information-flow reasoning
   (``relational``),
-* and the relational product with a variable-dependence analysis
-  (``driver.rsrse_step``), which powers the noninterference verdict.
+* and the relational product with a variable-dependence analysis (the
+  dependence havoc of ``driver.make_rel_engine``), which powers the
+  noninterference verdict.
 
 ``driver.verify_ni`` classifies a program as Secure, Insecure (with a
 replayed two-trace counter-example) or Inconclusive.

@@ -17,7 +17,6 @@ from niverify.driver import AnalysisConfig, Insecure, Inconclusive, Secure
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=driver.ENGINES, default="redsoundrse")
     parser.add_argument("--single-engine", choices=driver.SINGLE_ENGINES, default="redsoundse")
-    parser.add_argument("--domain", choices=driver.DOMAINS, default="intervals")
     parser.add_argument("--bound", type=int, default=3, help="loop iteration budget (default 3)")
     parser.add_argument("--path-cap", type=int, default=4096)
     parser.add_argument(
@@ -41,7 +40,7 @@ def _config_from(args: argparse.Namespace) -> AnalysisConfig:
     return AnalysisConfig(
         engine=args.engine,
         single_engine=args.single_engine,
-        domain=args.domain,
+        domain="intervals" if args.single_engine == "redsoundse" else "none",
         bound=args.bound,
         path_cap=args.path_cap,
         solver_command=shlex.split(args.solver) if args.solver else None,
@@ -85,7 +84,6 @@ def main(argv: list[str] | None = None) -> int:
 
     corpus = sub.add_parser("corpus", help="run the engine matrix over a directory")
     corpus.add_argument("dir")
-    corpus.add_argument("--matrix", choices=("default",), default="default")
     _add_engine_flags(corpus)
 
     args = parser.parse_args(argv)
@@ -111,6 +109,10 @@ def main(argv: list[str] | None = None) -> int:
             return 0
     except (lang.LangError, driver.ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        # Exit 1 means Insecure, so no internal failure may escape as a traceback.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 3
 

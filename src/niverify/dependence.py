@@ -126,7 +126,3 @@ def tau_sym_to_dep(rho2: RelSymStore, path: SymPath, solver: Solver) -> DepState
             low.add(x)
     return DepState(frozenset(low))
 
-
-def lambda_dep_to_low(d: DepState) -> frozenset[str]:
-    """Extract the agreeing set; the two-level lattice makes this the identity."""
-    return d.low_agree

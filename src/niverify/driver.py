@@ -21,20 +21,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from niverify import lang
-from niverify.dependence import (
-    DepState,
-    PcLevel,
-    dep_analyze,
-    lambda_dep_to_low,
-    tau_sym_to_dep,
-)
-from niverify.lang import Program, While, assigned_vars, low_equal, run
+from niverify.dependence import DepState, PcLevel, dep_analyze, tau_sym_to_dep
+from niverify.lang import Program, While, low_equal, run
 from niverify.relational import (
     Pair,
     RelEngine,
     RelPreciseStore,
     RelSymStore,
     Single,
+    modif_dep,
     proj_expr,
     srse_explore,
 )
@@ -56,6 +51,7 @@ from niverify.symcore import (
     pand,
     pcmp,
     pnot,
+    symbols_of_expr,
     TRUE,
 )
 
@@ -93,7 +89,7 @@ class AnalysisConfig:
         if self.domain not in DOMAINS:
             raise ConfigError(f"unknown domain {self.domain!r}")
         if self.single_engine == "redsoundse" and self.domain != "intervals":
-            raise ConfigError("the redsoundse single-trace engine requires --domain intervals")
+            raise ConfigError("the redsoundse single-trace engine requires domain='intervals'")
 
     def label(self) -> str:
         if self.engine == "dep":
@@ -169,22 +165,6 @@ def initial_rel_store(program: Program, factory: SymbolFactory) -> RelSymStore:
     return rho2
 
 
-def modif_dep(
-    rho2: RelSymStore, cmd, low: frozenset[str] | set[str], factory: SymbolFactory
-) -> RelSymStore:
-    """Dependence-guided havoc: agreeing variables keep a shared fresh symbol."""
-    written = assigned_vars(cmd)
-    out: RelSymStore = {}
-    for x in sorted(rho2):
-        if x not in written:
-            out[x] = rho2[x]
-        elif x in low:
-            out[x] = Single(SVal(factory.fresh(x)))
-        else:
-            out[x] = Pair(SVal(factory.fresh(x)), SVal(factory.fresh(x)))
-    return out
-
-
 def make_rel_engine(program: Program, config: AnalysisConfig, solver: Solver) -> RelEngine:
     factory = SymbolFactory()
     use_intervals = config.single_engine == "redsoundse" and config.domain == "intervals"
@@ -198,7 +178,7 @@ def make_rel_engine(program: Program, config: AnalysisConfig, solver: Solver) ->
             d0 = tau_sym_to_dep(rho2, path, solver)
             numeric = a_join(a0, a1) if use_intervals else None
             d = dep_analyze(loop, PcLevel.LOW, d0, numeric=numeric)
-            return modif_dep(rho2, loop, lambda_dep_to_low(d), factory)
+            return modif_dep(rho2, loop, d.low_agree, factory)
 
     return RelEngine(
         solver=solver,
@@ -207,15 +187,6 @@ def make_rel_engine(program: Program, config: AnalysisConfig, solver: Solver) ->
         use_intervals=use_intervals,
         havoc=havoc,
     )
-
-
-def rsrse_step(state, engine: RelEngine):
-    """The dependence-product step: the relational step with the dep havoc."""
-    from niverify.relational import srse_step
-
-    if engine.havoc is None:
-        raise ConfigError("rsrse_step requires a dependence havoc hook")
-    return srse_step(state, engine)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +241,15 @@ def classify_path(
         query = pand(kappa2.path, pnot(disagree))
         model = solver.check_sat(query)
         if isinstance(model, Sat):
+            # Folding can take suspicious symbols out of the query (one
+            # constant disagreement makes the conjunction false), so the
+            # model need not bind them.  They are unconstrained: any value
+            # does, and 0 is the one replay gives unbound initial symbols.
             valuation = model.valuation()
+            for x in suspicious:
+                for i in (0, 1):
+                    for sym in symbols_of_expr(proj_expr(i, rho2[x])):
+                        valuation.setdefault(sym, 0)
             witness = next(
                 x
                 for x in suspicious
@@ -292,7 +271,7 @@ def replay(
     total = dict(valuation)
     for x, e in rho2_0.items():
         for i in (0, 1):
-            for sym in _expr_symbols(proj_expr(i, e)):
+            for sym in symbols_of_expr(proj_expr(i, e)):
                 total.setdefault(sym, 0)
     store0 = {x: eval_sym(proj_expr(0, e), total) for x, e in rho2_0.items()}
     store1 = {x: eval_sym(proj_expr(1, e), total) for x, e in rho2_0.items()}
@@ -314,12 +293,6 @@ def replay(
         out1=tuple(sorted(out1.items())),
         witness_var=witness,
     )
-
-
-def _expr_symbols(expr):
-    from niverify.symcore import symbols_of_expr
-
-    return symbols_of_expr(expr)
 
 
 def _verify_dep_only(program: Program) -> Verdict:

@@ -5,8 +5,11 @@ advances them in lockstep along the same syntactic branch, and a branch
 survives only if both sides allow it (path may-satisfiable and guarded
 abstract state non-bottom).  The reduction operator injects the abstract
 constraints into the symbolic path, substituting each program variable by
-its current symbolic expression; by default it runs lazily, at branch
-points and at loop-summarization steps.
+its current symbolic expression; it runs at branch points and at
+loop-summarization steps.
+
+With no domain (``astate`` None) the product step is plain SoundSE's step,
+so this is the one single-trace step of the package.
 """
 
 from __future__ import annotations
@@ -14,16 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from niverify.absint import AbstractState, a_assign, a_guard, analyze, constr
-from niverify.lang import Assign, Command, If, Program, SKIP, Seq, Skip, While
+from niverify.lang import Assign, BExpr, Command, If, Program, SKIP, Seq, Skip, While
 from niverify.solver import Solver
-from niverify.soundse import (
-    Counter,
-    LoopEvent,
-    PathCapExceeded,
-    W0,
-    counter_apply,
-    modif,
-)
+from niverify.soundse import Counter, W0, counter_apply, explore, focus, modif, plug
 from niverify.symcore import (
     PAnd,
     PreciseStore,
@@ -35,14 +31,12 @@ from niverify.symcore import (
     sym_eval_expr,
 )
 
-REDUCE_AT = frozenset({"branch", "approx"})
-
 
 @dataclass(frozen=True)
 class ProductState:
     cmd: Command
     kappa: PreciseStore
-    astate: AbstractState
+    astate: AbstractState | None
     counter: Counter
     precise: bool
 
@@ -59,7 +53,7 @@ def _conjuncts(path: SymPath) -> set[SymPath]:
     return out
 
 
-def reduction(kappa: PreciseStore, astate: AbstractState) -> tuple[PreciseStore, AbstractState]:
+def reduction(kappa: PreciseStore, astate: AbstractState) -> PreciseStore:
     """Strengthen the path with the abstract constraints; same concretization.
 
     Each bound constraint over a program variable is rephrased over that
@@ -74,119 +68,105 @@ def reduction(kappa: PreciseStore, astate: AbstractState) -> tuple[PreciseStore,
         if conjunct not in present:
             path = pand(path, conjunct)
             present.add(conjunct)
-    return PreciseStore.of(rho, path), astate
+    return PreciseStore.of(rho, path)
 
 
-def _maybe_reduce(kappa: PreciseStore, astate: AbstractState, site: str, policy) -> PreciseStore:
-    if site in policy and not astate.is_bottom:
-        kappa, _ = reduction(kappa, astate)
-    return kappa
+def _guard(bexpr: BExpr, astate: AbstractState | None) -> AbstractState | None:
+    return None if astate is None else a_guard(bexpr, astate)
 
 
-def product_step(
-    state: ProductState,
-    k: int,
-    solver: Solver,
-    factory: SymbolFactory,
-    reduce_at: frozenset[str] = REDUCE_AT,
-) -> list[ProductState]:
-    """Lockstep successors; dead on either side means pruned."""
+def _dead(astate: AbstractState | None) -> bool:
+    return astate is not None and astate.is_bottom
+
+
+def product_step(state: ProductState, k: int, solver: Solver, factory: SymbolFactory) -> list[ProductState]:
+    """Lockstep successors, true branch first; dead on either side means pruned."""
     out: list[ProductState] = []
-    rho = state.kappa.store()
+    redex, rest = focus(state.cmd)
+    rho, path, astate = state.kappa.store(), state.kappa.path, state.astate
 
-    def emit(cmd: Command, kappa: PreciseStore, astate: AbstractState, counter, precise):
-        if not astate.is_bottom:
-            out.append(ProductState(cmd, kappa, astate, counter, precise))
+    def feasible(path2: SymPath, astate2: AbstractState | None) -> bool:
+        return not _dead(astate2) and solver.may_sat(path2)
 
-    def walk(cmd: Command, wrap) -> None:
-        match cmd:
-            case Skip():
-                raise ValueError("skip has no successor")
-            case Assign(var, expr):
-                store = dict(rho)
-                store[var] = sym_eval_expr(expr, rho)
-                kappa2 = PreciseStore.of(store, state.kappa.path)
-                emit(wrap(SKIP), kappa2, a_assign(var, expr, state.astate), state.counter, state.precise)
-            case If(guard, then_branch, else_branch):
-                beta = sym_eval_bool(guard, rho)
-                cases = (
-                    (then_branch, beta, guard),
-                    (else_branch, pnot(beta), guard.negate()),
-                )
-                for branch, sign, bguard in cases:
-                    path2 = pand(state.kappa.path, sign)
-                    astate2 = a_guard(bguard, state.astate)
-                    if astate2.is_bottom or not solver.may_sat(path2):
-                        continue
-                    kappa2 = PreciseStore.of(rho, path2)
-                    kappa2 = _maybe_reduce(kappa2, astate2, "branch", reduce_at)
-                    emit(wrap(branch), kappa2, astate2, state.counter, state.precise)
-            case While(guard, body, active):
-                beta = sym_eval_bool(guard, rho)
-                unrolled = Seq(body, While(guard, body, active=True))
-                path_t = pand(state.kappa.path, beta)
-                astate_t = a_guard(guard, state.astate)
-                if not astate_t.is_bottom and solver.may_sat(path_t):
-                    ok, counter2 = counter_apply(
-                        LoopEvent("continue", active, cmd, SKIP), state.counter, k
-                    )
-                    if ok:
-                        kappa2 = PreciseStore.of(rho, path_t)
-                        kappa2 = _maybe_reduce(kappa2, astate_t, "branch", reduce_at)
-                        emit(wrap(unrolled), kappa2, astate_t, counter2, state.precise)
-                    else:
-                        # Summarize the remaining iterations: havoc the write
-                        # set, analyze the loop abstractly, then reduce.
-                        rho2 = modif(rho, cmd, factory)
-                        astate2 = analyze(cmd, state.astate)
-                        if not astate2.is_bottom:
-                            kappa2 = PreciseStore.of(rho2, state.kappa.path)
-                            kappa2 = _maybe_reduce(kappa2, astate2, "approx", reduce_at)
-                            emit(wrap(SKIP), kappa2, astate2, counter2, False)
-                path_f = pand(state.kappa.path, pnot(beta))
-                astate_f = a_guard(guard.negate(), state.astate)
-                if not astate_f.is_bottom and solver.may_sat(path_f):
-                    ok, counter2 = counter_apply(
-                        LoopEvent("exit", active, cmd, SKIP), state.counter, k
-                    )
-                    kappa2 = PreciseStore.of(rho, path_f)
-                    kappa2 = _maybe_reduce(kappa2, astate_f, "branch", reduce_at)
-                    emit(wrap(SKIP), kappa2, astate_f, counter2, state.precise)
-            case Seq(first, second):
-                if isinstance(first, Skip):
-                    emit(wrap(second), state.kappa, state.astate, state.counter, state.precise)
+    def emit(cmd: Command, kappa: PreciseStore, astate2, counter: Counter, precise: bool, reduce=True):
+        if _dead(astate2):
+            return
+        if reduce and astate2 is not None:
+            kappa = reduction(kappa, astate2)
+        out.append(ProductState(plug(cmd, rest), kappa, astate2, counter, precise))
+
+    match redex:
+        case Skip():
+            raise ValueError("skip has no successor")
+        case Seq(_, second):
+            emit(second, state.kappa, astate, state.counter, state.precise, reduce=False)
+        case Assign(var, expr):
+            rho2 = dict(rho)
+            rho2[var] = sym_eval_expr(expr, rho)
+            astate2 = None if astate is None else a_assign(var, expr, astate)
+            emit(SKIP, PreciseStore.of(rho2, path), astate2, state.counter, state.precise, reduce=False)
+        case If(guard, then_branch, else_branch):
+            beta = sym_eval_bool(guard, rho)
+            cases = ((then_branch, beta, guard), (else_branch, pnot(beta), guard.negate()))
+            for branch, sign, bguard in cases:
+                path2 = pand(path, sign)
+                astate2 = _guard(bguard, astate)
+                if feasible(path2, astate2):
+                    emit(branch, PreciseStore.of(rho, path2), astate2, state.counter, state.precise)
+        case While(guard, body, active):
+            beta = sym_eval_bool(guard, rho)
+            path_t = pand(path, beta)
+            astate_t = _guard(guard, astate)
+            if feasible(path_t, astate_t):
+                ok, counter2 = counter_apply("continue", active, state.counter, k)
+                if ok:
+                    unrolled = Seq(body, While(guard, body, active=True))
+                    emit(unrolled, PreciseStore.of(rho, path_t), astate_t, counter2, state.precise)
                 else:
-                    walk(first, lambda c, _wrap=wrap, _second=second: _wrap(Seq(c, _second)))
-            case _:
-                raise ValueError(f"unknown command {cmd!r}")
-
-    walk(state.cmd, lambda c: c)
+                    # Summarize the remaining iterations: havoc the write
+                    # set, analyze the loop abstractly, then reduce.  The
+                    # path is left unchanged.
+                    rho2 = modif(rho, redex, factory)
+                    astate2 = None if astate is None else analyze(redex, astate)
+                    emit(SKIP, PreciseStore.of(rho2, path), astate2, counter2, False)
+            path_f = pand(path, pnot(beta))
+            astate_f = _guard(guard.negate(), astate)
+            if feasible(path_f, astate_f):
+                _, counter2 = counter_apply("exit", active, state.counter, k)
+                emit(SKIP, PreciseStore.of(rho, path_f), astate_f, counter2, state.precise)
+        case _:
+            raise ValueError(f"unknown command {redex!r}")
     return out
+
+
+def bounded_step(state: ProductState, k: int, solver: Solver, factory: SymbolFactory) -> list[ProductState]:
+    """SoundSE's step: the product step on a state with no domain.
+
+    It keeps its own name so that a tracer can tell the two single-trace
+    engines apart.
+    """
+    return product_step(state, k, solver, factory)
 
 
 def product_explore(
     program: Program,
     kappa0: PreciseStore,
-    astate0: AbstractState,
+    astate0: AbstractState | None,
     k: int,
     path_cap: int,
     solver: Solver,
     factory: SymbolFactory,
-    reduce_at: frozenset[str] = REDUCE_AT,
-) -> list[tuple[PreciseStore, AbstractState, bool]]:
-    """All final product states, depth first, true branch first."""
-    if astate0.is_bottom:
+) -> list[tuple[PreciseStore, AbstractState | None, bool]]:
+    """All final product states, depth first, true branch first.
+
+    With ``astate0`` None this explores with plain SoundSE.
+    """
+    if _dead(astate0):
         return []
-    finals: list[tuple[PreciseStore, AbstractState, bool]] = []
-    stack = [ProductState(program.body, kappa0, astate0, W0, True)]
-    expanded = 0
-    while stack:
-        state = stack.pop()
-        if isinstance(state.cmd, Skip):
-            finals.append((state.kappa, state.astate, state.precise))
-            continue
-        expanded += 1
-        if expanded > path_cap:
-            raise PathCapExceeded(f"more than {path_cap} states expanded")
-        stack.extend(reversed(product_step(state, k, solver, factory, reduce_at)))
-    return finals
+    finals = explore(
+        ProductState(program.body, kappa0, astate0, W0, True),
+        lambda state: product_step(state, k, solver, factory),
+        lambda state: isinstance(state.cmd, Skip),
+        path_cap,
+    )
+    return [(state.kappa, state.astate, state.precise) for state in finals]

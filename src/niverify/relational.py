@@ -21,17 +21,10 @@ from typing import Callable
 
 from niverify.absint import AbstractState, a_assign, a_guard, analyze
 from niverify.lang import Assign, BExpr, Command, If, Program, SKIP, Seq, Skip, While, assigned_vars
-from niverify.redsoundse import ProductState, REDUCE_AT, product_step
+from niverify import redsoundse
+from niverify.redsoundse import ProductState, bounded_step, product_step
 from niverify.solver import Solver
-from niverify.soundse import (
-    Counter,
-    LoopEvent,
-    PathCapExceeded,
-    SEState,
-    W0,
-    bounded_step,
-    counter_apply,
-)
+from niverify.soundse import Counter, W0, counter_apply, explore, focus, plug
 from niverify.symcore import (
     PreciseStore,
     SVal,
@@ -134,15 +127,24 @@ def rel_eval_bool(bexpr: BExpr, rho2: RelSymStore) -> RelGuard:
     )
 
 
-def modif2(rho2: RelSymStore, cmd: Command, factory: SymbolFactory) -> RelSymStore:
-    """Plain relational havoc: every written variable becomes an unrelated pair."""
+def modif_dep(
+    rho2: RelSymStore, cmd: Command, low: frozenset[str] | set[str], factory: SymbolFactory
+) -> RelSymStore:
+    """Relational havoc of everything the command may assign.
+
+    Variables in ``low`` are known to agree after the command, so both
+    traces share one fresh symbol; the others get one per trace.  With an
+    empty ``low`` this is the plain relational havoc.
+    """
     written = assigned_vars(cmd)
     out: RelSymStore = {}
     for x in sorted(rho2):
-        if x in written:
-            out[x] = Pair(SVal(factory.fresh(x)), SVal(factory.fresh(x)))
-        else:
+        if x not in written:
             out[x] = rho2[x]
+        elif x in low:
+            out[x] = Single(SVal(factory.fresh(x)))
+        else:
+            out[x] = Pair(SVal(factory.fresh(x)), SVal(factory.fresh(x)))
     return out
 
 
@@ -204,11 +206,10 @@ class RelEngine:
     bound: int
     use_intervals: bool
     havoc: HavocFn | None = None
-    reduce_at: frozenset[str] = REDUCE_AT
 
     def havoc_store(self, rho2, loop, path, a0, a1) -> RelSymStore:
         if self.havoc is None:
-            return modif2(rho2, loop, self.factory)
+            return modif_dep(rho2, loop, frozenset(), self.factory)
         return self.havoc(rho2, loop, path, a0, a1)
 
 
@@ -227,9 +228,14 @@ def srse_step(state: RelState, engine: RelEngine) -> list[RelState]:
     return _unified_step(state, engine)
 
 
+# The four ways two traces can take a branch, trace 0's choice first.
+SIGNS = ((True, True), (True, False), (False, True), (False, False))
+
+
 def _unified_step(state: RelState, engine: RelEngine) -> list[RelState]:
     solver = engine.solver
     out: list[RelState] = []
+    redex, rest = focus(state.control.cmd)
     rho2 = state.kappa2.store()
     path = state.kappa2.path
 
@@ -245,122 +251,74 @@ def _unified_step(state: RelState, engine: RelEngine) -> list[RelState]:
             return True
         return not a0.is_bottom and not a1.is_bottom
 
-    def reduced(kappa2: RelPreciseStore, a0, a1, site: str) -> RelPreciseStore:
-        if not engine.use_intervals or site not in engine.reduce_at:
-            return kappa2
-        path2 = _reduce_path2(kappa2, a0, a1)
-        return RelPreciseStore.of(kappa2.store(), path2)
+    def reduced(kappa2: RelPreciseStore, a0, a1) -> RelPreciseStore:
+        return _reduce2(kappa2, a0, a1) if engine.use_intervals else kappa2
 
-    def walk(cmd: Command, wrap) -> None:
-        match cmd:
-            case Skip():
-                raise ValueError("skip has no successor")
-            case Assign(var, expr):
-                store = dict(rho2)
-                store[var] = rel_eval_expr(expr, rho2)
+    def fork(bguard: BExpr, beta: RelGuard, signs, taken: Command, not_taken: Command, counter) -> None:
+        """Successors where trace 0 takes the guard as s0 and trace 1 as s1."""
+        for s0, s1 in signs:
+            path2 = _signed(path, beta, s0, s1)
+            a0, a1 = guards(bguard, s0, s1)
+            if not alive(a0, a1) or not solver.may_sat(path2):
+                continue
+            c0 = taken if s0 else not_taken
+            c1 = taken if s1 else not_taken
+            control = Unified(plug(c0, rest)) if s0 == s1 else Diverged(c0, c1, plug(SKIP, rest))
+            kappa2 = reduced(RelPreciseStore.of(rho2, path2), a0, a1)
+            out.append(RelState(control, kappa2, a0, a1, counter, state.precise))
+
+    match redex:
+        case Skip():
+            raise ValueError("skip has no successor")
+        case Seq(_, second):
+            control = Unified(plug(second, rest))
+            out.append(RelState(control, state.kappa2, state.a0, state.a1, state.counter, state.precise))
+        case Assign(var, expr):
+            store = dict(rho2)
+            store[var] = rel_eval_expr(expr, rho2)
+            a0, a1 = state.a0, state.a1
+            if engine.use_intervals:
+                a0, a1 = a_assign(var, expr, a0), a_assign(var, expr, a1)
+            kappa2 = RelPreciseStore.of(store, path)
+            out.append(RelState(Unified(plug(SKIP, rest)), kappa2, a0, a1, state.counter, state.precise))
+        case If(bguard, then_branch, else_branch):
+            fork(bguard, rel_eval_bool(bguard, rho2), SIGNS, then_branch, else_branch, state.counter)
+        case While(bguard, body, active):
+            beta = rel_eval_bool(bguard, rho2)
+            unrolled = Seq(body, While(bguard, body, active=True))
+            continue_ok, continue_counter = counter_apply("continue", active, state.counter, engine.bound)
+            fork(bguard, beta, SIGNS[:3] if continue_ok else (), unrolled, SKIP, continue_counter)
+            if not continue_ok and (
+                solver.may_sat(pand(path, beta.left)) or solver.may_sat(pand(path, beta.right))
+            ):
+                # Budget spent and some trace could still iterate:
+                # summarize the rest of the loop on both sides.
+                rho2h = engine.havoc_store(rho2, redex, path, state.a0, state.a1)
+                path2 = _signed(path, rel_eval_bool(bguard, rho2h), False, False)
                 a0, a1 = state.a0, state.a1
                 if engine.use_intervals:
-                    a0, a1 = a_assign(var, expr, a0), a_assign(var, expr, a1)
-                out.append(
-                    RelState(
-                        Unified(wrap(SKIP)),
-                        RelPreciseStore.of(store, path),
-                        a0,
-                        a1,
-                        state.counter,
-                        state.precise,
-                    )
-                )
-            case If(bguard, then_branch, else_branch):
-                beta = rel_eval_bool(bguard, rho2)
-                for s0, s1 in ((True, True), (True, False), (False, True), (False, False)):
-                    path2 = _signed(path, beta, s0, s1)
-                    a0, a1 = guards(bguard, s0, s1)
-                    if not alive(a0, a1) or not solver.may_sat(path2):
-                        continue
-                    kappa2 = reduced(RelPreciseStore.of(rho2, path2), a0, a1, "branch")
-                    if s0 == s1:
-                        branch = then_branch if s0 else else_branch
-                        control = Unified(wrap(branch))
-                    else:
-                        mine = then_branch if s0 else else_branch
-                        other = else_branch if s0 else then_branch
-                        control = Diverged(mine, other, wrap(SKIP))
-                    out.append(RelState(control, kappa2, a0, a1, state.counter, state.precise))
-            case While(bguard, body, active):
-                beta = rel_eval_bool(bguard, rho2)
-                unrolled = Seq(body, While(bguard, body, active=True))
-                continue_ok, continue_counter = counter_apply(
-                    LoopEvent("continue", active, cmd, SKIP), state.counter, engine.bound
-                )
-                continue_combos = ((True, True), (True, False), (False, True)) if continue_ok else ()
-                for s0, s1 in continue_combos:
-                    path2 = _signed(path, beta, s0, s1)
-                    a0, a1 = guards(bguard, s0, s1)
-                    if not alive(a0, a1) or not solver.may_sat(path2):
-                        continue
-                    kappa2 = reduced(RelPreciseStore.of(rho2, path2), a0, a1, "branch")
-                    if s0 and s1:
-                        control = Unified(wrap(unrolled))
-                    elif s0:
-                        control = Diverged(unrolled, SKIP, wrap(SKIP))
-                    else:
-                        control = Diverged(SKIP, unrolled, wrap(SKIP))
-                    out.append(RelState(control, kappa2, a0, a1, continue_counter, state.precise))
-                if not continue_ok and (
-                    solver.may_sat(pand(path, beta.left)) or solver.may_sat(pand(path, beta.right))
-                ):
-                    # Budget spent and some trace could still iterate:
-                    # summarize the rest of the loop on both sides.
-                    rho2h = engine.havoc_store(rho2, cmd, path, state.a0, state.a1)
-                    betah = rel_eval_bool(bguard, rho2h)
-                    path2 = _signed(path, betah, False, False)
-                    a0, a1 = state.a0, state.a1
-                    if engine.use_intervals:
-                        a0, a1 = analyze(cmd, a0), analyze(cmd, a1)
-                    if alive(a0, a1) and solver.may_sat(path2):
-                        kappa2 = reduced(RelPreciseStore.of(rho2h, path2), a0, a1, "approx")
-                        out.append(RelState(Unified(wrap(SKIP)), kappa2, a0, a1, continue_counter, False))
-                # Normal exit stays available regardless of the budget.
-                exit_ok, exit_counter = counter_apply(
-                    LoopEvent("exit", active, cmd, SKIP), state.counter, engine.bound
-                )
-                path2 = _signed(path, beta, False, False)
-                a0, a1 = guards(bguard, False, False)
+                    a0, a1 = analyze(redex, a0), analyze(redex, a1)
                 if alive(a0, a1) and solver.may_sat(path2):
-                    kappa2 = reduced(RelPreciseStore.of(rho2, path2), a0, a1, "branch")
-                    out.append(
-                        RelState(Unified(wrap(SKIP)), kappa2, a0, a1, exit_counter, state.precise)
-                    )
-            case Seq(first, second):
-                if isinstance(first, Skip):
-                    out.append(
-                        RelState(
-                            Unified(wrap(second)),
-                            state.kappa2,
-                            state.a0,
-                            state.a1,
-                            state.counter,
-                            state.precise,
-                        )
-                    )
-                else:
-                    walk(first, lambda c, _wrap=wrap, _second=second: _wrap(Seq(c, _second)))
-            case _:
-                raise ValueError(f"unknown command {cmd!r}")
-
-    walk(state.control.cmd, lambda c: c)
+                    kappa2 = reduced(RelPreciseStore.of(rho2h, path2), a0, a1)
+                    out.append(RelState(Unified(plug(SKIP, rest)), kappa2, a0, a1, continue_counter, False))
+            # Normal exit stays available regardless of the budget.
+            _, exit_counter = counter_apply("exit", active, state.counter, engine.bound)
+            fork(bguard, beta, SIGNS[3:], unrolled, SKIP, exit_counter)
+        case _:
+            raise ValueError(f"unknown command {redex!r}")
     return out
 
 
-def _reduce_path2(kappa2: RelPreciseStore, a0: AbstractState, a1: AbstractState) -> SymPath:
-    """Reduction over both projections of a relational store."""
-    from niverify.redsoundse import reduction
+def _reduce2(kappa2: RelPreciseStore, a0: AbstractState, a1: AbstractState) -> RelPreciseStore:
+    """Reduction over both projections of a relational store.
 
+    ``reduction`` is looked up on its module at call time, so a wrapper
+    installed there (as the benchmark's tracer does) sees these calls too.
+    """
     rho2 = kappa2.store()
-    step0, _ = reduction(PreciseStore.of(proj(0, rho2), kappa2.path), a0)
-    step1, _ = reduction(PreciseStore.of(proj(1, rho2), step0.path), a1)
-    return step1.path
+    path = redsoundse.reduction(PreciseStore.of(proj(0, rho2), kappa2.path), a0).path
+    path = redsoundse.reduction(PreciseStore.of(proj(1, rho2), path), a1).path
+    return RelPreciseStore.of(rho2, path)
 
 
 def _diverged_step(state: RelState, engine: RelEngine) -> list[RelState]:
@@ -374,41 +332,29 @@ def _diverged_step(state: RelState, engine: RelEngine) -> list[RelState]:
         ]
     side = 0 if not isinstance(control.left, Skip) else 1
     rho2 = state.kappa2.store()
-    own = proj(side, rho2)
     other = proj(1 - side, rho2)
-    cmd = control.left if side == 0 else control.right
-    astate = state.a0 if side == 0 else state.a1
-
-    successors: list[tuple[Command, PreciseStore, Counter, bool, AbstractState | None]] = []
-    if engine.use_intervals:
-        sub = ProductState(cmd, PreciseStore.of(own, state.kappa2.path), astate, state.counter, state.precise)
-        for nxt in product_step(sub, engine.bound, engine.solver, engine.factory, engine.reduce_at):
-            successors.append((nxt.cmd, nxt.kappa, nxt.counter, nxt.precise, nxt.astate))
-    else:
-        sub = SEState(cmd, PreciseStore.of(own, state.kappa2.path), state.counter, state.precise)
-        for nxt in bounded_step(sub, engine.bound, engine.solver, engine.factory):
-            successors.append((nxt.cmd, nxt.kappa, nxt.counter, nxt.precise, None))
+    sub = ProductState(
+        control.left if side == 0 else control.right,
+        PreciseStore.of(proj(side, rho2), state.kappa2.path),
+        state.a0 if side == 0 else state.a1,
+        state.counter,
+        state.precise,
+    )
+    step = product_step if engine.use_intervals else bounded_step
 
     out: list[RelState] = []
-    for cmd2, kappa2, counter2, precise2, astate2 in successors:
-        own2 = kappa2.store()
+    for nxt in step(sub, engine.bound, engine.solver, engine.factory):
+        own2 = nxt.kappa.store()
         if side == 0:
-            paired = pairing(own2, other, kappa2.path, engine.solver)
-            control2 = Diverged(cmd2, control.right, control.cont)
-            a0, a1 = astate2, state.a1
+            paired = pairing(own2, other, nxt.kappa.path, engine.solver)
+            control2 = Diverged(nxt.cmd, control.right, control.cont)
+            a0, a1 = nxt.astate, state.a1
         else:
-            paired = pairing(other, own2, kappa2.path, engine.solver)
-            control2 = Diverged(control.left, cmd2, control.cont)
-            a0, a1 = state.a0, astate2
+            paired = pairing(other, own2, nxt.kappa.path, engine.solver)
+            control2 = Diverged(control.left, nxt.cmd, control.cont)
+            a0, a1 = state.a0, nxt.astate
         out.append(
-            RelState(
-                control2,
-                RelPreciseStore.of(paired, kappa2.path),
-                a0,
-                a1,
-                counter2,
-                precise2,
-            )
+            RelState(control2, RelPreciseStore.of(paired, nxt.kappa.path), a0, a1, nxt.counter, nxt.precise)
         )
     return out
 
@@ -429,16 +375,5 @@ def srse_explore(
         W0,
         True,
     )
-    finals: list[tuple[RelPreciseStore, bool]] = []
-    stack = [start]
-    expanded = 0
-    while stack:
-        state = stack.pop()
-        if state.final:
-            finals.append((state.kappa2, state.precise))
-            continue
-        expanded += 1
-        if expanded > path_cap:
-            raise PathCapExceeded(f"more than {path_cap} states expanded")
-        stack.extend(reversed(srse_step(state, engine)))
-    return finals
+    finals = explore(start, lambda state: srse_step(state, engine), lambda state: state.final, path_cap)
+    return [(state.kappa2, state.precise) for state in finals]

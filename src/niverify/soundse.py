@@ -1,31 +1,32 @@
 """Bounded single-trace symbolic execution that stays sound past the bound.
 
-The plain step relation mirrors the concrete small-step semantics on
-precise stores, pruning branches whose extended path is definitely
-unsatisfiable.  The bounded layer threads an iteration counter (a stack
-with one entry per entered loop) and a precision flag: when a loop asks
-for one more iteration than the bound allows, every variable the loop may
-write is replaced by a fresh symbol, execution resumes after the loop, and
-the flag drops to false for good.  Flag-true finals therefore describe
-exact path summaries; flag-false finals over-approximate.
+SoundSE is the reduced product of ``redsoundse`` with no abstract domain:
+its step is ``redsoundse.product_step`` on a state whose ``astate`` is
+None.  The step mirrors the concrete small-step semantics on precise
+stores, pruning branches whose extended path is definitely unsatisfiable.
+It threads an iteration counter (a stack with one entry per entered loop)
+and a precision flag: when a loop asks for one more iteration than the
+bound allows, every variable the loop may write is replaced by a fresh
+symbol, execution resumes after the loop, and the flag drops to false for
+good.  Flag-true finals therefore describe exact path summaries; flag-false
+finals over-approximate.
+
+This module holds what the single-trace and relational steps share: the
+redex split of a command, the counter, the havoc and the depth-first
+explorer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import Callable, Iterator, TypeVar
 
-from niverify.lang import Assign, Command, If, Program, SKIP, Seq, Skip, While, assigned_vars
-from niverify.solver import Solver
+from niverify.lang import Command, Program, Seq, Skip, assigned_vars
 from niverify.symcore import (
     PreciseStore,
     SymbolFactory,
     SymStore,
     SVal,
     initial_sym_store,
-    pand,
-    pnot,
-    sym_eval_bool,
-    sym_eval_expr,
     TRUE,
 )
 
@@ -33,31 +34,11 @@ Counter = tuple[int, ...]
 
 W0: Counter = ()
 
+State = TypeVar("State")
+
 
 class PathCapExceeded(Exception):
     """Exploration grew past the configured path cap."""
-
-
-@dataclass(frozen=True)
-class SEState:
-    cmd: Command
-    kappa: PreciseStore
-    counter: Counter
-    precise: bool
-
-
-@dataclass(frozen=True)
-class LoopEvent:
-    """Counter consultation attached to a loop successor.
-
-    ``approx_cmd`` is the whole command with the loop replaced by skip, so
-    an exhausted iteration budget can resume right after the loop.
-    """
-
-    kind: str  # "continue" | "exit"
-    active: bool
-    loop: While
-    approx_cmd: Command
 
 
 def modif(rho: SymStore, cmd: Command, factory: SymbolFactory) -> SymStore:
@@ -66,66 +47,39 @@ def modif(rho: SymStore, cmd: Command, factory: SymbolFactory) -> SymStore:
     return {x: SVal(factory.fresh(x)) if x in written else e for x, e in rho.items()}
 
 
-def se_step(
-    cmd: Command, kappa: PreciseStore, solver: Solver
-) -> list[tuple[Command, PreciseStore, LoopEvent | None]]:
-    """Plain step relation: all successors, true branch first.
+def focus(cmd: Command) -> tuple[Command, list[Command]]:
+    """Split a command into its redex and the continuations around it.
 
-    Loop successors carry the counter event for the bounded layer; an empty
-    result means every branch was infeasible.
+    The redex is the first command to run: an assignment, a conditional, a
+    loop, skip itself, or ``skip; c``.  The continuations are the second
+    halves of the enclosing sequences, outermost first.
     """
-    rho = kappa.store()
-    path = kappa.path
-    out: list[tuple[Command, PreciseStore, LoopEvent | None]] = []
-
-    match cmd:
-        case Skip():
-            raise ValueError("skip has no successor")
-        case Assign(var, expr):
-            rho2 = dict(rho)
-            rho2[var] = sym_eval_expr(expr, rho)
-            out.append((SKIP, PreciseStore.of(rho2, path), None))
-        case If(guard, then_branch, else_branch):
-            beta = sym_eval_bool(guard, rho)
-            for branch, sign in ((then_branch, beta), (else_branch, pnot(beta))):
-                path2 = pand(path, sign)
-                if solver.may_sat(path2):
-                    out.append((branch, PreciseStore.of(rho, path2), None))
-        case While(guard, body, active):
-            beta = sym_eval_bool(guard, rho)
-            unrolled = Seq(body, While(guard, body, active=True))
-            path_t = pand(path, beta)
-            if solver.may_sat(path_t):
-                event = LoopEvent("continue", active, cmd, SKIP)
-                out.append((unrolled, PreciseStore.of(rho, path_t), event))
-            path_f = pand(path, pnot(beta))
-            if solver.may_sat(path_f):
-                event = LoopEvent("exit", active, cmd, SKIP)
-                out.append((SKIP, PreciseStore.of(rho, path_f), event))
-        case Seq(first, second):
-            if isinstance(first, Skip):
-                out.append((second, kappa, None))
-            else:
-                for first2, kappa2, event in se_step(first, kappa, solver):
-                    if event is not None:
-                        event = replace(event, approx_cmd=Seq(event.approx_cmd, second))
-                    out.append((Seq(first2, second), kappa2, event))
-        case _:
-            raise ValueError(f"unknown command {cmd!r}")
-    return out
+    rest: list[Command] = []
+    while isinstance(cmd, Seq) and not isinstance(cmd.first, Skip):
+        rest.append(cmd.second)
+        cmd = cmd.first
+    return cmd, rest
 
 
-def counter_apply(event: LoopEvent, counter: Counter, k: int) -> tuple[bool, Counter]:
+def plug(cmd: Command, rest: list[Command]) -> Command:
+    """Put a successor of the redex back into its continuations."""
+    for second in reversed(rest):
+        cmd = Seq(cmd, second)
+    return cmd
+
+
+def counter_apply(kind: str, active: bool, counter: Counter, k: int) -> tuple[bool, Counter]:
     """Update the counter for one loop consultation.
 
-    Exits always succeed (popping the loop's entry if it has one).  A
-    continue pushes a zero on first entry, then allows the iteration only
-    while the count is below the bound; otherwise it pops and reports
-    exhaustion.
+    ``kind`` is "continue" or "exit"; ``active`` tells an already-entered
+    loop from a fresh entry.  Exits always succeed (popping the loop's
+    entry if it has one).  A continue pushes a zero on first entry, then
+    allows the iteration only while the count is below the bound; otherwise
+    it pops and reports exhaustion.
     """
-    if event.kind == "exit":
-        return True, (counter[:-1] if event.active else counter)
-    if not event.active:
+    if kind == "exit":
+        return True, (counter[:-1] if active else counter)
+    if not active:
         counter = counter + (0,)
     top = counter[-1]
     if top < k:
@@ -133,79 +87,27 @@ def counter_apply(event: LoopEvent, counter: Counter, k: int) -> tuple[bool, Cou
     return False, counter[:-1]
 
 
-def _redex(cmd: Command) -> tuple[Command, int]:
-    depth = 0
-    while isinstance(cmd, Seq) and not isinstance(cmd.first, Skip):
-        cmd = cmd.first
-        depth += 1
-    return cmd, depth
-
-
-def counter_step(cmd: Command, successor: Command, counter: Counter, k: int) -> tuple[bool, Counter]:
-    """Counter consultation from the shapes of a transition alone.
-
-    Anything but a loop leaves the counter untouched.  For a loop redex the
-    successor shape tells continue (the unrolled body) from exit.
-    """
-    redex, depth = _redex(cmd)
-    if not isinstance(redex, While):
-        return True, counter
-    node = successor
-    for _ in range(depth):
-        if not isinstance(node, Seq):
-            return True, counter
-        node = node.first
-    is_continue = (
-        isinstance(node, Seq)
-        and isinstance(node.second, While)
-        and node.second.guard == redex.guard
-        and node.second.body == redex.body
-    )
-    event = LoopEvent("continue" if is_continue else "exit", redex.active, redex, SKIP)
-    return counter_apply(event, counter, k)
-
-
-def bounded_step(state: SEState, k: int, solver: Solver, factory: SymbolFactory) -> list[SEState]:
-    """One bounded step: ordinary successors, or the havoc summary on exhaustion."""
-    out = []
-    for cmd2, kappa2, event in se_step(state.cmd, state.kappa, solver):
-        if event is None:
-            out.append(SEState(cmd2, kappa2, state.counter, state.precise))
-            continue
-        ok, counter2 = counter_apply(event, state.counter, k)
-        if ok:
-            out.append(SEState(cmd2, kappa2, counter2, state.precise))
-        else:
-            # The budget is spent: summarize any further iterations by
-            # havocking the loop's write set; the path is left unchanged.
-            rho2 = modif(state.kappa.store(), event.loop, factory)
-            kappa3 = PreciseStore.of(rho2, state.kappa.path)
-            out.append(SEState(event.approx_cmd, kappa3, counter2, False))
-    return out
-
-
-def se_explore(
-    program: Program,
-    kappa0: PreciseStore,
-    k: int,
+def explore(
+    start: State,
+    step: Callable[[State], list[State]],
+    is_final: Callable[[State], bool],
     path_cap: int,
-    solver: Solver,
-    factory: SymbolFactory,
-) -> list[tuple[PreciseStore, bool]]:
-    """All final states, depth first with the true branch explored first."""
-    finals: list[tuple[PreciseStore, bool]] = []
-    stack = [SEState(program.body, kappa0, W0, True)]
+) -> Iterator[State]:
+    """Yield the final states, depth first in the order the step lists successors.
+
+    Yielding lets callers keep only the part of each final they need.
+    """
+    stack = [start]
     expanded = 0
     while stack:
         state = stack.pop()
-        if isinstance(state.cmd, Skip):
-            finals.append((state.kappa, state.precise))
+        if is_final(state):
+            yield state
             continue
         expanded += 1
         if expanded > path_cap:
             raise PathCapExceeded(f"more than {path_cap} states expanded")
-        stack.extend(reversed(bounded_step(state, k, solver, factory)))
-    return finals
+        stack.extend(reversed(step(state)))
 
 
 def initial_precise_store(program: Program, factory: SymbolFactory) -> PreciseStore:

@@ -30,7 +30,7 @@ from niverify.lang import (
     Var,
     While,
 )
-from niverify.redsoundse import ProductState, product_step
+from niverify.redsoundse import ProductState, product_explore, product_step
 from niverify.relational import (
     Diverged,
     srse_step,
@@ -43,7 +43,7 @@ from niverify.relational import (
     proj_expr,
 )
 from niverify.solver import Solver
-from niverify.soundse import SEState, W0, bounded_step
+from niverify.soundse import W0, focus
 from niverify.symcore import (
     PreciseStore,
     SymbolFactory,
@@ -142,10 +142,10 @@ def random_store(rng: random.Random, program: Program, lo: int = -8, hi: int = 8
 # ---------------------------------------------------------------------------
 
 
-def _redex(cmd):
-    while isinstance(cmd, Seq) and not isinstance(cmd.first, Skip):
-        cmd = cmd.first
-    return cmd
+def se_explore(program, kappa0, k, path_cap, solver, factory):
+    """Plain SoundSE exploration: the product with no domain, as (kappa, precise) pairs."""
+    finals = product_explore(program, kappa0, None, k, path_cap, solver, factory)
+    return [(kappa, precise) for kappa, _, precise in finals]
 
 
 def _new_symbols(store, nu) -> set:
@@ -180,10 +180,8 @@ def walk_single_coverage(
     rho0 = {x: SVal(factory.initial(x)) for x in sorted(program.all_vars)}
     nu = {factory.initial(x): mu0[x] for x in program.all_vars}
     kappa = PreciseStore.of(rho0, TRUE)
-    if with_intervals:
-        state = ProductState(program.body, kappa, AbstractState.top(program.all_vars), W0, True)
-    else:
-        state = SEState(program.body, kappa, W0, True)
+    astate = AbstractState.top(program.all_vars) if with_intervals else None
+    state = ProductState(program.body, kappa, astate, W0, True)
 
     for _ in range(WALK_STEP_LIMIT):
         if isinstance(state.cmd, Skip):
@@ -191,9 +189,7 @@ def walk_single_coverage(
         mu = {x: eval_sym(e, nu) for x, e in state.kappa.store().items()}
         if with_intervals:
             assert state_holds(state.astate, mu), "interval state lost the concrete store"
-            successors = product_step(state, k, solver, factory)
-        else:
-            successors = bounded_step(state, k, solver, factory)
+        successors = product_step(state, k, solver, factory)
         exact = [
             s
             for s in successors
@@ -204,7 +200,7 @@ def walk_single_coverage(
             state = exact[0]
             continue
         havocked = [s for s in successors if _new_symbols(s.kappa.store(), nu)]
-        loop = _redex(state.cmd)
+        loop, _ = focus(state.cmd)
         assert isinstance(loop, While), "stuck at a non-loop state"
         res = run_capped(loop, mu, fuel)
         if not isinstance(res, Final):
@@ -283,7 +279,7 @@ def walk_relational_coverage(
         if isinstance(state.control, Diverged):
             side = 0 if not isinstance(state.control.left, Skip) else 1
             cmd = state.control.left if side == 0 else state.control.right
-            loop = _redex(cmd)
+            loop, _ = focus(cmd)
             assert isinstance(loop, While)
             res = run_capped(loop, stores[side], fuel)
             if not isinstance(res, Final):
@@ -293,7 +289,7 @@ def walk_relational_coverage(
             assert havocked, "concrete pair not covered by any successor"
             nxt = havocked[0]
         else:
-            loop = _redex(state.control.cmd)
+            loop, _ = focus(state.control.cmd)
             assert isinstance(loop, While)
             res0 = run_capped(loop, stores[0], fuel)
             res1 = run_capped(loop, stores[1], fuel)

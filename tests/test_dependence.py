@@ -5,7 +5,6 @@ from niverify.dependence import (
     DepState,
     PcLevel,
     dep_analyze,
-    lambda_dep_to_low,
     level_of,
     tau_sym_to_dep,
 )
@@ -73,8 +72,9 @@ def test_tau():
 
 
 def test_lambda():
-    assert lambda_dep_to_low(d("i", "z")) == {"i", "z"}
-    assert lambda_dep_to_low(d()) == set()
+    # The two-level lattice makes the dependence-to-low map the identity.
+    assert d("i", "z").low_agree == {"i", "z"}
+    assert d().low_agree == set()
 
 
 def test_numeric_refinement_skips_dead_branch():

@@ -19,18 +19,18 @@ from niverify.driver import (
     SecurePath,
     classify_path,
     initial_rel_store,
-    modif_dep,
     replay,
     run_corpus,
     verdict_name,
     verify_ni,
 )
 from niverify.lang import parse_program
-from niverify.relational import Pair, RelPreciseStore, Single
+from niverify.relational import Pair, RelPreciseStore, Single, modif_dep
 from niverify.solver import Solver
 from niverify.symcore import SConst, SVal, SymbolFactory, TRUE, pand, pcmp
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def corpus_program(name: str):
@@ -60,15 +60,11 @@ def test_modif_dep():
     assert isinstance(havocked["i"], Single) and havocked["i"] != rho2["i"]
     assert isinstance(havocked["priv"], Pair) and havocked["priv"] != rho2["priv"]
 
-    # Without dependence information this degenerates to the plain havoc.
-    from niverify.relational import modif2
-
-    f1, f2 = SymbolFactory(), SymbolFactory()
-    rho2a = initial_rel_store(p, f1)
-    rho2b = initial_rel_store(p, f2)
-    plain = modif2(rho2b, p.body, f2)
-    degenerate = modif_dep(rho2a, p.body, frozenset(), f1)
-    assert {x: type(e) for x, e in degenerate.items()} == {x: type(e) for x, e in plain.items()}
+    # Without dependence information this is the plain havoc: every written
+    # variable becomes an unrelated pair.
+    degenerate = modif_dep(rho2, p.body, frozenset(), factory)
+    assert {x for x, e in degenerate.items() if isinstance(e, Pair)} == lang.assigned_vars(p.body)
+    assert all(e.left != e.right for e in degenerate.values() if isinstance(e, Pair))
 
     assert modif_dep(rho2, lang.SKIP, {"i"}, factory) == rho2
 
@@ -203,6 +199,26 @@ def test_run_corpus_grid_and_determinism(tmp_path):
     assert ce["out0"]["i"] != ce["out1"]["i"]
 
 
+def test_run_corpus_matches_golden_report():
+    """Alarm text and counterexamples too, which the determinism hash leaves out."""
+    report = json.dumps(run_corpus(CORPUS), indent=2, sort_keys=True) + "\n"
+    assert report == (GOLDEN / "corpus_report.json").read_text()
+
+
+def test_refutation_binds_symbols_the_model_leaves_out():
+    """The disagreement query folds to the path, so the model lacks the initial a."""
+    p = parse_program(
+        "low a, b; high c; if ((-3 - c) > (4 - 0)) { b := 3; a := 4;"
+        " if ((c + c) >= (a + c)) { c := -2; } else { b := 0; } } else { b := (0 + 3); }"
+    )
+    for engine, single in MATRIX[1:]:
+        cfg = AnalysisConfig(engine=engine, single_engine=single, domain="intervals" if single == "redsoundse" else "none")
+        verdict = verify_ni(p, cfg)
+        assert isinstance(verdict, Insecure), cfg.label()
+        ce = verdict.counterexample
+        assert dict(ce.out0)[ce.witness_var] != dict(ce.out1)[ce.witness_var]
+
+
 def test_run_corpus_empty_dir(tmp_path):
     report = run_corpus(tmp_path)
     assert report["results"] == []
@@ -287,8 +303,6 @@ def test_cli_engine_flags(capsys):
             "soundrse",
             "--single-engine",
             "soundse",
-            "--domain",
-            "none",
         ]
     )
     assert code == 2
@@ -305,3 +319,12 @@ def test_cli_corpus(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "prog_a" in text and "determinism hash" in text
+
+
+def test_cli_internal_error_exits_3(monkeypatch, capsys):
+    def broken(program, config):
+        raise ReplayFailure("replayed runs ended low-equal; model was spurious")
+
+    monkeypatch.setattr(cli.driver, "verify_ni", broken)
+    assert cli.main(["check", str(CORPUS / "prog_a.imp")]) == 3
+    assert capsys.readouterr().err == "error: ReplayFailure: replayed runs ended low-equal; model was spurious\n"

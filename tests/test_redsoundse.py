@@ -2,9 +2,9 @@ import random
 
 from niverify.absint import AbstractState, Interval, state_holds
 from niverify.lang import Cmp, Const, If, SKIP, Var, parse_program
-from niverify.redsoundse import ProductState, product_explore, product_step, reduction
+from niverify.redsoundse import ProductState, _conjuncts, product_explore, product_step, reduction
 from niverify.solver import Solver, Unsat
-from niverify.soundse import W0, initial_precise_store, se_explore
+from niverify.soundse import W0, initial_precise_store
 from niverify.symcore import (
     PreciseStore,
     SConst,
@@ -18,7 +18,7 @@ from niverify.symcore import (
     pnot,
 )
 
-from helpers import random_program, random_store, check_single_coverage
+from helpers import random_program, random_store, check_single_coverage, se_explore
 
 
 def env(**kwargs) -> AbstractState:
@@ -30,8 +30,7 @@ def test_reduction_appends_substituted_constraints():
     i1, priv1 = factory.fresh("i"), factory.fresh("priv")
     kappa = PreciseStore.of({"i": SVal(i1), "priv": SVal(priv1)}, TRUE)
     a = env(i=(10, 10), priv=(2, None))
-    kappa2, a2 = reduction(kappa, a)
-    assert a2 == a
+    kappa2 = reduction(kappa, a)
     assert kappa2.store() == kappa.store()
     assert kappa2.path == pand(
         pcmp("==", SVal(i1), SConst(10)), pcmp(">=", SVal(priv1), SConst(2))
@@ -41,7 +40,7 @@ def test_reduction_appends_substituted_constraints():
 def test_reduction_with_top_is_identity():
     factory = SymbolFactory()
     kappa = PreciseStore.of({"x": SVal(factory.initial("x"))}, TRUE)
-    kappa2, _ = reduction(kappa, AbstractState.top({"x"}))
+    kappa2 = reduction(kappa, AbstractState.top({"x"}))
     assert kappa2 == kappa
 
 
@@ -51,7 +50,7 @@ def test_reduction_is_gamma_equivalent_when_path_already_implies():
     i1 = factory.fresh("i")
     path = pand(pcmp(">=", SVal(i1), SConst(10)), pcmp("<=", SVal(i1), SConst(10)))
     kappa = PreciseStore.of({"i": SVal(i1)}, path)
-    kappa2, _ = reduction(kappa, env(i=(10, 10)))
+    kappa2 = reduction(kappa, env(i=(10, 10)))
     # Old and new paths entail each other.
     assert isinstance(solver.check_sat(pand(kappa.path, pnot(kappa2.path))), Unsat)
     assert isinstance(solver.check_sat(pand(kappa2.path, pnot(kappa.path))), Unsat)
@@ -79,15 +78,14 @@ def test_reduction_preserves_product_membership():
             y=(rng.randint(-5, 0), rng.randint(0, 5)),
         )
         kappa = PreciseStore.of(rho, path)
-        kappa2, a2 = reduction(kappa, a)
-        assert a2 == a
+        kappa2 = reduction(kappa, a)
         for _ in range(6):
             nu = {s.sym: rng.randint(-8, 8) for s in base.values()}
             mu = {v: eval_sym(e, nu) for v, e in rho.items()}
             if rng.random() < 0.3:
                 mu[rng.choice(("x", "y"))] += rng.randint(1, 3)
             before = in_gamma_k(kappa, mu, nu) and state_holds(a, mu)
-            after = in_gamma_k(kappa2, mu, nu) and state_holds(a2, mu)
+            after = in_gamma_k(kappa2, mu, nu) and state_holds(a, mu)
             violations += before != after
     assert violations == 0
 
@@ -104,9 +102,12 @@ def test_abstract_only_pruning():
         W0,
         True,
     )
-    successors = product_step(state, 3, solver, factory, reduce_at=frozenset())
+    successors = product_step(state, 3, solver, factory)
     assert len(successors) == 1
-    assert successors[0].kappa.path == pcmp(">", x, SConst(0))
+    # The surviving branch is reduced with the guarded interval x in [1, 5].
+    assert successors[0].kappa.path == pand(
+        pand(pcmp(">", x, SConst(0)), pcmp(">=", x, SConst(1))), pcmp("<=", x, SConst(5))
+    )
     # Symbolically both branches were satisfiable.
     assert solver.may_sat(pand(TRUE, pcmp("<=", x, SConst(0))))
 
@@ -137,16 +138,13 @@ def test_loop_free_product_matches_plain_exploration():
         plain = se_explore(p, initial_precise_store(p, f1), 3, 512, Solver(), f1)
         f2 = SymbolFactory()
         prod = product_explore(
-            p,
-            initial_precise_store(p, f2),
-            AbstractState.top(p.all_vars),
-            3,
-            512,
-            Solver(),
-            f2,
-            reduce_at=frozenset(),
+            p, initial_precise_store(p, f2), AbstractState.top(p.all_vars), 3, 512, Solver(), f2
         )
-        assert [(k, b) for k, b in plain] == [(k, b) for k, _, b in prod]
+        assert len(plain) == len(prod)
+        for (k1, b1), (k2, _, b2) in zip(plain, prod):
+            # Same stores and flags; reduction only adds interval conjuncts.
+            assert k1.store() == k2.store() and b1 == b2
+            assert _conjuncts(k1.path) <= _conjuncts(k2.path)
         compared += 1
     assert compared >= 10
 

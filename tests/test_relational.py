@@ -12,7 +12,7 @@ from niverify.relational import (
     Single,
     Unified,
     in_gamma_k2,
-    modif2,
+    modif_dep,
     pairing,
     proj,
     proj_expr,
@@ -215,7 +215,7 @@ def test_pairing_projection_round_trip(solver):
                 assert got == rho[v] or solver.prove_equal(got, rho[v], path)
 
 
-def test_modif2_pairs_every_written_variable():
+def test_plain_havoc_pairs_every_written_variable():
     factory = SymbolFactory()
     program = parse_program(
         "low i, z; high priv; while (i < z) { i := i + 1; priv := priv + 1; }"
@@ -225,7 +225,7 @@ def test_modif2_pairs_every_written_variable():
         "z": Single(SVal(factory.initial("z"))),
         "priv": Pair(SVal(factory.fresh("priv")), SVal(factory.fresh("priv"))),
     }
-    havocked = modif2(rho2, program.body, factory)
+    havocked = modif_dep(rho2, program.body, frozenset(), factory)
     assert havocked["z"] == rho2["z"]
     assert isinstance(havocked["i"], Pair) and isinstance(havocked["priv"], Pair)
     assert havocked["i"].left != havocked["i"].right

@@ -16,17 +16,9 @@ from niverify.lang import (
     While,
     parse_program,
 )
+from niverify.redsoundse import ProductState, product_step
 from niverify.solver import Sat, Solver
-from niverify.soundse import (
-    SEState,
-    W0,
-    bounded_step,
-    counter_step,
-    initial_precise_store,
-    modif,
-    se_explore,
-    se_step,
-)
+from niverify.soundse import W0, counter_apply, focus, initial_precise_store, modif, plug
 from niverify.symcore import (
     PreciseStore,
     SConst,
@@ -38,7 +30,7 @@ from niverify.symcore import (
     symbols_of_expr,
 )
 
-from helpers import check_single_coverage, random_program, random_store
+from helpers import check_single_coverage, random_program, random_store, se_explore
 
 
 @pytest.fixture
@@ -56,16 +48,26 @@ def _unbounded_loop_program():
     )
 
 
+def se_step(cmd, kappa, solver, counter=W0, k=3):
+    """SoundSE's step: the product step with no domain."""
+    return product_step(ProductState(cmd, kappa, None, counter, True), k, solver, SymbolFactory())
+
+
+def _counting_loop():
+    body = Assign("i", BinOp("+", Var("i"), Const(1)))
+    return While(Cmp("<", Var("i"), Const(9)), body), body
+
+
 def test_se_step_assign(solver):
     factory = SymbolFactory()
     y, priv = SVal(factory.initial("y")), SVal(factory.initial("priv"))
     kappa = PreciseStore.of({"y": y, "priv": priv}, TRUE)
     successors = se_step(Assign("y", Const(5)), kappa, solver)
     assert len(successors) == 1
-    cmd, kappa2, event = successors[0]
-    assert cmd == SKIP and event is None
-    assert kappa2.store() == {"y": SConst(5), "priv": priv}
-    assert kappa2.path == TRUE
+    succ = successors[0]
+    assert succ.cmd == SKIP and succ.counter == W0 and succ.precise and succ.astate is None
+    assert succ.kappa.store() == {"y": SConst(5), "priv": priv}
+    assert succ.kappa.path == TRUE
 
 
 def test_se_step_if_splits_on_unconstrained_secret(solver):
@@ -74,7 +76,7 @@ def test_se_step_if_splits_on_unconstrained_secret(solver):
     kappa = PreciseStore.of({"priv": priv}, TRUE)
     cmd = If(Cmp(">", Var("priv"), Const(0)), SKIP, SKIP)
     successors = se_step(cmd, kappa, solver)
-    assert [s[1].path for s in successors] == [
+    assert [s.kappa.path for s in successors] == [
         pcmp(">", priv, SConst(0)),
         pcmp("<=", priv, SConst(0)),
     ]
@@ -87,32 +89,55 @@ def test_se_step_prunes_infeasible_branch(solver):
     cmd = If(Cmp(">", Var("x"), Const(0)), Assign("x", Const(1)), Assign("x", Const(2)))
     successors = se_step(cmd, kappa, solver)
     assert len(successors) == 1
-    assert successors[0][0] == Assign("x", Const(2))
+    assert successors[0].cmd == Assign("x", Const(2))
 
 
-def test_counter_step_ignores_non_loops():
-    assert counter_step(Assign("x", Const(1)), SKIP, (2,), k=3) == (True, (2,))
+def test_counter_step_ignores_non_loops(solver):
+    kappa = PreciseStore.of({"x": SVal(SymbolFactory().initial("x"))}, TRUE)
+    cmd = Seq(Assign("x", Const(1)), While(Cmp("<", Var("x"), Const(9)), SKIP))
+    (succ,) = se_step(cmd, kappa, solver, counter=(2,))
+    assert succ.counter == (2,) and succ.precise
+    (succ,) = se_step(succ.cmd, succ.kappa, solver, counter=(2,))
+    assert succ.cmd == cmd.second and succ.counter == (2,)
 
 
-def test_counter_step_bound_one():
-    body = Assign("i", BinOp("+", Var("i"), Const(1)))
-    fresh_loop = While(Cmp("<", Var("i"), Const(9)), body)
-    unrolled = Seq(body, While(fresh_loop.guard, body, active=True))
+def test_counter_step_bound_one(solver):
     # First iteration from outside: a zero is pushed, then bumped.
-    assert counter_step(fresh_loop, unrolled, W0, k=1) == (True, (1,))
+    assert counter_apply("continue", False, W0, k=1) == (True, (1,))
     # Second attempt on the active loop exhausts the budget and pops.
+    assert counter_apply("continue", True, (1,), k=1) == (False, ())
+    # Exits pop an active loop's entry, and leave an outer loop's alone.
+    assert counter_apply("exit", True, (1,), k=1) == (True, ())
+    assert counter_apply("exit", False, (1,), k=1) == (True, (1,))
+
+    fresh_loop, body = _counting_loop()
     active_loop = While(fresh_loop.guard, body, active=True)
-    ok, counter = counter_step(active_loop, unrolled, (1,), k=1)
-    assert (ok, counter) == (False, ())
-    # Exits pop an active loop's entry.
-    assert counter_step(active_loop, SKIP, (1,), k=1) == (True, ())
+    kappa = PreciseStore.of({"i": SVal(SymbolFactory().initial("i"))}, TRUE)
+    cont, exit_ = se_step(fresh_loop, kappa, solver, k=1)
+    assert cont.cmd == Seq(body, active_loop) and cont.counter == (1,) and cont.precise
+    assert exit_.cmd == SKIP and exit_.counter == W0
+    summary, exit_ = se_step(active_loop, kappa, solver, counter=(1,), k=1)
+    assert summary.cmd == SKIP and summary.counter == () and not summary.precise
+    (sym,) = symbols_of_expr(summary.kappa.store()["i"])
+    assert summary.kappa.path == TRUE and sym.fresh
+    assert exit_.counter == () and exit_.precise
 
 
-def test_counter_step_bound_zero_summarizes_immediately():
-    body = Assign("i", BinOp("+", Var("i"), Const(1)))
-    loop = While(Cmp("<", Var("i"), Const(9)), body)
-    unrolled = Seq(body, While(loop.guard, body, active=True))
-    assert counter_step(loop, unrolled, W0, k=0) == (False, ())
+def test_counter_step_bound_zero_summarizes_immediately(solver):
+    assert counter_apply("continue", False, W0, k=0) == (False, ())
+    loop, _ = _counting_loop()
+    kappa = PreciseStore.of({"i": SVal(SymbolFactory().initial("i"))}, TRUE)
+    summary, _ = se_step(loop, kappa, solver, k=0)
+    assert summary.cmd == SKIP and summary.counter == W0 and not summary.precise
+
+
+def test_focus_and_plug_round_trip():
+    loop, body = _counting_loop()
+    cmd = Seq(Seq(loop, Assign("i", Const(0))), SKIP)
+    redex, rest = focus(cmd)
+    assert redex == loop and rest == [SKIP, Assign("i", Const(0))]
+    assert plug(redex, rest) == cmd
+    assert focus(Seq(SKIP, loop)) == (Seq(SKIP, loop), [])
 
 
 def test_modif():
@@ -189,14 +214,14 @@ def test_explore_terminates_on_nested_symbolic_loops(solver):
 def test_flag_false_is_absorbing(solver):
     p = _unbounded_loop_program()
     factory = SymbolFactory()
-    stack = [SEState(p.body, initial_precise_store(p, factory), W0, True)]
+    stack = [ProductState(p.body, initial_precise_store(p, factory), None, W0, True)]
     seen = 0
     while stack and seen < 3000:
         state = stack.pop()
         if isinstance(state.cmd, Skip):
             continue
         seen += 1
-        for nxt in bounded_step(state, 2, solver, factory):
+        for nxt in product_step(state, 2, solver, factory):
             assert state.precise or not nxt.precise
             stack.append(nxt)
 
