@@ -314,38 +314,6 @@ def a_leq(a0: AbstractState, a1: AbstractState) -> bool:
     return all(e0.get(x, TOP_INTERVAL).leq(iv) for x, iv in e1.items())
 
 
-def a_step(cmd: Command, a: AbstractState) -> list[tuple[Command, AbstractState]]:
-    """Abstract step relation mirroring the symbolic one (branches kept if non-bottom)."""
-    if a.is_bottom:
-        return []
-    out: list[tuple[Command, AbstractState]] = []
-    match cmd:
-        case Skip():
-            raise ValueError("skip has no successor")
-        case Assign(var, expr):
-            out.append((lang.SKIP, a_assign(var, expr, a)))
-        case If(guard, then_branch, else_branch):
-            for branch, g in ((then_branch, guard), (else_branch, guard.negate())):
-                a2 = a_guard(g, a)
-                if not a2.is_bottom:
-                    out.append((branch, a2))
-        case While(guard, body):
-            a_t = a_guard(guard, a)
-            if not a_t.is_bottom:
-                out.append((Seq(body, While(guard, body, active=True)), a_t))
-            a_f = a_guard(guard.negate(), a)
-            if not a_f.is_bottom:
-                out.append((lang.SKIP, a_f))
-        case Seq(first, second):
-            if isinstance(first, Skip):
-                out.append((second, a))
-            else:
-                out.extend((Seq(c, second), a2) for c, a2 in a_step(first, a))
-        case _:
-            raise ValueError(f"unknown command {cmd!r}")
-    return out
-
-
 def analyze(cmd: Command, a: AbstractState) -> AbstractState:
     """Sound abstract post-state of running ``cmd`` to completion."""
     if a.is_bottom:

@@ -26,13 +26,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         "'python3 -m niverify.smtshell'",
     )
     parser.add_argument("--solver-timeout-ms", type=int, default=5000)
-    parser.add_argument(
-        "--solver-backend",
-        choices=("internal", "brute"),
-        default="internal",
-        help="built-in backend when no --solver is given",
-    )
-    parser.add_argument("--all-paths", action="store_true", help="collect every refutation")
     parser.add_argument("--format", choices=("text", "json"), default="text")
 
 
@@ -45,14 +38,12 @@ def _config_from(args: argparse.Namespace) -> AnalysisConfig:
         path_cap=args.path_cap,
         solver_command=shlex.split(args.solver) if args.solver else None,
         solver_timeout_ms=args.solver_timeout_ms,
-        solver_backend=args.solver_backend,
-        all_paths=args.all_paths,
     )
 
 
-def _print_check(verdict, args) -> None:
+def _print_check(verdict, args, config: AnalysisConfig) -> None:
     if args.format == "json":
-        entry = {"program": args.file, "config": vars(args).get("engine")}
+        entry = {"program": args.file, "config": config.label()}
         entry.update(driver.verdict_to_json(verdict))
         print(json.dumps(entry, indent=2, sort_keys=True))
         return
@@ -91,8 +82,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "check":
             program = lang.parse_program(open(args.file).read())
-            verdict = driver.verify_ni(program, _config_from(args))
-            _print_check(verdict, args)
+            config = _config_from(args)
+            verdict = driver.verify_ni(program, config)
+            _print_check(verdict, args, config)
             match verdict:
                 case Secure():
                     return 0

@@ -33,14 +33,7 @@ from niverify.relational import (
     proj_expr,
     srse_explore,
 )
-from niverify.solver import (
-    BruteForceBackend,
-    InternalBackend,
-    Sat,
-    SmtProcessBackend,
-    Solver,
-    Unsat,
-)
+from niverify.solver import Sat, SmtProcessBackend, Solver, Unsat
 from niverify.soundse import PathCapExceeded
 from niverify.symcore import (
     SVal,
@@ -77,8 +70,6 @@ class AnalysisConfig:
     path_cap: int = 4096
     solver_command: list[str] | None = None
     solver_timeout_ms: int = 5000
-    solver_backend: str = "internal"  # internal | brute (ignored with solver_command)
-    all_paths: bool = False
     replay_fuel: int = 200_000
 
     def validate(self) -> None:
@@ -100,9 +91,7 @@ class AnalysisConfig:
 def make_solver(config: AnalysisConfig) -> Solver:
     if config.solver_command:
         return Solver(SmtProcessBackend(config.solver_command, config.solver_timeout_ms))
-    if config.solver_backend == "brute":
-        return Solver(BruteForceBackend())
-    return Solver(InternalBackend())
+    return Solver()
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +228,7 @@ def classify_path(
             e = rho2[x]
             disagree = pand(disagree, pcmp("==", proj_expr(0, e), proj_expr(1, e)))
         query = pand(kappa2.path, pnot(disagree))
-        model = solver.check_sat(query)
+        model = solver.model(query)
         if isinstance(model, Sat):
             # Folding can take suspicious symbols out of the query (one
             # constant disagreement makes the conjunction false), so the
@@ -324,21 +313,15 @@ def verify_ni(program: Program, config: AnalysisConfig) -> Verdict:
         return Inconclusive((Alarm(store="", path=str(exc), precise=False),))
 
     alarms: list[Alarm] = []
-    refutations: list[CounterExample] = []
     for kappa2, precise in finals:
         verdict = classify_path(kappa2, precise, program.low_vars, solver)
         match verdict:
             case Infeasible() | SecurePath():
                 continue
             case Refutation(model, _):
-                ce = replay(dict(model), rho2_0, program, config.replay_fuel)
-                refutations.append(ce)
-                if not config.all_paths:
-                    return Insecure(ce)
+                return Insecure(replay(dict(model), rho2_0, program, config.replay_fuel))
             case Alarm() as alarm:
                 alarms.append(alarm)
-    if refutations:
-        return Insecure(refutations[0])
     if alarms:
         return Inconclusive(tuple(alarms))
     return Secure()
@@ -368,7 +351,6 @@ def _config_for(engine: str, single_engine: str | None, base: AnalysisConfig, bo
         path_cap=base.path_cap,
         solver_command=base.solver_command,
         solver_timeout_ms=base.solver_timeout_ms,
-        solver_backend=base.solver_backend,
         replay_fuel=base.replay_fuel,
     )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import sys
 
-from niverify.solver import InternalBackend, Sat, Unsat, _parse_sexps, _sexp_tokens
+from niverify.solver import Sat, Solver, _parse_sexps, _sexp_tokens
 from niverify.symcore import (
     SConst,
     SVal,
@@ -38,7 +38,7 @@ class Session:
         self.symbols: dict[str, object] = {}
         self.assertions: SymPath = TRUE
         self.last: str | None = None
-        self.backend = InternalBackend()
+        self.solver = Solver()
         self.model: Sat | None = None
 
     def declare(self, name: str) -> None:
@@ -107,16 +107,9 @@ class Session:
             self.assertions = pand(self.assertions, self.formula(node[1]))
             return
         if head == "check-sat":
-            result = self.backend.check(self.assertions)
-            if isinstance(result, Sat):
-                self.model = result
-                print("sat")
-            elif isinstance(result, Unsat):
-                self.model = None
-                print("unsat")
-            else:
-                self.model = None
-                print("unknown")
+            result = self.solver.model(self.assertions)
+            self.model = result if isinstance(result, Sat) else None
+            print(type(result).__name__.lower())  # sat, unsat or unknown
             return
         if head == "get-model":
             if self.model is None:

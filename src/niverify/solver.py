@@ -1,23 +1,24 @@
 """Conservative satisfiability, validity and model extraction for paths.
 
-Three backends sit behind one facade:
+Two backends sit behind one facade:
 
 * ``InternalBackend`` (default): exact decision procedure for the linear
   fragment.  Paths are normalized to disjunctive normal form, nonlinear
   monomials are relaxed to fresh unknowns, and each conjunctive clause is
-  decided by Fourier-Motzkin elimination over exact rationals with integer
+  decided by Fourier-Motzkin elimination over integer rows with integer
   bound tightening.  Models are rebuilt by back-substitution and always
   re-checked against the original path before being reported.
-* ``BruteForceBackend``: enumerates symbol values over a small finite range;
-  it can find models but never reports Unsat (outside its range it simply
-  does not know).
 * ``SmtProcessBackend``: talks SMT-LIB2 v2.6 to an external solver binary
   over stdin/stdout (``--solver`` on the CLI).  ``python -m
   niverify.smtshell`` is a bundled binary-compatible peer.
 
-Whatever the backend says, Unknown is folded toward the sound side by the
-callers: a path that might be satisfiable is kept, an equality that might
-not hold is not assumed.
+The facade answers each question with the least work.  ``may_sat`` and
+``prove_equal`` need only a definite Unsat, so they never search.  Only
+``model``, asked for the counter-example of a refutation, falls back to a
+bounded search over small values when the backend gives Unknown (a
+spurious point of the nonlinear relaxation, say).  Unknown is folded
+toward the sound side by the callers: a path that might be satisfiable is
+kept, an equality that might not hold is not assumed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import itertools
 import math
 import subprocess
 from dataclasses import dataclass
-from fractions import Fraction
 
 from niverify.symcore import (
     PAnd,
@@ -126,15 +126,15 @@ def _expr_poly(expr: SymExpr) -> Poly:
 
 
 # A row is (coeffs over monomial keys, constant) encoding  sum + const <= 0.
-Row = tuple[dict[Monomial, Fraction], Fraction]
+Row = tuple[dict[Monomial, int], int]
 Clause = list[Row]
 
 
 def _rows_of_cmp(op: str, left: SymExpr, right: SymExpr) -> list[list[Row]]:
     """Translate one comparison into DNF over rows (only != disjoins)."""
     diff = _poly_add(_expr_poly(left), _expr_poly(right), sign=-1)
-    const = Fraction(diff.pop((), 0))
-    coeffs = {m: Fraction(c) for m, c in diff.items()}
+    const = diff.pop((), 0)
+    coeffs = diff
 
     def row(scale: int, shift: int) -> Row:
         return ({m: scale * c for m, c in coeffs.items()}, scale * const + shift)
@@ -189,7 +189,7 @@ def _dnf(path: SymPath, positive: bool) -> list[Clause]:
 
 
 def _normalize_row(row: Row) -> Row | None:
-    """Scale to integers, divide by the gcd and tighten the constant.
+    """Divide by the gcd and tighten the constant.
 
     Tightening (``sum a_i x_i <= c`` becomes ``sum (a_i/g) x_i <=
     floor(c/g)``) is sound for integer solutions only, which is exactly the
@@ -198,15 +198,10 @@ def _normalize_row(row: Row) -> Row | None:
     coeffs, const = row
     coeffs = {m: c for m, c in coeffs.items() if c != 0}
     if not coeffs:
-        return None if const <= 0 else ({}, Fraction(1))
-    denom = math.lcm(*(c.denominator for c in coeffs.values()), const.denominator)
-    ints = {m: int(c * denom) for m, c in coeffs.items()}
-    ic = int(const * denom)
-    g = math.gcd(*(abs(c) for c in ints.values()))
-    ints = {m: c // g for m, c in ints.items()}
-    # sum + const <= 0  <=>  sum' <= -const/g, floor because sum' is integral
-    bound = -math.floor(Fraction(-ic, g)) if ic % g else ic // g
-    return ({m: Fraction(c) for m, c in ints.items()}, Fraction(bound))
+        return None if const <= 0 else ({}, 1)
+    g = math.gcd(*coeffs.values())
+    # sum + const <= 0  <=>  sum/g + ceil(const/g) <= 0, as sum/g is integral
+    return ({m: c // g for m, c in coeffs.items()}, -(-const // g))
 
 
 @dataclass
@@ -216,8 +211,8 @@ class _Elimination:
     uppers: list[Row]  # rows with positive coefficient on var
 
 
-def _fm_eliminate(clause: Clause) -> tuple[bool, list[_Elimination], list[Monomial]]:
-    """Eliminate all variables; returns (rationally feasible, trace, free vars).
+def _fm_eliminate(clause: Clause) -> tuple[bool, list[_Elimination]]:
+    """Eliminate all variables; returns (rationally feasible, trace).
 
     The trace records, per eliminated variable, the rows that bounded it at
     elimination time, for model back-substitution.
@@ -247,13 +242,13 @@ def _fm_eliminate(clause: Clause) -> tuple[bool, list[_Elimination], list[Monomi
 
     for row in clause:
         if not push(row):
-            return False, [], []
+            return False, []
 
     trace: list[_Elimination] = []
     while True:
         variables = {m for coeffs, _ in rows for m in coeffs}
         if not variables:
-            return True, trace, []
+            return True, trace
         # Cheapest variable first: fewest lower*upper combinations.
         def cost(var: Monomial) -> tuple[int, int]:
             lo = sum(1 for coeffs, _ in rows if coeffs.get(var, 0) < 0)
@@ -268,18 +263,18 @@ def _fm_eliminate(clause: Clause) -> tuple[bool, list[_Elimination], list[Monomi
         rows, seen = [], set()
         for r in rest:
             if not push(r):
-                return False, trace, []
+                return False, trace
         for lo_coeffs, lo_const in lowers:
             for hi_coeffs, hi_const in uppers:
                 a = -lo_coeffs[var]
                 b = hi_coeffs[var]
                 combined = {
-                    m: b * lo_coeffs.get(m, Fraction(0)) + a * hi_coeffs.get(m, Fraction(0))
+                    m: b * lo_coeffs.get(m, 0) + a * hi_coeffs.get(m, 0)
                     for m in set(lo_coeffs) | set(hi_coeffs)
                     if m != var
                 }
                 if not push((combined, b * lo_const + a * hi_const)):
-                    return False, trace, []
+                    return False, trace
         if len(rows) > MAX_ROWS:
             raise _Blowup
 
@@ -294,15 +289,15 @@ def _row_bounds(var: Monomial, rows: list[Row], assignment: dict[Monomial, int])
     lo = None
     hi = None
     for coeffs, const in rows:
-        a = coeffs.get(var, Fraction(0))
+        a = coeffs.get(var, 0)
         rest = const + sum(
             c * assignment.setdefault(m, 0) for m, c in coeffs.items() if m != var
         )
         if a > 0:  # a*var + rest <= 0  ->  var <= -rest/a
-            bound = math.floor(-rest / a)
+            bound = -rest // a
             hi = bound if hi is None else min(hi, bound)
         elif a < 0:  # var >= rest/(-a)
-            bound = math.ceil(rest / (-a))
+            bound = -(rest // a)
             lo = bound if lo is None else max(lo, bound)
     return lo, hi
 
@@ -342,7 +337,7 @@ class InternalBackend:
         all_unsat = True
         for clause in clauses:
             try:
-                feasible, trace, _ = _fm_eliminate(clause)
+                feasible, trace = _fm_eliminate(clause)
             except _Blowup:
                 all_unsat = False
                 continue
@@ -360,43 +355,21 @@ class InternalBackend:
                 model.setdefault(sym, 0)
             if eval_path(path, model):
                 return Sat(tuple(sorted(model.items(), key=lambda kv: kv[0].uid)))
-            # Nonlinear relaxation gave a spurious point; fall through.
-            all_unsat = False
-        if all_unsat:
-            return UNSAT
-        # Last resort for small nonlinear queries: bounded search.
-        brute = _brute_search(path, symbols, BRUTE_DEFAULT_RANGE)
-        return brute if brute is not None else Unknown("no integer model found")
+            # Otherwise the nonlinear relaxation gave a spurious point.
+        return UNSAT if all_unsat else Unknown("no integer model found")
 
 
-def _brute_search(
-    path: SymPath, symbols: list[SymValue], value_range: tuple[int, int]
-) -> Sat | None:
-    lo, hi = value_range
-    span = hi - lo + 1
-    if span ** len(symbols) > BRUTE_MAX_COMBOS:
+def _brute_search(path: SymPath) -> Sat | None:
+    """A model with every symbol in ``BRUTE_DEFAULT_RANGE``; None past ``BRUTE_MAX_COMBOS``."""
+    symbols = sorted(symbols_of_path(path), key=lambda s: s.uid)
+    lo, hi = BRUTE_DEFAULT_RANGE
+    if (hi - lo + 1) ** len(symbols) > BRUTE_MAX_COMBOS:
         return None
     for values in itertools.product(range(lo, hi + 1), repeat=len(symbols)):
         model = dict(zip(symbols, values))
         if eval_path(path, model):
             return Sat(tuple(sorted(model.items(), key=lambda kv: kv[0].uid)))
     return None
-
-
-class BruteForceBackend:
-    """Finite enumeration over a symbol range; never answers Unsat."""
-
-    name = "brute"
-
-    def __init__(self, value_range: tuple[int, int] = BRUTE_DEFAULT_RANGE):
-        self.value_range = value_range
-
-    def check(self, path: SymPath) -> SatResult:
-        symbols = sorted(symbols_of_path(path), key=lambda s: s.uid)
-        found = _brute_search(path, symbols, self.value_range)
-        if found is not None:
-            return found
-        return Unknown("no model within enumeration range")
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +558,20 @@ class Solver:
         if isinstance(result, Sat) and not eval_path(path, result.valuation()):
             result = Unknown("backend returned an invalid model")
         self._cache[path] = result
+        return result
+
+    def model(self, path: SymPath) -> SatResult:
+        """``check_sat``, then a bounded search for a model if that gave Unknown.
+
+        Only a refutation needs a model, so only it pays for the search.  A
+        cached Unknown is searched again: ``prove_equal`` may have cached the
+        very same path without searching.
+        """
+        result = self.check_sat(path)
+        if isinstance(result, Unknown):
+            found = _brute_search(path)
+            if found is not None:
+                self._cache[path] = result = found
         return result
 
     def may_sat(self, path: SymPath) -> bool:

@@ -13,7 +13,6 @@ from niverify.absint import (
     a_guard,
     a_join,
     a_leq,
-    a_step,
     a_widen,
     analyze,
     constr,
@@ -24,7 +23,6 @@ from niverify.lang import (
     BinOp,
     Cmp,
     Const,
-    If,
     SKIP,
     Seq,
     Var,
@@ -72,18 +70,6 @@ def test_lattice_ops():
     assert a_leq(env(x=(1, 2)), env(x=(0, 5)))
     assert not a_leq(env(x=(0, 5)), env(x=(1, 2)))
     assert a_join(BOTTOM, env(x=(1, 1))) == env(x=(1, 1))
-
-
-def test_a_step_branching():
-    cond = If(Cmp(">", Var("x"), Const(0)), Assign("x", Const(1)), Assign("x", Const(2)))
-    only_true = a_step(cond, env(x=(1, 5)))
-    assert [cmd for cmd, _ in only_true] == [Assign("x", Const(1))]
-    both = a_step(cond, env(x=(-1, 1)))
-    assert [cmd for cmd, _ in both] == [Assign("x", Const(1)), Assign("x", Const(2))]
-    assert both[0][1].get("x") == Interval(1, 1)
-    assert both[1][1].get("x") == Interval(-1, 0)
-    mirror = a_step(Assign("y", Const(7)), env(y=(0, 0)))
-    assert mirror == [(SKIP, a_assign("y", Const(7), env(y=(0, 0))))]
 
 
 def test_analyze_loop_reaches_exact_bounds():

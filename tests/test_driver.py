@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -169,15 +170,6 @@ def test_config_validation():
         )
 
 
-def test_all_paths_collects_refutations():
-    p = corpus_program("c")
-    cfg = AnalysisConfig(
-        engine="soundrse", single_engine="soundse", domain="none", all_paths=True
-    )
-    verdict = verify_ni(p, cfg)
-    assert isinstance(verdict, Insecure)
-
-
 def test_path_cap_yields_inconclusive():
     p = corpus_program("d")
     cfg = AnalysisConfig(engine="soundrse", single_engine="soundse", domain="none", path_cap=3)
@@ -292,6 +284,22 @@ def test_cli_check_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "Insecure"
     assert payload["counterexample"]["witness"] == "i"
+    assert payload["config"] == "redsoundrse+redsoundse"
+
+    argv = ["check", str(CORPUS / "prog_c.imp"), "--format", "json", "--single-engine", "soundse"]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["config"] == "redsoundrse+soundse"
+
+
+def test_verify_through_an_external_solver_process():
+    """Each query starts ``python -m niverify.smtshell``, so the programs stay tiny."""
+    cfg = AnalysisConfig(solver_command=[sys.executable, "-m", "niverify.smtshell"])
+    leak = verify_ni(parse_program("low l; high h; if (h > 0) { l := 1; }"), cfg)
+    assert isinstance(leak, Insecure)
+    ce = leak.counterexample
+    assert ce.witness_var == "l" and dict(ce.out0)["l"] != dict(ce.out1)["l"]
+    secure = verify_ni(parse_program("low l; high h; if (h > 0) { h := 1; }"), cfg)
+    assert isinstance(secure, Secure)
 
 
 def test_cli_engine_flags(capsys):

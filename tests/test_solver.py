@@ -3,7 +3,6 @@ import random
 import sys
 
 from niverify.solver import (
-    BruteForceBackend,
     Sat,
     SmtProcessBackend,
     Solver,
@@ -162,18 +161,51 @@ def test_prove_equal_soundness_against_enumeration():
                     assert eval_sym(e0, nu) == eval_sym(e1, nu)
 
 
-def test_brute_force_backend_contract():
+def test_check_sat_does_not_search_past_the_relaxation():
+    """x*x == 9: the relaxed FM point is spurious, so only ``model`` finds x = -3."""
     _, (x, *_) = _symbols(1)
-    backend = BruteForceBackend((-8, 8))
-    found = backend.check(pcmp("==", SVal(x), SConst(5)))
-    assert isinstance(found, Sat)
-    # Out of range and contradictions alike stay Unknown; brute force never
-    # certifies unsatisfiability.
-    assert isinstance(backend.check(pcmp("==", SVal(x), SConst(100))), Unknown)
-    assert isinstance(
-        backend.check(pand(pcmp("<", SVal(x), SConst(0)), pcmp(">", SVal(x), SConst(0)))),
-        Unknown,
-    )
+    square = pcmp("==", SBinOp("*", SVal(x), SVal(x)), SConst(9))
+    solver = Solver()
+    assert isinstance(solver.check_sat(square), Unknown)
+    assert solver.may_sat(square)
+    found = solver.model(square)
+    assert isinstance(found, Sat) and eval_path(square, found.valuation())
+    assert found.valuation()[x] == -3
+    assert solver.check_sat(square) == found  # the model is cached
+
+
+def test_model_stays_unknown_out_of_range():
+    _, (x, *_) = _symbols(1)
+    square = pcmp("==", SBinOp("*", SVal(x), SVal(x)), SConst(100))
+    assert isinstance(Solver().model(square), Unknown)
+
+
+def test_model_searches_again_after_a_cached_unknown():
+    """``prove_equal`` caches the Unknown of the query a refutation asks a model of."""
+    _, (x, *_) = _symbols(1)
+    square = pcmp("==", SBinOp("*", SVal(x), SVal(x)), SConst(9))
+    solver = Solver()
+    assert not solver.prove_equal(SVal(x), SConst(3), square)
+    query = pand(square, pcmp("!=", SVal(x), SConst(3)))
+    assert isinstance(solver.check_sat(query), Unknown)
+    found = solver.model(query)
+    assert isinstance(found, Sat) and found.valuation()[x] == -3
+
+
+def test_model_of_a_contradiction_is_unsat():
+    _, (x, *_) = _symbols(1)
+    contradiction = pand(pcmp("<", SVal(x), SConst(0)), pcmp(">", SVal(x), SConst(0)))
+    assert Solver().model(contradiction) == Unsat()
+
+
+def test_integer_tightening():
+    _, (x, *_) = _symbols(1)
+    solver = Solver()
+    two_x = SBinOp("*", SConst(2), SVal(x))
+    three_x = SBinOp("*", SConst(3), SVal(x))
+    assert solver.check_sat(pcmp("==", two_x, SConst(1))) == Unsat()
+    between = pand(pcmp("<=", SConst(1), three_x), pcmp("<=", three_x, SConst(2)))
+    assert solver.check_sat(between) == Unsat()
 
 
 def test_subprocess_shell_round_trip():
