@@ -114,10 +114,6 @@ class AbstractState:
     env: tuple[tuple[str, Interval], ...] | None
 
     @staticmethod
-    def bottom() -> AbstractState:
-        return BOTTOM
-
-    @staticmethod
     def top(variables) -> AbstractState:
         return AbstractState(tuple((x, TOP_INTERVAL) for x in sorted(variables)))
 
@@ -251,15 +247,14 @@ def _mul_refine(side: Interval, other: Interval, target: Interval) -> Interval |
         c = other.lo
         if c == 0:
             return side if target.contains(0) else None
-        import math
-
+        # Integer division: a float quotient rounds past 2**53.
         tl, th = _lo(target.lo), _hi(target.hi)
         if c > 0:
-            lo = _NEG_INF if tl == _NEG_INF else math.ceil(tl / c)
-            hi = _POS_INF if th == _POS_INF else math.floor(th / c)
+            lo = _NEG_INF if tl == _NEG_INF else -(-tl // c)
+            hi = _POS_INF if th == _POS_INF else th // c
         else:
-            lo = _NEG_INF if th == _POS_INF else math.ceil(th / c)
-            hi = _POS_INF if tl == _NEG_INF else math.floor(tl / c)
+            lo = _NEG_INF if th == _POS_INF else -(-th // c)
+            hi = _POS_INF if tl == _NEG_INF else tl // c
         if lo > hi:
             return None
         return side.meet(Interval(_as_bound(lo), _as_bound(hi)))

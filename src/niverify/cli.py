@@ -1,6 +1,7 @@
 """Command line interface: ``ni check`` and ``ni corpus``.
 
-Exit codes for ``check``: 0 secure, 1 insecure, 2 inconclusive, 3 error.
+Exit codes for ``check``: 0 secure, 1 insecure, 2 inconclusive, 3 error
+(a usage error included).
 """
 
 from __future__ import annotations
@@ -14,9 +15,15 @@ from niverify import driver, lang
 from niverify.driver import AnalysisConfig, Insecure, Inconclusive, Secure
 
 
-def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--engine", choices=driver.ENGINES, default="redsoundrse")
-    parser.add_argument("--single-engine", choices=driver.SINGLE_ENGINES, default="redsoundse")
+class _Parser(argparse.ArgumentParser):
+    """Exits 3 on a usage error; argparse's own 2 means Inconclusive here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bound", type=int, default=3, help="loop iteration budget (default 3)")
     parser.add_argument("--path-cap", type=int, default=4096)
     parser.add_argument(
@@ -30,15 +37,16 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args: argparse.Namespace) -> AnalysisConfig:
-    return AnalysisConfig(
-        engine=args.engine,
-        single_engine=args.single_engine,
-        domain="intervals" if args.single_engine == "redsoundse" else "none",
+    """The analysis settings; for ``check`` also its engines."""
+    base = AnalysisConfig(
         bound=args.bound,
         path_cap=args.path_cap,
         solver_command=shlex.split(args.solver) if args.solver else None,
         solver_timeout_ms=args.solver_timeout_ms,
     )
+    if args.command != "check":
+        return base
+    return driver.config_for(args.engine, args.single_engine, base)
 
 
 def _print_check(verdict, args, config: AnalysisConfig) -> None:
@@ -66,16 +74,18 @@ def _print_check(verdict, args, config: AnalysisConfig) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="ni", description="noninterference verifier")
+    parser = _Parser(prog="ni", description="noninterference verifier")
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="analyze one program")
     check.add_argument("file")
-    _add_engine_flags(check)
+    check.add_argument("--engine", choices=driver.ENGINES, default="redsoundrse")
+    check.add_argument("--single-engine", choices=driver.SINGLE_ENGINES, default="redsoundse")
+    _add_analysis_flags(check)
 
     corpus = sub.add_parser("corpus", help="run the engine matrix over a directory")
     corpus.add_argument("dir")
-    _add_engine_flags(corpus)
+    _add_analysis_flags(corpus)
 
     args = parser.parse_args(argv)
 

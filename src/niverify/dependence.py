@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from niverify import lang
 from niverify.absint import AbstractState, WIDEN_DELAY, a_assign, a_guard, a_join, a_leq, a_widen
 from niverify.lang import Assign, BExpr, Command, Expr, If, Seq, Skip, While, used_vars
-from niverify.relational import RelSymStore, Single
+from niverify.relational import RelSymStore, agree
 from niverify.solver import Solver
 from niverify.symcore import SymPath
 
@@ -39,10 +39,6 @@ class DepState:
     """The set of variables both executions agree on."""
 
     low_agree: frozenset[str]
-
-    @staticmethod
-    def of(variables) -> DepState:
-        return DepState(frozenset(variables))
 
     def __str__(self) -> str:
         return "{" + ", ".join(sorted(self.low_agree)) + "}"
@@ -119,10 +115,5 @@ def _analyze(
 
 def tau_sym_to_dep(rho2: RelSymStore, path: SymPath, solver: Solver) -> DepState:
     """Variables whose two projections are provably equal under the path."""
-    low = set()
-    for x in sorted(rho2):
-        e = rho2[x]
-        if isinstance(e, Single) or solver.prove_equal(e.left, e.right, path):
-            low.add(x)
-    return DepState(frozenset(low))
+    return DepState(frozenset(x for x in sorted(rho2) if agree(rho2[x], path, solver)))
 

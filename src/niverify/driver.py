@@ -17,25 +17,25 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from niverify import lang
+from niverify.absint import a_join
 from niverify.dependence import DepState, PcLevel, dep_analyze, tau_sym_to_dep
 from niverify.lang import Program, While, low_equal, run
 from niverify.relational import (
     Pair,
     RelEngine,
-    RelPreciseStore,
     RelSymStore,
-    Single,
+    agree,
     modif_dep,
-    proj_expr,
     srse_explore,
 )
 from niverify.solver import Sat, SmtProcessBackend, Solver, Unsat
 from niverify.soundse import PathCapExceeded
 from niverify.symcore import (
+    PreciseStore,
     SVal,
     SymbolFactory,
     SymPath,
@@ -51,6 +51,9 @@ from niverify.symcore import (
 ENGINES = ("dep", "soundrse", "redsoundrse")
 SINGLE_ENGINES = ("soundse", "redsoundse")
 DOMAINS = ("intervals", "none")
+
+# Steps each replayed run may take before replay gives up.
+REPLAY_FUEL = 200_000
 
 
 class ConfigError(ValueError):
@@ -70,7 +73,6 @@ class AnalysisConfig:
     path_cap: int = 4096
     solver_command: list[str] | None = None
     solver_timeout_ms: int = 5000
-    replay_fuel: int = 200_000
 
     def validate(self) -> None:
         if self.engine not in ENGINES:
@@ -148,7 +150,8 @@ def initial_rel_store(program: Program, factory: SymbolFactory) -> RelSymStore:
     rho2: RelSymStore = {}
     for x in sorted(program.all_vars):
         if x in program.low_vars:
-            rho2[x] = Single(SVal(factory.initial(x)))
+            sym = SVal(factory.initial(x))
+            rho2[x] = Pair(sym, sym)
         else:
             rho2[x] = Pair(SVal(factory.fresh(x)), SVal(factory.fresh(x)))
     return rho2
@@ -156,16 +159,13 @@ def initial_rel_store(program: Program, factory: SymbolFactory) -> RelSymStore:
 
 def make_rel_engine(program: Program, config: AnalysisConfig, solver: Solver) -> RelEngine:
     factory = SymbolFactory()
-    use_intervals = config.single_engine == "redsoundse" and config.domain == "intervals"
 
     havoc = None
     if config.engine == "redsoundrse":
 
         def havoc(rho2, loop: While, path: SymPath, a0, a1):
-            from niverify.absint import a_join
-
             d0 = tau_sym_to_dep(rho2, path, solver)
-            numeric = a_join(a0, a1) if use_intervals else None
+            numeric = None if a0 is None else a_join(a0, a1)
             d = dep_analyze(loop, PcLevel.LOW, d0, numeric=numeric)
             return modif_dep(rho2, loop, d.low_agree, factory)
 
@@ -173,7 +173,7 @@ def make_rel_engine(program: Program, config: AnalysisConfig, solver: Solver) ->
         solver=solver,
         factory=factory,
         bound=config.bound,
-        use_intervals=use_intervals,
+        use_intervals=config.single_engine == "redsoundse" and config.domain == "intervals",
         havoc=havoc,
     )
 
@@ -203,30 +203,20 @@ PathVerdict = Infeasible | SecurePath | Refutation | Alarm
 
 
 def classify_path(
-    kappa2: RelPreciseStore, precise: bool, low_vars: frozenset[str], solver: Solver
+    kappa2: PreciseStore, precise: bool, low_vars: frozenset[str], solver: Solver
 ) -> PathVerdict:
     """Four-way classification of one final relational path."""
     res = solver.check_sat(kappa2.path)
     if isinstance(res, Unsat):
         return Infeasible()
     rho2 = kappa2.store()
-    secure = True
-    suspicious: list[str] = []
-    for x in sorted(low_vars):
-        e = rho2[x]
-        if isinstance(e, Single):
-            continue
-        if solver.prove_equal(e.left, e.right, kappa2.path):
-            continue
-        secure = False
-        suspicious.append(x)
-    if secure:
+    suspicious = [x for x in sorted(low_vars) if not agree(rho2[x], kappa2.path, solver)]
+    if not suspicious:
         return SecurePath()
     if precise:
         disagree = TRUE
         for x in suspicious:
-            e = rho2[x]
-            disagree = pand(disagree, pcmp("==", proj_expr(0, e), proj_expr(1, e)))
+            disagree = pand(disagree, pcmp("==", rho2[x].left, rho2[x].right))
         query = pand(kappa2.path, pnot(disagree))
         model = solver.model(query)
         if isinstance(model, Sat):
@@ -236,14 +226,10 @@ def classify_path(
             # does, and 0 is the one replay gives unbound initial symbols.
             valuation = model.valuation()
             for x in suspicious:
-                for i in (0, 1):
-                    for sym in symbols_of_expr(proj_expr(i, rho2[x])):
-                        valuation.setdefault(sym, 0)
+                for sym in symbols_of_expr(rho2[x].left) | symbols_of_expr(rho2[x].right):
+                    valuation.setdefault(sym, 0)
             witness = next(
-                x
-                for x in suspicious
-                if eval_sym(proj_expr(0, rho2[x]), valuation)
-                != eval_sym(proj_expr(1, rho2[x]), valuation)
+                x for x in suspicious if eval_sym(rho2[x].left, valuation) != eval_sym(rho2[x].right, valuation)
             )
             return Refutation(model.model, witness)
     return Alarm(store=_rho2_str(rho2), path=str(kappa2.path), precise=precise)
@@ -258,12 +244,11 @@ def replay(
 ) -> CounterExample:
     """Rebuild both initial stores from a model, run them, demand a difference."""
     total = dict(valuation)
-    for x, e in rho2_0.items():
-        for i in (0, 1):
-            for sym in symbols_of_expr(proj_expr(i, e)):
-                total.setdefault(sym, 0)
-    store0 = {x: eval_sym(proj_expr(0, e), total) for x, e in rho2_0.items()}
-    store1 = {x: eval_sym(proj_expr(1, e), total) for x, e in rho2_0.items()}
+    for e in rho2_0.values():
+        for sym in symbols_of_expr(e.left) | symbols_of_expr(e.right):
+            total.setdefault(sym, 0)
+    store0 = {x: eval_sym(e.left, total) for x, e in rho2_0.items()}
+    store1 = {x: eval_sym(e.right, total) for x, e in rho2_0.items()}
     if not low_equal(store0, store1, program.low_vars):
         raise ReplayFailure("initial stores are not low-equal")
     res0 = run(program, store0, fuel)
@@ -319,7 +304,7 @@ def verify_ni(program: Program, config: AnalysisConfig) -> Verdict:
             case Infeasible() | SecurePath():
                 continue
             case Refutation(model, _):
-                return Insecure(replay(dict(model), rho2_0, program, config.replay_fuel))
+                return Insecure(replay(dict(model), rho2_0, program, REPLAY_FUEL))
             case Alarm() as alarm:
                 alarms.append(alarm)
     if alarms:
@@ -342,16 +327,14 @@ MATRIX = (
 _BOUND_DIRECTIVE = re.compile(r"//\s*bound:\s*(\d+)")
 
 
-def _config_for(engine: str, single_engine: str | None, base: AnalysisConfig, bound: int) -> AnalysisConfig:
-    return AnalysisConfig(
+def config_for(engine: str, single_engine: str | None, base: AnalysisConfig, **changes) -> AnalysisConfig:
+    """``base`` with one ``MATRIX`` entry's engines; the domain follows the single-trace engine."""
+    return replace(
+        base,
         engine=engine,
         single_engine=single_engine or "soundse",
         domain="intervals" if single_engine == "redsoundse" else "none",
-        bound=bound,
-        path_cap=base.path_cap,
-        solver_command=base.solver_command,
-        solver_timeout_ms=base.solver_timeout_ms,
-        replay_fuel=base.replay_fuel,
+        **changes,
     )
 
 
@@ -385,7 +368,7 @@ def run_corpus(directory: str | Path, base: AnalysisConfig | None = None) -> dic
         directive = _BOUND_DIRECTIVE.search(text)
         bound = int(directive.group(1)) if directive else base.bound
         for engine, single in MATRIX:
-            config = _config_for(engine, single, base, bound)
+            config = config_for(engine, single, base, bound=bound)
             verdict = verify_ni(program, config)
             entry = {"program": path.stem, "config": config.label(), "bound": bound}
             entry.update(verdict_to_json(verdict))
@@ -403,7 +386,7 @@ def report_text(report: dict) -> str:
     """Fixed-width verdict grid, one row per program."""
     rows = report["results"]
     programs = sorted({r["program"] for r in rows})
-    configs = [f"{e}+{s}" if s else e for e, s in MATRIX]
+    configs = [config_for(e, s, AnalysisConfig()).label() for e, s in MATRIX]
     by_key = {(r["program"], r["config"]): r["verdict"] for r in rows}
     width = max(len(c) for c in configs) + 2
     name_w = max((len(p) for p in programs), default=7) + 2

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from niverify.absint import AbstractState, a_assign, a_guard, analyze, constr
-from niverify.lang import Assign, BExpr, Command, If, Program, SKIP, Seq, Skip, While
+from niverify.lang import Assign, BExpr, Command, Expr, If, Program, SKIP, Seq, Skip, While
 from niverify.solver import Solver
 from niverify.soundse import Counter, W0, counter_apply, explore, focus, modif, plug
 from niverify.symcore import (
@@ -71,11 +71,18 @@ def reduction(kappa: PreciseStore, astate: AbstractState) -> PreciseStore:
     return PreciseStore.of(rho, path)
 
 
-def _guard(bexpr: BExpr, astate: AbstractState | None) -> AbstractState | None:
+# None-aware transfer functions: with no domain (None) they do nothing.
+
+
+def guard(bexpr: BExpr, astate: AbstractState | None) -> AbstractState | None:
     return None if astate is None else a_guard(bexpr, astate)
 
 
-def _dead(astate: AbstractState | None) -> bool:
+def assign(var: str, expr: Expr, astate: AbstractState | None) -> AbstractState | None:
+    return None if astate is None else a_assign(var, expr, astate)
+
+
+def dead(astate: AbstractState | None) -> bool:
     return astate is not None and astate.is_bottom
 
 
@@ -86,10 +93,10 @@ def product_step(state: ProductState, k: int, solver: Solver, factory: SymbolFac
     rho, path, astate = state.kappa.store(), state.kappa.path, state.astate
 
     def feasible(path2: SymPath, astate2: AbstractState | None) -> bool:
-        return not _dead(astate2) and solver.may_sat(path2)
+        return not dead(astate2) and solver.may_sat(path2)
 
     def emit(cmd: Command, kappa: PreciseStore, astate2, counter: Counter, precise: bool, reduce=True):
-        if _dead(astate2):
+        if dead(astate2):
             return
         if reduce and astate2 is not None:
             kappa = reduction(kappa, astate2)
@@ -103,24 +110,24 @@ def product_step(state: ProductState, k: int, solver: Solver, factory: SymbolFac
         case Assign(var, expr):
             rho2 = dict(rho)
             rho2[var] = sym_eval_expr(expr, rho)
-            astate2 = None if astate is None else a_assign(var, expr, astate)
+            astate2 = assign(var, expr, astate)
             emit(SKIP, PreciseStore.of(rho2, path), astate2, state.counter, state.precise, reduce=False)
-        case If(guard, then_branch, else_branch):
-            beta = sym_eval_bool(guard, rho)
-            cases = ((then_branch, beta, guard), (else_branch, pnot(beta), guard.negate()))
+        case If(cond, then_branch, else_branch):
+            beta = sym_eval_bool(cond, rho)
+            cases = ((then_branch, beta, cond), (else_branch, pnot(beta), cond.negate()))
             for branch, sign, bguard in cases:
                 path2 = pand(path, sign)
-                astate2 = _guard(bguard, astate)
+                astate2 = guard(bguard, astate)
                 if feasible(path2, astate2):
                     emit(branch, PreciseStore.of(rho, path2), astate2, state.counter, state.precise)
-        case While(guard, body, active):
-            beta = sym_eval_bool(guard, rho)
+        case While(cond, body, active):
+            beta = sym_eval_bool(cond, rho)
             path_t = pand(path, beta)
-            astate_t = _guard(guard, astate)
+            astate_t = guard(cond, astate)
             if feasible(path_t, astate_t):
                 ok, counter2 = counter_apply("continue", active, state.counter, k)
                 if ok:
-                    unrolled = Seq(body, While(guard, body, active=True))
+                    unrolled = Seq(body, While(cond, body, active=True))
                     emit(unrolled, PreciseStore.of(rho, path_t), astate_t, counter2, state.precise)
                 else:
                     # Summarize the remaining iterations: havoc the write
@@ -130,7 +137,7 @@ def product_step(state: ProductState, k: int, solver: Solver, factory: SymbolFac
                     astate2 = None if astate is None else analyze(redex, astate)
                     emit(SKIP, PreciseStore.of(rho2, path), astate2, counter2, False)
             path_f = pand(path, pnot(beta))
-            astate_f = _guard(guard.negate(), astate)
+            astate_f = guard(cond.negate(), astate)
             if feasible(path_f, astate_f):
                 _, counter2 = counter_apply("exit", active, state.counter, k)
                 emit(SKIP, PreciseStore.of(rho, path_f), astate_f, counter2, state.precise)
@@ -161,7 +168,7 @@ def product_explore(
 
     With ``astate0`` None this explores with plain SoundSE.
     """
-    if _dead(astate0):
+    if dead(astate0):
         return []
     finals = explore(
         ProductState(program.body, kappa0, astate0, W0, True),

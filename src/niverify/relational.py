@@ -1,17 +1,19 @@
 """Pair-of-traces symbolic execution over relational stores.
 
-A relational store maps each variable either to one expression shared by
-both executions (``Single``) or to one expression per execution
-(``Pair``).  While the two traces follow the same control path the engine
-steps them together; when a condition splits them, it runs the left trace
-to completion with the single-trace engine, then the right, re-pairing the
-store after every step, and finally resumes the shared continuation.
+A relational store maps each variable to a pair of expressions, one per
+execution; a pair with equal sides is a value both executions share.
+Stores reuse the single-trace ``PreciseStore``.  While the two traces follow
+the same control path the engine steps them together; when a condition
+splits them, it runs the left trace to completion with the single-trace
+engine, then the right, re-pairing the store after every step, and finally
+resumes the shared continuation.  Whether a state carries interval states
+(``a0``/``a1`` not None) decides whether the steps reduce with them.
 
 Loop budget exhaustion havocs the loop's write set on both sides and
 asserts the negated (post-havoc) guards, which soundly restricts attention
 to terminated pairs.  How aggressively the havoc keeps variables shared is
 pluggable: the plain engine pairs every written variable, the dependence
-product (driver) keeps provably-agreeing ones single.
+product (driver) keeps provably-agreeing ones shared.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from niverify.absint import AbstractState, a_assign, a_guard, analyze
+from niverify.absint import AbstractState, analyze
 from niverify.lang import Assign, BExpr, Command, If, Program, SKIP, Seq, Skip, While, assigned_vars
 from niverify import redsoundse
 from niverify.redsoundse import ProductState, bounded_step, product_step
@@ -44,47 +46,26 @@ from niverify.symcore import (
 
 
 @dataclass(frozen=True)
-class Single:
-    expr: SymExpr
-
-    def __str__(self) -> str:
-        return f"<{self.expr}>"
-
-
-@dataclass(frozen=True)
 class Pair:
+    """One expression per execution; shared when both sides are equal."""
+
     left: SymExpr
     right: SymExpr
 
+    @property
+    def shared(self) -> bool:
+        return self.left == self.right
+
     def __str__(self) -> str:
+        if self.shared:
+            return f"<{self.left}>"
         return f"<{self.left} | {self.right}>"
 
 
-RelSymExpr = Single | Pair
-
-RelSymStore = dict[str, RelSymExpr]
+RelSymStore = dict[str, Pair]
 
 
-@dataclass(frozen=True)
-class RelPreciseStore:
-    rho2: tuple[tuple[str, RelSymExpr], ...]
-    path: SymPath
-
-    @staticmethod
-    def of(rho2: RelSymStore, path: SymPath) -> RelPreciseStore:
-        return RelPreciseStore(tuple(sorted(rho2.items())), path)
-
-    def store(self) -> RelSymStore:
-        return dict(self.rho2)
-
-    def __str__(self) -> str:
-        bindings = ", ".join(f"{x} -> {e}" for x, e in self.rho2)
-        return f"[{bindings}] | {self.path}"
-
-
-def proj_expr(i: int, expr: RelSymExpr) -> SymExpr:
-    if isinstance(expr, Single):
-        return expr.expr
+def proj_expr(i: int, expr: Pair) -> SymExpr:
     return expr.left if i == 0 else expr.right
 
 
@@ -92,39 +73,26 @@ def proj(i: int, rho2: RelSymStore) -> SymStore:
     return {x: proj_expr(i, e) for x, e in rho2.items()}
 
 
+def agree(e: Pair, path: SymPath, solver: Solver) -> bool:
+    """Both sides are equal, syntactically or provably under the path."""
+    return e.shared or solver.prove_equal(e.left, e.right, path)
+
+
 def pairing(rho0: SymStore, rho1: SymStore, path: SymPath, solver: Solver) -> RelSymStore:
-    """Merge two stores, keeping a variable Single when both sides are
-    syntactically identical or provably equal under the path."""
+    """Merge two stores, sharing a variable whose sides agree under the path."""
     out: RelSymStore = {}
     for x in sorted(rho0):
-        e0, e1 = rho0[x], rho1[x]
-        if e0 == e1 or solver.prove_equal(e0, e1, path):
-            out[x] = Single(e0)
-        else:
-            out[x] = Pair(e0, e1)
+        e = Pair(rho0[x], rho1[x])
+        out[x] = Pair(e.left, e.left) if agree(e, path, solver) else e
     return out
 
 
-@dataclass(frozen=True)
-class RelGuard:
-    left: SymPath
-    right: SymPath
-
-    @property
-    def single(self) -> bool:
-        return self.left == self.right
+def rel_eval_expr(expr, rho2: RelSymStore) -> Pair:
+    return Pair(sym_eval_expr(expr, proj(0, rho2)), sym_eval_expr(expr, proj(1, rho2)))
 
 
-def rel_eval_expr(expr, rho2: RelSymStore) -> RelSymExpr:
-    e0 = sym_eval_expr(expr, proj(0, rho2))
-    e1 = sym_eval_expr(expr, proj(1, rho2))
-    return Single(e0) if e0 == e1 else Pair(e0, e1)
-
-
-def rel_eval_bool(bexpr: BExpr, rho2: RelSymStore) -> RelGuard:
-    return RelGuard(
-        sym_eval_bool(bexpr, proj(0, rho2)), sym_eval_bool(bexpr, proj(1, rho2))
-    )
+def rel_eval_bool(bexpr: BExpr, rho2: RelSymStore) -> tuple[SymPath, SymPath]:
+    return sym_eval_bool(bexpr, proj(0, rho2)), sym_eval_bool(bexpr, proj(1, rho2))
 
 
 def modif_dep(
@@ -142,19 +110,20 @@ def modif_dep(
         if x not in written:
             out[x] = rho2[x]
         elif x in low:
-            out[x] = Single(SVal(factory.fresh(x)))
+            sym = SVal(factory.fresh(x))
+            out[x] = Pair(sym, sym)
         else:
             out[x] = Pair(SVal(factory.fresh(x)), SVal(factory.fresh(x)))
     return out
 
 
-def in_gamma_k2(kappa2: RelPreciseStore, store0, store1, valuation: Valuation) -> bool:
+def in_gamma_k2(kappa2: PreciseStore, store0, store1, valuation: Valuation) -> bool:
     """Concretization membership for a pair of stores (test oracle)."""
     rho2 = kappa2.store()
     for x, e in rho2.items():
-        if store0[x] != eval_sym(proj_expr(0, e), valuation):
+        if store0[x] != eval_sym(e.left, valuation):
             return False
-        if store1[x] != eval_sym(proj_expr(1, e), valuation):
+        if store1[x] != eval_sym(e.right, valuation):
             return False
     return eval_path(kappa2.path, valuation)
 
@@ -179,7 +148,7 @@ class Diverged:
 @dataclass(frozen=True)
 class RelState:
     control: Unified | Diverged
-    kappa2: RelPreciseStore
+    kappa2: PreciseStore
     a0: AbstractState | None
     a1: AbstractState | None
     counter: Counter
@@ -199,7 +168,11 @@ HavocFn = Callable[
 
 @dataclass
 class RelEngine:
-    """Everything a relational step needs besides the state itself."""
+    """Everything a relational step needs besides the state itself.
+
+    ``use_intervals`` only picks the start state of ``srse_explore``; the
+    steps read the domain off the state.
+    """
 
     solver: Solver
     factory: SymbolFactory
@@ -213,9 +186,10 @@ class RelEngine:
         return self.havoc(rho2, loop, path, a0, a1)
 
 
-def _signed(path: SymPath, guard: RelGuard, s0: bool, s1: bool) -> SymPath:
-    b0 = guard.left if s0 else pnot(guard.left)
-    b1 = guard.right if s1 else pnot(guard.right)
+def _signed(path: SymPath, guard: tuple[SymPath, SymPath], s0: bool, s1: bool) -> SymPath:
+    g0, g1 = guard
+    b0 = g0 if s0 else pnot(g0)
+    b1 = g1 if s1 else pnot(g1)
     path = pand(path, b0)
     if b1 != b0:
         path = pand(path, b1)
@@ -239,32 +213,18 @@ def _unified_step(state: RelState, engine: RelEngine) -> list[RelState]:
     rho2 = state.kappa2.store()
     path = state.kappa2.path
 
-    def guards(bguard: BExpr, s0: bool, s1: bool):
-        if not engine.use_intervals:
-            return state.a0, state.a1
-        g0 = bguard if s0 else bguard.negate()
-        g1 = bguard if s1 else bguard.negate()
-        return a_guard(g0, state.a0), a_guard(g1, state.a1)
-
-    def alive(a0, a1) -> bool:
-        if not engine.use_intervals:
-            return True
-        return not a0.is_bottom and not a1.is_bottom
-
-    def reduced(kappa2: RelPreciseStore, a0, a1) -> RelPreciseStore:
-        return _reduce2(kappa2, a0, a1) if engine.use_intervals else kappa2
-
-    def fork(bguard: BExpr, beta: RelGuard, signs, taken: Command, not_taken: Command, counter) -> None:
+    def fork(bguard: BExpr, beta: tuple[SymPath, SymPath], signs, taken: Command, not_taken: Command, counter) -> None:
         """Successors where trace 0 takes the guard as s0 and trace 1 as s1."""
         for s0, s1 in signs:
             path2 = _signed(path, beta, s0, s1)
-            a0, a1 = guards(bguard, s0, s1)
-            if not alive(a0, a1) or not solver.may_sat(path2):
+            a0 = redsoundse.guard(bguard if s0 else bguard.negate(), state.a0)
+            a1 = redsoundse.guard(bguard if s1 else bguard.negate(), state.a1)
+            if redsoundse.dead(a0) or redsoundse.dead(a1) or not solver.may_sat(path2):
                 continue
             c0 = taken if s0 else not_taken
             c1 = taken if s1 else not_taken
             control = Unified(plug(c0, rest)) if s0 == s1 else Diverged(c0, c1, plug(SKIP, rest))
-            kappa2 = reduced(RelPreciseStore.of(rho2, path2), a0, a1)
+            kappa2 = _reduce2(PreciseStore.of(rho2, path2), a0, a1)
             out.append(RelState(control, kappa2, a0, a1, counter, state.precise))
 
     match redex:
@@ -276,10 +236,8 @@ def _unified_step(state: RelState, engine: RelEngine) -> list[RelState]:
         case Assign(var, expr):
             store = dict(rho2)
             store[var] = rel_eval_expr(expr, rho2)
-            a0, a1 = state.a0, state.a1
-            if engine.use_intervals:
-                a0, a1 = a_assign(var, expr, a0), a_assign(var, expr, a1)
-            kappa2 = RelPreciseStore.of(store, path)
+            a0, a1 = redsoundse.assign(var, expr, state.a0), redsoundse.assign(var, expr, state.a1)
+            kappa2 = PreciseStore.of(store, path)
             out.append(RelState(Unified(plug(SKIP, rest)), kappa2, a0, a1, state.counter, state.precise))
         case If(bguard, then_branch, else_branch):
             fork(bguard, rel_eval_bool(bguard, rho2), SIGNS, then_branch, else_branch, state.counter)
@@ -288,18 +246,16 @@ def _unified_step(state: RelState, engine: RelEngine) -> list[RelState]:
             unrolled = Seq(body, While(bguard, body, active=True))
             continue_ok, continue_counter = counter_apply("continue", active, state.counter, engine.bound)
             fork(bguard, beta, SIGNS[:3] if continue_ok else (), unrolled, SKIP, continue_counter)
-            if not continue_ok and (
-                solver.may_sat(pand(path, beta.left)) or solver.may_sat(pand(path, beta.right))
-            ):
+            if not continue_ok and (solver.may_sat(pand(path, beta[0])) or solver.may_sat(pand(path, beta[1]))):
                 # Budget spent and some trace could still iterate:
                 # summarize the rest of the loop on both sides.
                 rho2h = engine.havoc_store(rho2, redex, path, state.a0, state.a1)
                 path2 = _signed(path, rel_eval_bool(bguard, rho2h), False, False)
                 a0, a1 = state.a0, state.a1
-                if engine.use_intervals:
+                if a0 is not None:
                     a0, a1 = analyze(redex, a0), analyze(redex, a1)
-                if alive(a0, a1) and solver.may_sat(path2):
-                    kappa2 = reduced(RelPreciseStore.of(rho2h, path2), a0, a1)
+                if not redsoundse.dead(a0) and not redsoundse.dead(a1) and solver.may_sat(path2):
+                    kappa2 = _reduce2(PreciseStore.of(rho2h, path2), a0, a1)
                     out.append(RelState(Unified(plug(SKIP, rest)), kappa2, a0, a1, continue_counter, False))
             # Normal exit stays available regardless of the budget.
             _, exit_counter = counter_apply("exit", active, state.counter, engine.bound)
@@ -309,16 +265,18 @@ def _unified_step(state: RelState, engine: RelEngine) -> list[RelState]:
     return out
 
 
-def _reduce2(kappa2: RelPreciseStore, a0: AbstractState, a1: AbstractState) -> RelPreciseStore:
-    """Reduction over both projections of a relational store.
+def _reduce2(kappa2: PreciseStore, a0: AbstractState | None, a1: AbstractState | None) -> PreciseStore:
+    """Reduction over both projections of a relational store; none without a domain.
 
     ``reduction`` is looked up on its module at call time, so a wrapper
     installed there (as the benchmark's tracer does) sees these calls too.
     """
+    if a0 is None:
+        return kappa2
     rho2 = kappa2.store()
     path = redsoundse.reduction(PreciseStore.of(proj(0, rho2), kappa2.path), a0).path
     path = redsoundse.reduction(PreciseStore.of(proj(1, rho2), path), a1).path
-    return RelPreciseStore.of(rho2, path)
+    return PreciseStore.of(rho2, path)
 
 
 def _diverged_step(state: RelState, engine: RelEngine) -> list[RelState]:
@@ -340,7 +298,7 @@ def _diverged_step(state: RelState, engine: RelEngine) -> list[RelState]:
         state.counter,
         state.precise,
     )
-    step = product_step if engine.use_intervals else bounded_step
+    step = bounded_step if sub.astate is None else product_step
 
     out: list[RelState] = []
     for nxt in step(sub, engine.bound, engine.solver, engine.factory):
@@ -354,7 +312,7 @@ def _diverged_step(state: RelState, engine: RelEngine) -> list[RelState]:
             control2 = Diverged(control.left, nxt.cmd, control.cont)
             a0, a1 = state.a0, nxt.astate
         out.append(
-            RelState(control2, RelPreciseStore.of(paired, nxt.kappa.path), a0, a1, nxt.counter, nxt.precise)
+            RelState(control2, PreciseStore.of(paired, nxt.kappa.path), a0, a1, nxt.counter, nxt.precise)
         )
     return out
 
@@ -364,12 +322,12 @@ def srse_explore(
     rho2_0: RelSymStore,
     engine: RelEngine,
     path_cap: int,
-) -> list[tuple[RelPreciseStore, bool]]:
+) -> list[tuple[PreciseStore, bool]]:
     """All final relational precise stores with their precision flags."""
     a_top = AbstractState.top(program.all_vars) if engine.use_intervals else None
     start = RelState(
         Unified(program.body),
-        RelPreciseStore.of(rho2_0, TRUE),
+        PreciseStore.of(rho2_0, TRUE),
         a_top,
         a_top,
         W0,

@@ -324,8 +324,6 @@ def _clause_model(trace: list[_Elimination]) -> dict[Monomial, int] | None:
 class InternalBackend:
     """Exact linear-integer decision procedure, Unknown beyond its budgets."""
 
-    name = "internal"
-
     def check(self, path: SymPath) -> SatResult:
         symbols = sorted(symbols_of_path(path), key=lambda s: s.uid)
         try:
@@ -506,8 +504,6 @@ def parse_model_output(text: str, symbols: set[SymValue]) -> Valuation | None:
 
 class SmtProcessBackend:
     """One external solver process per query, speaking SMT-LIB2 on stdio."""
-
-    name = "smt-process"
 
     def __init__(self, command: list[str], timeout_ms: int = 5000):
         self.command = command

@@ -33,11 +33,10 @@ from niverify.lang import (
 from niverify.redsoundse import ProductState, product_explore, product_step
 from niverify.relational import (
     Diverged,
+    Pair,
     srse_step,
     RelEngine,
     RelState,
-    RelPreciseStore,
-    Single,
     Unified,
     in_gamma_k2,
     proj_expr,
@@ -220,9 +219,14 @@ def walk_single_coverage(
 # ---------------------------------------------------------------------------
 
 
+def shared(expr) -> Pair:
+    """The relational value both executions share."""
+    return Pair(expr, expr)
+
+
 @dataclass
 class RelWalk:
-    kappa2: RelPreciseStore
+    kappa2: PreciseStore
     precise: bool
     valuation: dict
 
@@ -246,14 +250,14 @@ def walk_relational_coverage(
     """Follow the relational engine along a pair of runs from low-equal stores."""
     nu: dict = {}
     for x, e in rho2_0.items():
-        if isinstance(e, Single):
+        if e.shared:
             assert mu0[x] == mu1[x], "initial stores must be low-equal"
-            nu[e.expr.sym] = mu0[x]
+            nu[e.left.sym] = mu0[x]
         else:
             nu[e.left.sym] = mu0[x]
             nu[e.right.sym] = mu1[x]
     a_top = AbstractState.top(program.all_vars) if engine.use_intervals else None
-    state = RelState(Unified(program.body), RelPreciseStore.of(rho2_0, TRUE), a_top, a_top, W0, True)
+    state = RelState(Unified(program.body), PreciseStore.of(rho2_0, TRUE), a_top, a_top, W0, True)
 
     for _ in range(WALK_STEP_LIMIT):
         if state.final:
@@ -301,8 +305,8 @@ def walk_relational_coverage(
         rho2_next = nxt.kappa2.store()
         for x in sorted(rho2_next):
             e = rho2_next[x]
-            if isinstance(e, Single):
-                fresh = [s for s in symbols_of_expr(e.expr) if s not in nu]
+            if e.shared:
+                fresh = [s for s in symbols_of_expr(e.left) if s not in nu]
                 if fresh:
                     assert exits[0][x] == exits[1][x], (
                         f"dependence havoc kept {x} shared but the runs disagree"

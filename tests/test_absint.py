@@ -54,6 +54,15 @@ def test_guard_examples():
     assert a_guard(Cmp(">", Var("x"), Const(0)), env(x=(-5, 0))).is_bottom
 
 
+def test_guard_through_a_constant_factor_divides_exactly():
+    # A float quotient rounds 10**17 + 3 over 2 up to 5 * 10**16 + 2 and
+    # back down, dropping the value 5 * 10**16 + 1 the guard admits.
+    a = a_guard(Cmp("<=", BinOp("*", Const(2), Var("x")), Const(10**17 + 3)), env(x=(None, None)))
+    assert a.get("x") == Interval(None, 5 * 10**16 + 1)
+    a = a_guard(Cmp(">=", BinOp("*", Const(-3), Var("x")), Const(7)), env(x=(None, None)))
+    assert a.get("x") == Interval(None, -3)
+
+
 def test_guard_equality_and_disequality():
     a = a_guard(Cmp("==", Var("x"), Const(3)), env(x=(0, 10)))
     assert a.get("x") == Interval(3, 3)

@@ -9,11 +9,11 @@ from niverify.dependence import (
     tau_sym_to_dep,
 )
 from niverify.lang import BinOp, Cmp, Const, Var, low_equal, parse_program
-from niverify.relational import Pair, Single
+from niverify.relational import Pair
 from niverify.solver import Solver
 from niverify.symcore import SConst, SVal, SymbolFactory, TRUE, pcmp
 
-from helpers import random_program, random_store, run_capped
+from helpers import random_program, random_store, run_capped, shared
 
 
 def d(*variables) -> DepState:
@@ -60,10 +60,10 @@ def test_tau():
     i = SVal(factory.initial("i"))
     z = SVal(factory.initial("z"))
     p0, p1 = SVal(factory.fresh("priv")), SVal(factory.fresh("priv"))
-    rho2 = {"i": Single(i), "z": Single(z), "priv": Pair(p0, p1)}
+    rho2 = {"i": shared(i), "z": shared(z), "priv": Pair(p0, p1)}
     assert tau_sym_to_dep(rho2, TRUE, solver).low_agree == {"i", "z"}
 
-    all_single = {"a": Single(SConst(1)), "b": Single(i)}
+    all_single = {"a": shared(SConst(1)), "b": shared(i)}
     assert tau_sym_to_dep(all_single, TRUE, solver).low_agree == {"a", "b"}
 
     constrained = {"p": Pair(p0, p1)}

@@ -19,6 +19,7 @@ from niverify.driver import (
     Secure,
     SecurePath,
     classify_path,
+    config_for,
     initial_rel_store,
     replay,
     run_corpus,
@@ -26,9 +27,11 @@ from niverify.driver import (
     verify_ni,
 )
 from niverify.lang import parse_program
-from niverify.relational import Pair, RelPreciseStore, Single, modif_dep
+from niverify.relational import Pair, modif_dep
 from niverify.solver import Solver
-from niverify.symcore import SConst, SVal, SymbolFactory, TRUE, pand, pcmp
+from niverify.symcore import PreciseStore, SConst, SVal, SymbolFactory, TRUE, pand, pcmp
+
+from helpers import shared
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -42,14 +45,14 @@ def test_initial_rel_store_shapes():
     factory = SymbolFactory()
     p = corpus_program("a")
     rho2 = initial_rel_store(p, factory)
-    assert isinstance(rho2["priv"], Pair)
+    assert not rho2["priv"].shared
     assert rho2["priv"].left != rho2["priv"].right
-    assert isinstance(rho2["y"], Single)
+    assert rho2["y"].shared
 
     all_low = parse_program("low a, b; a := b;")
-    assert all(isinstance(e, Single) for e in initial_rel_store(all_low, SymbolFactory()).values())
+    assert all(e.shared for e in initial_rel_store(all_low, SymbolFactory()).values())
     all_high = parse_program("high a, b; a := b;")
-    assert all(isinstance(e, Pair) for e in initial_rel_store(all_high, SymbolFactory()).values())
+    assert all(not e.shared for e in initial_rel_store(all_high, SymbolFactory()).values())
 
 
 def test_modif_dep():
@@ -58,14 +61,14 @@ def test_modif_dep():
     rho2 = initial_rel_store(p, factory)
     havocked = modif_dep(rho2, p.body, {"i", "z"}, factory)
     assert havocked["z"] == rho2["z"]  # not written
-    assert isinstance(havocked["i"], Single) and havocked["i"] != rho2["i"]
-    assert isinstance(havocked["priv"], Pair) and havocked["priv"] != rho2["priv"]
+    assert havocked["i"].shared and havocked["i"] != rho2["i"]
+    assert not havocked["priv"].shared and havocked["priv"] != rho2["priv"]
 
     # Without dependence information this is the plain havoc: every written
     # variable becomes an unrelated pair.
     degenerate = modif_dep(rho2, p.body, frozenset(), factory)
-    assert {x for x, e in degenerate.items() if isinstance(e, Pair)} == lang.assigned_vars(p.body)
-    assert all(e.left != e.right for e in degenerate.values() if isinstance(e, Pair))
+    assert {x for x, e in degenerate.items() if not e.shared} == lang.assigned_vars(p.body)
+    assert all(e.left != e.right for e in degenerate.values() if not e.shared)
 
     assert modif_dep(rho2, lang.SKIP, {"i"}, factory) == rho2
 
@@ -74,8 +77,8 @@ def test_classify_secure_path():
     solver = Solver()
     factory = SymbolFactory()
     p0, p1 = SVal(factory.fresh("priv")), SVal(factory.fresh("priv"))
-    kappa2 = RelPreciseStore.of(
-        {"y": Single(SConst(5)), "priv": Pair(p0, p1)},
+    kappa2 = PreciseStore.of(
+        {"y": shared(SConst(5)), "priv": Pair(p0, p1)},
         pand(pcmp(">", p0, SConst(0)), pcmp("<=", p1, SConst(0))),
     )
     assert isinstance(classify_path(kappa2, True, frozenset({"y"}), solver), SecurePath)
@@ -85,8 +88,8 @@ def test_classify_infeasible_path():
     solver = Solver()
     factory = SymbolFactory()
     x = SVal(factory.initial("x"))
-    kappa2 = RelPreciseStore.of(
-        {"x": Single(x)}, pand(pcmp("<", x, SConst(0)), pcmp(">", x, SConst(0)))
+    kappa2 = PreciseStore.of(
+        {"x": shared(x)}, pand(pcmp("<", x, SConst(0)), pcmp(">", x, SConst(0)))
     )
     assert isinstance(classify_path(kappa2, True, frozenset({"x"}), solver), Infeasible)
 
@@ -96,7 +99,7 @@ def test_classify_refutation_and_alarm():
     factory = SymbolFactory()
     i = SVal(factory.initial("i"))
     y0, y1 = SVal(factory.fresh("y")), SVal(factory.fresh("y"))
-    kappa2 = RelPreciseStore.of({"i": Single(i), "y": Pair(y0, y1)}, TRUE)
+    kappa2 = PreciseStore.of({"i": shared(i), "y": Pair(y0, y1)}, TRUE)
     verdict = classify_path(kappa2, True, frozenset({"i", "y"}), solver)
     assert isinstance(verdict, Refutation)
     assert verdict.witness_var == "y"
@@ -109,7 +112,7 @@ def test_replay_two_store_counterexample():
     factory = SymbolFactory()
     rho2_0 = initial_rel_store(p, factory)
     nu = {
-        rho2_0["i"].expr.sym: 0,
+        rho2_0["i"].left.sym: 0,
         rho2_0["priv"].left.sym: 0,
         rho2_0["priv"].right.sym: -1,
     }
@@ -126,7 +129,7 @@ def test_replay_rejects_agreeing_model():
     factory = SymbolFactory()
     rho2_0 = initial_rel_store(p, factory)
     nu = {
-        rho2_0["i"].expr.sym: 0,
+        rho2_0["i"].left.sym: 0,
         rho2_0["priv"].left.sym: 5,
         rho2_0["priv"].right.sym: 5,
     }
@@ -264,6 +267,28 @@ def test_engine_monotonicity_on_corpus():
         assert scores == sorted(scores), (name, verdicts)
 
 
+def test_large_constant_guard_keeps_the_leaking_input():
+    """The interval refinement of ``2 * h`` must not round past 2**53."""
+    p = parse_program(
+        "low l; high h; if (h >= 50000000000000001) { if (2 * h <= 100000000000000003) { l := 1; } }"
+    )
+    for engine, single in MATRIX:
+        if engine == "dep":
+            continue
+        verdict = verify_ni(p, config_for(engine, single, AnalysisConfig()))
+        assert isinstance(verdict, Insecure), (engine, single)
+        assert dict(verdict.counterexample.store0)["h"] == 5 * 10**16 + 1
+
+
+def test_config_for_keeps_every_other_field():
+    base = AnalysisConfig(bound=7, path_cap=99, solver_command=["z3", "-in"], solver_timeout_ms=10)
+    config = config_for("soundrse", "redsoundse", base)
+    assert (config.engine, config.single_engine, config.domain) == ("soundrse", "redsoundse", "intervals")
+    assert (config.bound, config.path_cap, config.solver_command, config.solver_timeout_ms) == (7, 99, ["z3", "-in"], 10)
+    dep = config_for("dep", None, base, bound=2)
+    assert (dep.single_engine, dep.domain, dep.bound, dep.label()) == ("soundse", "none", 2, "dep")
+
+
 # --- CLI ------------------------------------------------------------------
 
 
@@ -314,6 +339,25 @@ def test_cli_engine_flags(capsys):
         ]
     )
     assert code == 2
+
+
+def test_cli_usage_errors_exit_3(capsys):
+    # Exit 2 means Inconclusive, so a usage error may not use argparse's 2.
+    for argv in (
+        [],
+        ["check"],
+        ["check", str(CORPUS / "prog_a.imp"), "--engine", "nope"],
+        ["check", str(CORPUS / "prog_a.imp"), "--bound", "many"],
+        ["corpus", str(CORPUS), "--engine", "dep"],
+        ["corpus", str(CORPUS), "--single-engine", "soundse"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 3, argv
+        assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "--help"])
+    assert exc.value.code == 0
 
 
 def test_cli_corpus(tmp_path, capsys):

@@ -7,10 +7,9 @@ from niverify.relational import (
     Diverged,
     Pair,
     RelEngine,
-    RelPreciseStore,
     RelState,
-    Single,
     Unified,
+    agree,
     in_gamma_k2,
     modif_dep,
     pairing,
@@ -23,6 +22,7 @@ from niverify.relational import (
 from niverify.solver import Sat, Solver
 from niverify.soundse import W0
 from niverify.symcore import (
+    PreciseStore,
     SBinOp,
     SConst,
     SVal,
@@ -33,7 +33,7 @@ from niverify.symcore import (
     pcmp,
 )
 
-from helpers import check_relational_coverage, random_program, random_store
+from helpers import check_relational_coverage, random_program, random_store, shared
 
 
 @pytest.fixture
@@ -52,22 +52,38 @@ def _secret_branch_program():
 def _secret_branch_store(factory):
     return {
         "priv": Pair(SVal(factory.fresh("priv")), SVal(factory.fresh("priv"))),
-        "y": Single(SVal(factory.initial("y"))),
+        "y": shared(SVal(factory.initial("y"))),
     }
 
 
 def test_projections():
     factory = SymbolFactory()
     p0, p1 = SVal(factory.fresh("priv")), SVal(factory.fresh("priv"))
-    rho2 = {"y": Single(SConst(5)), "priv": Pair(p0, p1)}
+    rho2 = {"y": shared(SConst(5)), "priv": Pair(p0, p1)}
     assert proj(0, rho2) == {"y": SConst(5), "priv": p0}
     assert proj(1, rho2) == {"y": SConst(5), "priv": p1}
-    assert proj_expr(0, Single(SConst(3))) == proj_expr(1, Single(SConst(3))) == SConst(3)
+    assert proj_expr(0, shared(SConst(3))) == proj_expr(1, shared(SConst(3))) == SConst(3)
+
+
+def test_shared_pair_prints_one_side_and_skips_the_solver():
+    factory = SymbolFactory()
+    x = SVal(factory.initial("x"))
+    assert str(Pair(x, x)) == "<x>" and Pair(x, x).shared
+    p0, p1 = SVal(factory.fresh("priv")), SVal(factory.fresh("priv"))
+    assert str(Pair(p0, p1)) == f"<{p0} | {p1}>" and not Pair(p0, p1).shared
+
+    class NoSolver:
+        def prove_equal(self, *args):
+            raise AssertionError("a shared pair needs no proof")
+
+    assert agree(Pair(x, x), TRUE, NoSolver())
+    assert agree(Pair(p0, p1), pcmp("==", p0, p1), Solver())
+    assert not agree(Pair(p0, p1), TRUE, Solver())
 
 
 def test_projection_commutes_with_update():
     factory = SymbolFactory()
-    rho2 = {"x": Single(SVal(factory.initial("x")))}
+    rho2 = {"x": shared(SVal(factory.initial("x")))}
     updated = dict(rho2)
     updated["x"] = Pair(SConst(1), SConst(2))
     for i in (0, 1):
@@ -81,7 +97,7 @@ def test_pairing(solver):
     factory = SymbolFactory()
     x = SVal(factory.initial("x"))
     rho = {"x": x, "y": SConst(5)}
-    assert pairing(rho, rho, TRUE, solver) == {"x": Single(x), "y": Single(SConst(5))}
+    assert pairing(rho, rho, TRUE, solver) == {"x": shared(x), "y": shared(SConst(5))}
 
     i0, i1 = SVal(factory.fresh("i")), SVal(factory.fresh("i"))
     same = pcmp("==", i0, i1)
@@ -91,7 +107,7 @@ def test_pairing(solver):
         same,
         solver,
     )
-    assert merged["v"] == Single(SBinOp("+", i0, SConst(1)))
+    assert merged["v"] == shared(SBinOp("+", i0, SConst(1)))
     unmerged = pairing({"v": i0}, {"v": i1}, TRUE, solver)
     assert unmerged["v"] == Pair(i0, i1)
 
@@ -100,22 +116,21 @@ def test_rel_eval_bool():
     factory = SymbolFactory()
     p0, p1 = SVal(factory.fresh("priv")), SVal(factory.fresh("priv"))
     guard = rel_eval_bool(Cmp(">", Var("priv"), Const(0)), {"priv": Pair(p0, p1)})
-    assert guard.left == pcmp(">", p0, SConst(0))
-    assert guard.right == pcmp(">", p1, SConst(0))
-    assert not guard.single
+    assert guard == (pcmp(">", p0, SConst(0)), pcmp(">", p1, SConst(0)))
+    assert guard[0] != guard[1]
 
     i = SVal(factory.initial("i"))
-    low_guard = rel_eval_bool(Cmp("<", Var("i"), Const(1)), {"i": Single(i)})
-    assert low_guard.single
-    const_guard = rel_eval_bool(Cmp("<", Const(0), Const(1)), {"i": Single(i)})
-    assert const_guard.single and const_guard.left == TRUE
+    low_guard = rel_eval_bool(Cmp("<", Var("i"), Const(1)), {"i": shared(i)})
+    assert low_guard[0] == low_guard[1]
+    const_guard = rel_eval_bool(Cmp("<", Const(0), Const(1)), {"i": shared(i)})
+    assert const_guard == (TRUE, TRUE)
 
 
 def test_step_on_secret_guard_covers_four_combinations(solver):
     engine = _plain_engine(solver)
     program = _secret_branch_program()
     rho2 = _secret_branch_store(engine.factory)
-    state = RelState(Unified(program.body), RelPreciseStore.of(rho2, TRUE), None, None, W0, True)
+    state = RelState(Unified(program.body), PreciseStore.of(rho2, TRUE), None, None, W0, True)
     successors = srse_step(state, engine)
     assert len(successors) == 4
     tt, tf, ft, ff = successors
@@ -133,7 +148,7 @@ def test_step_on_shared_guard_stays_in_lockstep(solver):
     factory = engine.factory
     i = SVal(factory.initial("i"))
     cmd = If(Cmp("<", Var("i"), Const(1)), SKIP, SKIP)
-    state = RelState(Unified(cmd), RelPreciseStore.of({"i": Single(i)}, TRUE), None, None, W0, True)
+    state = RelState(Unified(cmd), PreciseStore.of({"i": shared(i)}, TRUE), None, None, W0, True)
     successors = srse_step(state, engine)
     assert len(successors) == 2
     assert all(isinstance(s.control, Unified) for s in successors)
@@ -147,7 +162,7 @@ def test_explore_secret_branch_program(solver):
     assert len(finals) == 4
     for kappa2, precise in finals:
         assert precise
-        assert kappa2.store()["y"] == Single(SConst(5))
+        assert kappa2.store()["y"] == shared(SConst(5))
 
 
 def test_explore_unbounded_low_loop_over_approximates(solver):
@@ -157,23 +172,23 @@ def test_explore_unbounded_low_loop_over_approximates(solver):
     )
     factory = engine.factory
     rho2 = {
-        "i": Single(SVal(factory.initial("i"))),
-        "z": Single(SVal(factory.initial("z"))),
+        "i": shared(SVal(factory.initial("i"))),
+        "z": shared(SVal(factory.initial("z"))),
         "priv": Pair(SVal(factory.fresh("priv")), SVal(factory.fresh("priv"))),
     }
     finals = srse_explore(program, rho2, engine, path_cap=512)
     assert any(not precise for _, precise in finals)
     # Plain relational havoc loses the agreement on i.
     summarized = [k for k, precise in finals if not precise]
-    assert all(isinstance(k.store()["i"], Pair) for k in summarized)
+    assert all(not k.store()["i"].shared for k in summarized)
 
 
 def test_explore_skip_program(solver):
     engine = _plain_engine(solver)
     program = Program(SKIP, frozenset({"x"}), frozenset({"x"}))
-    rho2 = {"x": Single(SVal(engine.factory.initial("x")))}
+    rho2 = {"x": shared(SVal(engine.factory.initial("x")))}
     finals = srse_explore(program, rho2, engine, path_cap=16)
-    assert finals == [(RelPreciseStore.of(rho2, TRUE), True)]
+    assert finals == [(PreciseStore.of(rho2, TRUE), True)]
 
 
 def test_low_guards_never_diverge(solver):
@@ -183,11 +198,11 @@ def test_low_guards_never_diverge(solver):
     )
     factory = engine.factory
     rho2 = {
-        "i": Single(SVal(factory.initial("i"))),
-        "y": Single(SVal(factory.initial("y"))),
+        "i": shared(SVal(factory.initial("i"))),
+        "y": shared(SVal(factory.initial("y"))),
         "priv": Pair(SVal(factory.fresh("priv")), SVal(factory.fresh("priv"))),
     }
-    stack = [RelState(Unified(program.body), RelPreciseStore.of(rho2, TRUE), None, None, W0, True)]
+    stack = [RelState(Unified(program.body), PreciseStore.of(rho2, TRUE), None, None, W0, True)]
     while stack:
         state = stack.pop()
         assert isinstance(state.control, Unified), "low guards must keep lockstep"
@@ -221,13 +236,13 @@ def test_plain_havoc_pairs_every_written_variable():
         "low i, z; high priv; while (i < z) { i := i + 1; priv := priv + 1; }"
     )
     rho2 = {
-        "i": Single(SVal(factory.initial("i"))),
-        "z": Single(SVal(factory.initial("z"))),
+        "i": shared(SVal(factory.initial("i"))),
+        "z": shared(SVal(factory.initial("z"))),
         "priv": Pair(SVal(factory.fresh("priv")), SVal(factory.fresh("priv"))),
     }
     havocked = modif_dep(rho2, program.body, frozenset(), factory)
     assert havocked["z"] == rho2["z"]
-    assert isinstance(havocked["i"], Pair) and isinstance(havocked["priv"], Pair)
+    assert not havocked["i"].shared and not havocked["priv"].shared
     assert havocked["i"].left != havocked["i"].right
 
 
