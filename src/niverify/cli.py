@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shlex
 import sys
 
@@ -49,28 +50,34 @@ def _config_from(args: argparse.Namespace) -> AnalysisConfig:
     return driver.config_for(args.engine, args.single_engine, base)
 
 
-def _print_check(verdict, args, config: AnalysisConfig) -> None:
+def _check_text(verdict, args, config: AnalysisConfig) -> str:
     if args.format == "json":
         entry = {"program": args.file, "config": config.label()}
         entry.update(driver.verdict_to_json(verdict))
-        print(json.dumps(entry, indent=2, sort_keys=True))
-        return
+        return json.dumps(entry, indent=2, sort_keys=True)
     match verdict:
         case Secure():
-            print("Secure")
+            return "Secure"
         case Insecure(ce):
-            print(f"Insecure: low variable {ce.witness_var!r} differs")
-            print(f"  initial store 0: {dict(ce.store0)}")
-            print(f"  initial store 1: {dict(ce.store1)}")
-            print(f"  final store 0:   {dict(ce.out0)}")
-            print(f"  final store 1:   {dict(ce.out1)}")
+            return (
+                f"Insecure: low variable {ce.witness_var!r} differs\n"
+                f"  initial store 0: {dict(ce.store0)}\n"
+                f"  initial store 1: {dict(ce.store1)}\n"
+                f"  final store 0:   {dict(ce.out0)}\n"
+                f"  final store 1:   {dict(ce.out1)}"
+            )
         case Inconclusive(alarms):
-            print(f"Inconclusive: {len(alarms)} alarm path(s)")
+            lines = [f"Inconclusive: {len(alarms)} alarm path(s)"]
             for alarm in alarms:
                 flag = "precise" if alarm.precise else "over-approximated"
-                print(f"  [{flag}] {alarm.store}")
+                lines.append(f"  [{flag}] {alarm.store}")
                 if alarm.path:
-                    print(f"           path: {alarm.path}")
+                    lines.append(f"           path: {alarm.path}")
+            return "\n".join(lines)
+
+
+# Exit code of ``ni check`` per verdict.
+EXIT_CODES = {Secure: 0, Insecure: 1, Inconclusive: 2}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -94,21 +101,23 @@ def main(argv: list[str] | None = None) -> int:
             program = lang.parse_program(open(args.file).read())
             config = _config_from(args)
             verdict = driver.verify_ni(program, config)
-            _print_check(verdict, args, config)
-            match verdict:
-                case Secure():
-                    return 0
-                case Insecure(_):
-                    return 1
-                case Inconclusive(_):
-                    return 2
-        if args.command == "corpus":
+            code, text = EXIT_CODES[type(verdict)], _check_text(verdict, args, config)
+        else:
             report = driver.run_corpus(args.dir, _config_from(args))
+            code = 0
             if args.format == "json":
-                print(json.dumps(report, indent=2, sort_keys=True))
+                text = json.dumps(report, indent=2, sort_keys=True)
             else:
-                print(driver.report_text(report))
-            return 0
+                text = driver.report_text(report)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader went away after the verdict was reached, which
+            # does not change it.  Point stdout at devnull so that the
+            # flush at interpreter exit cannot fail as well.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     except (lang.LangError, driver.ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -116,7 +125,6 @@ def main(argv: list[str] | None = None) -> int:
         # Exit 1 means Insecure, so no internal failure may escape as a traceback.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    return 3
 
 
 if __name__ == "__main__":

@@ -121,10 +121,10 @@ class If:
 class While:
     guard: BExpr
     body: Command
-    # Engine-internal marker: true on the copy left behind by unrolling a
-    # loop, so the iteration counter can tell a fresh entry from the next
-    # iteration of an already-entered loop.  Never produced by the parser.
-    active: bool = False
+    # Iterations this entry of the loop has already unrolled; the engines
+    # unroll while it is below their bound and summarize at the bound.
+    # The parser always gives 0.
+    unrolled: int = 0
 
     def __str__(self) -> str:
         return f"while ({self.guard}) {{ {self.body} }}"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from niverify.absint import AbstractState, a_assign, a_guard, analyze, constr
 from niverify.lang import Assign, BExpr, Command, Expr, If, Program, SKIP, Seq, Skip, While
 from niverify.solver import Solver
-from niverify.soundse import Counter, W0, counter_apply, explore, focus, modif, plug
+from niverify.soundse import explore, focus, modif, plug
 from niverify.symcore import (
     PAnd,
     PreciseStore,
@@ -37,7 +37,6 @@ class ProductState:
     cmd: Command
     kappa: PreciseStore
     astate: AbstractState | None
-    counter: Counter
     precise: bool
 
 
@@ -95,23 +94,23 @@ def product_step(state: ProductState, k: int, solver: Solver, factory: SymbolFac
     def feasible(path2: SymPath, astate2: AbstractState | None) -> bool:
         return not dead(astate2) and solver.may_sat(path2)
 
-    def emit(cmd: Command, kappa: PreciseStore, astate2, counter: Counter, precise: bool, reduce=True):
+    def emit(cmd: Command, kappa: PreciseStore, astate2, precise: bool, reduce=True):
         if dead(astate2):
             return
         if reduce and astate2 is not None:
             kappa = reduction(kappa, astate2)
-        out.append(ProductState(plug(cmd, rest), kappa, astate2, counter, precise))
+        out.append(ProductState(plug(cmd, rest), kappa, astate2, precise))
 
     match redex:
         case Skip():
             raise ValueError("skip has no successor")
         case Seq(_, second):
-            emit(second, state.kappa, astate, state.counter, state.precise, reduce=False)
+            emit(second, state.kappa, astate, state.precise, reduce=False)
         case Assign(var, expr):
             rho2 = dict(rho)
             rho2[var] = sym_eval_expr(expr, rho)
             astate2 = assign(var, expr, astate)
-            emit(SKIP, PreciseStore.of(rho2, path), astate2, state.counter, state.precise, reduce=False)
+            emit(SKIP, PreciseStore.of(rho2, path), astate2, state.precise, reduce=False)
         case If(cond, then_branch, else_branch):
             beta = sym_eval_bool(cond, rho)
             cases = ((then_branch, beta, cond), (else_branch, pnot(beta), cond.negate()))
@@ -119,28 +118,26 @@ def product_step(state: ProductState, k: int, solver: Solver, factory: SymbolFac
                 path2 = pand(path, sign)
                 astate2 = guard(bguard, astate)
                 if feasible(path2, astate2):
-                    emit(branch, PreciseStore.of(rho, path2), astate2, state.counter, state.precise)
-        case While(cond, body, active):
+                    emit(branch, PreciseStore.of(rho, path2), astate2, state.precise)
+        case While(cond, body, unrolled):
             beta = sym_eval_bool(cond, rho)
             path_t = pand(path, beta)
             astate_t = guard(cond, astate)
             if feasible(path_t, astate_t):
-                ok, counter2 = counter_apply("continue", active, state.counter, k)
-                if ok:
-                    unrolled = Seq(body, While(cond, body, active=True))
-                    emit(unrolled, PreciseStore.of(rho, path_t), astate_t, counter2, state.precise)
+                if unrolled < k:
+                    again = Seq(body, While(cond, body, unrolled + 1))
+                    emit(again, PreciseStore.of(rho, path_t), astate_t, state.precise)
                 else:
                     # Summarize the remaining iterations: havoc the write
                     # set, analyze the loop abstractly, then reduce.  The
                     # path is left unchanged.
                     rho2 = modif(rho, redex, factory)
                     astate2 = None if astate is None else analyze(redex, astate)
-                    emit(SKIP, PreciseStore.of(rho2, path), astate2, counter2, False)
+                    emit(SKIP, PreciseStore.of(rho2, path), astate2, False)
             path_f = pand(path, pnot(beta))
             astate_f = guard(cond.negate(), astate)
             if feasible(path_f, astate_f):
-                _, counter2 = counter_apply("exit", active, state.counter, k)
-                emit(SKIP, PreciseStore.of(rho, path_f), astate_f, counter2, state.precise)
+                emit(SKIP, PreciseStore.of(rho, path_f), astate_f, state.precise)
         case _:
             raise ValueError(f"unknown command {redex!r}")
     return out
@@ -171,7 +168,7 @@ def product_explore(
     if dead(astate0):
         return []
     finals = explore(
-        ProductState(program.body, kappa0, astate0, W0, True),
+        ProductState(program.body, kappa0, astate0, True),
         lambda state: product_step(state, k, solver, factory),
         lambda state: isinstance(state.cmd, Skip),
         path_cap,

@@ -3,12 +3,16 @@
 A relational store maps each variable to a pair of expressions, one per
 execution; a pair with equal sides is a value both executions share.
 Stores reuse the single-trace ``PreciseStore``.  While the two traces follow
-the same control path the engine steps them together; when a condition
-splits them, it runs the left trace to completion with the single-trace
-engine, then the right, re-pairing the store after every step, and finally
-resumes the shared continuation.  Whether a state carries interval states
-(``a0``/``a1`` not None) decides whether the steps reduce with them.
+the same control path, the state's control is one command and the engine
+steps both traces with it; when a condition splits them, the control is a
+``Diverged`` triple: the engine runs the left trace to completion with the
+single-trace engine, then the right, re-pairing the store after every step,
+and finally resumes the shared continuation.  Whether a state carries
+interval states (``a0``/``a1`` not None) decides whether the steps reduce
+with them.
 
+Each loop node counts its own unrolled iterations (``While.unrolled``), so
+a trace that runs a loop alone after a split spends that copy's budget.
 Loop budget exhaustion havocs the loop's write set on both sides and
 asserts the negated (post-havoc) guards, which soundly restricts attention
 to terminated pairs.  How aggressively the havoc keeps variables shared is
@@ -26,7 +30,7 @@ from niverify.lang import Assign, BExpr, Command, If, Program, SKIP, Seq, Skip, 
 from niverify import redsoundse
 from niverify.redsoundse import ProductState, bounded_step, product_step
 from niverify.solver import Solver
-from niverify.soundse import Counter, W0, counter_apply, explore, focus, plug
+from niverify.soundse import explore, focus, plug
 from niverify.symcore import (
     PreciseStore,
     SVal,
@@ -134,12 +138,9 @@ def in_gamma_k2(kappa2: PreciseStore, store0, store1, valuation: Valuation) -> b
 
 
 @dataclass(frozen=True)
-class Unified:
-    cmd: Command
-
-
-@dataclass(frozen=True)
 class Diverged:
+    """The traces split at a condition: each runs its own side, then ``cont``."""
+
     left: Command
     right: Command
     cont: Command
@@ -147,16 +148,15 @@ class Diverged:
 
 @dataclass(frozen=True)
 class RelState:
-    control: Unified | Diverged
+    control: Command | Diverged
     kappa2: PreciseStore
     a0: AbstractState | None
     a1: AbstractState | None
-    counter: Counter
     precise: bool
 
     @property
     def final(self) -> bool:
-        return isinstance(self.control, Unified) and isinstance(self.control.cmd, Skip)
+        return isinstance(self.control, Skip)
 
 
 # The havoc hook decides, per written variable, whether both traces can be
@@ -209,11 +209,11 @@ SIGNS = ((True, True), (True, False), (False, True), (False, False))
 def _unified_step(state: RelState, engine: RelEngine) -> list[RelState]:
     solver = engine.solver
     out: list[RelState] = []
-    redex, rest = focus(state.control.cmd)
+    redex, rest = focus(state.control)
     rho2 = state.kappa2.store()
     path = state.kappa2.path
 
-    def fork(bguard: BExpr, beta: tuple[SymPath, SymPath], signs, taken: Command, not_taken: Command, counter) -> None:
+    def fork(bguard: BExpr, beta: tuple[SymPath, SymPath], signs, taken: Command, not_taken: Command) -> None:
         """Successors where trace 0 takes the guard as s0 and trace 1 as s1."""
         for s0, s1 in signs:
             path2 = _signed(path, beta, s0, s1)
@@ -223,30 +223,29 @@ def _unified_step(state: RelState, engine: RelEngine) -> list[RelState]:
                 continue
             c0 = taken if s0 else not_taken
             c1 = taken if s1 else not_taken
-            control = Unified(plug(c0, rest)) if s0 == s1 else Diverged(c0, c1, plug(SKIP, rest))
+            control = plug(c0, rest) if s0 == s1 else Diverged(c0, c1, plug(SKIP, rest))
             kappa2 = _reduce2(PreciseStore.of(rho2, path2), a0, a1)
-            out.append(RelState(control, kappa2, a0, a1, counter, state.precise))
+            out.append(RelState(control, kappa2, a0, a1, state.precise))
 
     match redex:
         case Skip():
             raise ValueError("skip has no successor")
         case Seq(_, second):
-            control = Unified(plug(second, rest))
-            out.append(RelState(control, state.kappa2, state.a0, state.a1, state.counter, state.precise))
+            out.append(RelState(plug(second, rest), state.kappa2, state.a0, state.a1, state.precise))
         case Assign(var, expr):
             store = dict(rho2)
             store[var] = rel_eval_expr(expr, rho2)
             a0, a1 = redsoundse.assign(var, expr, state.a0), redsoundse.assign(var, expr, state.a1)
             kappa2 = PreciseStore.of(store, path)
-            out.append(RelState(Unified(plug(SKIP, rest)), kappa2, a0, a1, state.counter, state.precise))
+            out.append(RelState(plug(SKIP, rest), kappa2, a0, a1, state.precise))
         case If(bguard, then_branch, else_branch):
-            fork(bguard, rel_eval_bool(bguard, rho2), SIGNS, then_branch, else_branch, state.counter)
-        case While(bguard, body, active):
+            fork(bguard, rel_eval_bool(bguard, rho2), SIGNS, then_branch, else_branch)
+        case While(bguard, body, unrolled):
             beta = rel_eval_bool(bguard, rho2)
-            unrolled = Seq(body, While(bguard, body, active=True))
-            continue_ok, continue_counter = counter_apply("continue", active, state.counter, engine.bound)
-            fork(bguard, beta, SIGNS[:3] if continue_ok else (), unrolled, SKIP, continue_counter)
-            if not continue_ok and (solver.may_sat(pand(path, beta[0])) or solver.may_sat(pand(path, beta[1]))):
+            again = Seq(body, While(bguard, body, unrolled + 1))
+            if unrolled < engine.bound:
+                fork(bguard, beta, SIGNS[:3], again, SKIP)
+            elif solver.may_sat(pand(path, beta[0])) or solver.may_sat(pand(path, beta[1])):
                 # Budget spent and some trace could still iterate:
                 # summarize the rest of the loop on both sides.
                 rho2h = engine.havoc_store(rho2, redex, path, state.a0, state.a1)
@@ -256,10 +255,9 @@ def _unified_step(state: RelState, engine: RelEngine) -> list[RelState]:
                     a0, a1 = analyze(redex, a0), analyze(redex, a1)
                 if not redsoundse.dead(a0) and not redsoundse.dead(a1) and solver.may_sat(path2):
                     kappa2 = _reduce2(PreciseStore.of(rho2h, path2), a0, a1)
-                    out.append(RelState(Unified(plug(SKIP, rest)), kappa2, a0, a1, continue_counter, False))
+                    out.append(RelState(plug(SKIP, rest), kappa2, a0, a1, False))
             # Normal exit stays available regardless of the budget.
-            _, exit_counter = counter_apply("exit", active, state.counter, engine.bound)
-            fork(bguard, beta, SIGNS[3:], unrolled, SKIP, exit_counter)
+            fork(bguard, beta, SIGNS[3:], again, SKIP)
         case _:
             raise ValueError(f"unknown command {redex!r}")
     return out
@@ -283,11 +281,7 @@ def _diverged_step(state: RelState, engine: RelEngine) -> list[RelState]:
     control = state.control
     assert isinstance(control, Diverged)
     if isinstance(control.left, Skip) and isinstance(control.right, Skip):
-        return [
-            RelState(
-                Unified(control.cont), state.kappa2, state.a0, state.a1, state.counter, state.precise
-            )
-        ]
+        return [RelState(control.cont, state.kappa2, state.a0, state.a1, state.precise)]
     side = 0 if not isinstance(control.left, Skip) else 1
     rho2 = state.kappa2.store()
     other = proj(1 - side, rho2)
@@ -295,7 +289,6 @@ def _diverged_step(state: RelState, engine: RelEngine) -> list[RelState]:
         control.left if side == 0 else control.right,
         PreciseStore.of(proj(side, rho2), state.kappa2.path),
         state.a0 if side == 0 else state.a1,
-        state.counter,
         state.precise,
     )
     step = bounded_step if sub.astate is None else product_step
@@ -312,7 +305,7 @@ def _diverged_step(state: RelState, engine: RelEngine) -> list[RelState]:
             control2 = Diverged(control.left, nxt.cmd, control.cont)
             a0, a1 = state.a0, nxt.astate
         out.append(
-            RelState(control2, PreciseStore.of(paired, nxt.kappa.path), a0, a1, nxt.counter, nxt.precise)
+            RelState(control2, PreciseStore.of(paired, nxt.kappa.path), a0, a1, nxt.precise)
         )
     return out
 
@@ -325,13 +318,6 @@ def srse_explore(
 ) -> list[tuple[PreciseStore, bool]]:
     """All final relational precise stores with their precision flags."""
     a_top = AbstractState.top(program.all_vars) if engine.use_intervals else None
-    start = RelState(
-        Unified(program.body),
-        PreciseStore.of(rho2_0, TRUE),
-        a_top,
-        a_top,
-        W0,
-        True,
-    )
+    start = RelState(program.body, PreciseStore.of(rho2_0, TRUE), a_top, a_top, True)
     finals = explore(start, lambda state: srse_step(state, engine), lambda state: state.final, path_cap)
     return [(state.kappa2, state.precise) for state in finals]

@@ -28,6 +28,7 @@ import math
 import subprocess
 from dataclasses import dataclass
 
+from niverify.lang import NEGATED_CMP
 from niverify.symcore import (
     PAnd,
     PCmp,
@@ -41,6 +42,8 @@ from niverify.symcore import (
     SymValue,
     Valuation,
     eval_path,
+    pand,
+    pcmp,
     symbols_of_path,
 )
 
@@ -166,8 +169,6 @@ def _dnf(path: SymPath, positive: bool) -> list[Clause]:
         case PNot(operand):
             return _dnf(operand, not positive)
         case PCmp(op, left, right):
-            from niverify.lang import NEGATED_CMP
-
             actual = op if positive else NEGATED_CMP[op]
             return _rows_of_cmp(actual, left, right)
         case PAnd(left, right):
@@ -578,6 +579,4 @@ class Solver:
         """True only if ``path and e0 != e1`` is definitely unsatisfiable."""
         if e0 == e1:
             return True
-        from niverify.symcore import pand, pcmp
-
         return isinstance(self.check_sat(pand(path, pcmp("!=", e0, e1))), Unsat)

@@ -4,16 +4,17 @@ SoundSE is the reduced product of ``redsoundse`` with no abstract domain:
 its step is ``redsoundse.product_step`` on a state whose ``astate`` is
 None.  The step mirrors the concrete small-step semantics on precise
 stores, pruning branches whose extended path is definitely unsatisfiable.
-It threads an iteration counter (a stack with one entry per entered loop)
-and a precision flag: when a loop asks for one more iteration than the
-bound allows, every variable the loop may write is replaced by a fresh
-symbol, execution resumes after the loop, and the flag drops to false for
-good.  Flag-true finals therefore describe exact path summaries; flag-false
+Each loop node counts the iterations its entry has unrolled
+(``While.unrolled``), and the state carries a precision flag: when a loop
+asks for one more iteration than the bound allows, every variable the loop
+may write is replaced by a fresh symbol, execution resumes after the loop,
+and the flag drops to false for good.  Unrolling re-plugs the loop's
+original body, so an inner loop starts from zero on every entry.
+Flag-true finals therefore describe exact path summaries; flag-false
 finals over-approximate.
 
 This module holds what the single-trace and relational steps share: the
-redex split of a command, the counter, the havoc and the depth-first
-explorer.
+redex split of a command, the havoc and the depth-first explorer.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ from niverify.symcore import (
     initial_sym_store,
     TRUE,
 )
-
-Counter = tuple[int, ...]
-
-W0: Counter = ()
 
 State = TypeVar("State")
 
@@ -66,25 +63,6 @@ def plug(cmd: Command, rest: list[Command]) -> Command:
     for second in reversed(rest):
         cmd = Seq(cmd, second)
     return cmd
-
-
-def counter_apply(kind: str, active: bool, counter: Counter, k: int) -> tuple[bool, Counter]:
-    """Update the counter for one loop consultation.
-
-    ``kind`` is "continue" or "exit"; ``active`` tells an already-entered
-    loop from a fresh entry.  Exits always succeed (popping the loop's
-    entry if it has one).  A continue pushes a zero on first entry, then
-    allows the iteration only while the count is below the bound; otherwise
-    it pops and reports exhaustion.
-    """
-    if kind == "exit":
-        return True, (counter[:-1] if active else counter)
-    if not active:
-        counter = counter + (0,)
-    top = counter[-1]
-    if top < k:
-        return True, counter[:-1] + (top + 1,)
-    return False, counter[:-1]
 
 
 def explore(

@@ -36,8 +36,6 @@ class SymValue:
 
     uid: int
     name: str
-    hint: str
-    fresh: bool
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SymValue) and self.uid == other.uid
@@ -66,12 +64,12 @@ class SymbolFactory:
     def initial(self, var: str) -> SymValue:
         """The canonical symbol for the initial value of ``var`` (one per run)."""
         if var not in self._initials:
-            self._initials[var] = SymValue(next(self._uids), var, var, fresh=False)
+            self._initials[var] = SymValue(next(self._uids), var)
         return self._initials[var]
 
     def fresh(self, hint: str) -> SymValue:
         counter = self._per_hint.setdefault(hint, itertools.count())
-        return SymValue(next(self._uids), f"{hint}#{next(counter)}", hint, fresh=True)
+        return SymValue(next(self._uids), f"{hint}#{next(counter)}")
 
 
 # ---------------------------------------------------------------------------

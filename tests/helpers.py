@@ -37,12 +37,11 @@ from niverify.relational import (
     srse_step,
     RelEngine,
     RelState,
-    Unified,
     in_gamma_k2,
     proj_expr,
 )
 from niverify.solver import Solver
-from niverify.soundse import W0, focus
+from niverify.soundse import focus
 from niverify.symcore import (
     PreciseStore,
     SymbolFactory,
@@ -180,7 +179,7 @@ def walk_single_coverage(
     nu = {factory.initial(x): mu0[x] for x in program.all_vars}
     kappa = PreciseStore.of(rho0, TRUE)
     astate = AbstractState.top(program.all_vars) if with_intervals else None
-    state = ProductState(program.body, kappa, astate, W0, True)
+    state = ProductState(program.body, kappa, astate, True)
 
     for _ in range(WALK_STEP_LIMIT):
         if isinstance(state.cmd, Skip):
@@ -207,8 +206,10 @@ def walk_single_coverage(
         assert havocked, "concrete run not covered by any successor"
         nxt = havocked[0]
         mu_exit = res.as_store()
-        for sym in sorted(_new_symbols(nxt.kappa.store(), nu), key=lambda s: s.uid):
-            nu[sym] = mu_exit[sym.hint]
+        # The havoc gives each written variable one fresh symbol.
+        for x, e in nxt.kappa.store().items():
+            if isinstance(e, SVal) and e.sym not in nu:
+                nu[e.sym] = mu_exit[x]
         assert eval_path(nxt.kappa.path, nu), "havoc summary path does not cover the run"
         state = nxt
     raise AssertionError("walker did not terminate")
@@ -257,7 +258,7 @@ def walk_relational_coverage(
             nu[e.left.sym] = mu0[x]
             nu[e.right.sym] = mu1[x]
     a_top = AbstractState.top(program.all_vars) if engine.use_intervals else None
-    state = RelState(Unified(program.body), PreciseStore.of(rho2_0, TRUE), a_top, a_top, W0, True)
+    state = RelState(program.body, PreciseStore.of(rho2_0, TRUE), a_top, a_top, True)
 
     for _ in range(WALK_STEP_LIMIT):
         if state.final:
@@ -293,7 +294,7 @@ def walk_relational_coverage(
             assert havocked, "concrete pair not covered by any successor"
             nxt = havocked[0]
         else:
-            loop, _ = focus(state.control.cmd)
+            loop, _ = focus(state.control)
             assert isinstance(loop, While)
             res0 = run_capped(loop, stores[0], fuel)
             res1 = run_capped(loop, stores[1], fuel)

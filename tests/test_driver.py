@@ -327,6 +327,30 @@ def test_verify_through_an_external_solver_process():
     assert isinstance(secure, Secure)
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text: str):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+def test_cli_closed_stdout_keeps_the_verdict_exit_code(tmp_path, monkeypatch, capsys):
+    with open(tmp_path / "out", "w") as out:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(out.fileno()))
+        assert cli.main(["check", str(CORPUS / "prog_c.imp")]) == 1
+        assert cli.main(["corpus", str(CORPUS)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_engine_flags(capsys):
     code = cli.main(
         [

@@ -4,7 +4,7 @@ from niverify.absint import AbstractState, Interval, state_holds
 from niverify.lang import Cmp, Const, If, SKIP, Var, parse_program
 from niverify.redsoundse import ProductState, _conjuncts, product_explore, product_step, reduction
 from niverify.solver import Solver, Unsat
-from niverify.soundse import W0, initial_precise_store
+from niverify.soundse import initial_precise_store
 from niverify.symcore import (
     PreciseStore,
     SConst,
@@ -99,7 +99,6 @@ def test_abstract_only_pruning():
         If(Cmp("<=", Var("x"), Const(0)), SKIP, SKIP),
         PreciseStore.of({"x": x}, TRUE),
         env(x=(1, 5)),
-        W0,
         True,
     )
     successors = product_step(state, 3, solver, factory)

@@ -2,13 +2,15 @@ import random
 
 import pytest
 
+from niverify.absint import AbstractState
+from niverify.driver import initial_rel_store
 from niverify.lang import Cmp, Const, If, Program, SKIP, Var, parse_program
+from niverify.redsoundse import product_explore
 from niverify.relational import (
     Diverged,
     Pair,
     RelEngine,
     RelState,
-    Unified,
     agree,
     in_gamma_k2,
     modif_dep,
@@ -20,7 +22,7 @@ from niverify.relational import (
     srse_step,
 )
 from niverify.solver import Sat, Solver
-from niverify.soundse import W0
+from niverify.soundse import initial_precise_store
 from niverify.symcore import (
     PreciseStore,
     SBinOp,
@@ -130,11 +132,11 @@ def test_step_on_secret_guard_covers_four_combinations(solver):
     engine = _plain_engine(solver)
     program = _secret_branch_program()
     rho2 = _secret_branch_store(engine.factory)
-    state = RelState(Unified(program.body), PreciseStore.of(rho2, TRUE), None, None, W0, True)
+    state = RelState(program.body, PreciseStore.of(rho2, TRUE), None, None, True)
     successors = srse_step(state, engine)
     assert len(successors) == 4
     tt, tf, ft, ff = successors
-    assert isinstance(tt.control, Unified) and isinstance(ff.control, Unified)
+    assert not isinstance(tt.control, Diverged) and not isinstance(ff.control, Diverged)
     assert isinstance(tf.control, Diverged) and isinstance(ft.control, Diverged)
     p0 = proj_expr(0, rho2["priv"])
     p1 = proj_expr(1, rho2["priv"])
@@ -148,10 +150,10 @@ def test_step_on_shared_guard_stays_in_lockstep(solver):
     factory = engine.factory
     i = SVal(factory.initial("i"))
     cmd = If(Cmp("<", Var("i"), Const(1)), SKIP, SKIP)
-    state = RelState(Unified(cmd), PreciseStore.of({"i": shared(i)}, TRUE), None, None, W0, True)
+    state = RelState(cmd, PreciseStore.of({"i": shared(i)}, TRUE), None, None, True)
     successors = srse_step(state, engine)
     assert len(successors) == 2
-    assert all(isinstance(s.control, Unified) for s in successors)
+    assert not any(isinstance(s.control, Diverged) for s in successors)
 
 
 def test_explore_secret_branch_program(solver):
@@ -202,13 +204,30 @@ def test_low_guards_never_diverge(solver):
         "y": shared(SVal(factory.initial("y"))),
         "priv": Pair(SVal(factory.fresh("priv")), SVal(factory.fresh("priv"))),
     }
-    stack = [RelState(Unified(program.body), PreciseStore.of(rho2, TRUE), None, None, W0, True)]
+    stack = [RelState(program.body, PreciseStore.of(rho2, TRUE), None, None, True)]
     while stack:
         state = stack.pop()
-        assert isinstance(state.control, Unified), "low guards must keep lockstep"
+        assert not isinstance(state.control, Diverged), "low guards must keep lockstep"
         if state.final:
             continue
         stack.extend(srse_step(state, engine))
+
+
+def test_inner_loop_gets_a_fresh_budget_on_every_entry(solver):
+    """Six inner iterations over three entries; a shared budget would summarize."""
+    program = parse_program(
+        "low i, j; i := 0; while (i < 3) { j := 0; while (j < 2) { j := j + 1; } i := i + 1; }"
+    )
+    for intervals in (False, True):
+        factory = SymbolFactory()
+        astate0 = AbstractState.top(program.all_vars) if intervals else None
+        kappa0 = initial_precise_store(program, factory)
+        finals = product_explore(program, kappa0, astate0, 3, 512, solver, factory)
+        assert finals and all(precise for _, _, precise in finals)
+
+        engine = RelEngine(solver=solver, factory=SymbolFactory(), bound=3, use_intervals=intervals)
+        rel_finals = srse_explore(program, initial_rel_store(program, engine.factory), engine, 512)
+        assert rel_finals and all(precise for _, precise in rel_finals)
 
 
 def test_pairing_projection_round_trip(solver):

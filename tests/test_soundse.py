@@ -18,7 +18,7 @@ from niverify.lang import (
 )
 from niverify.redsoundse import ProductState, product_step
 from niverify.solver import Sat, Solver
-from niverify.soundse import W0, counter_apply, focus, initial_precise_store, modif, plug
+from niverify.soundse import focus, initial_precise_store, modif, plug
 from niverify.symcore import (
     PreciseStore,
     SConst,
@@ -48,9 +48,9 @@ def _unbounded_loop_program():
     )
 
 
-def se_step(cmd, kappa, solver, counter=W0, k=3):
+def se_step(cmd, kappa, solver, k=3, factory=None):
     """SoundSE's step: the product step with no domain."""
-    return product_step(ProductState(cmd, kappa, None, counter, True), k, solver, SymbolFactory())
+    return product_step(ProductState(cmd, kappa, None, True), k, solver, factory or SymbolFactory())
 
 
 def _counting_loop():
@@ -65,7 +65,7 @@ def test_se_step_assign(solver):
     successors = se_step(Assign("y", Const(5)), kappa, solver)
     assert len(successors) == 1
     succ = successors[0]
-    assert succ.cmd == SKIP and succ.counter == W0 and succ.precise and succ.astate is None
+    assert succ.cmd == SKIP and succ.precise and succ.astate is None
     assert succ.kappa.store() == {"y": SConst(5), "priv": priv}
     assert succ.kappa.path == TRUE
 
@@ -94,41 +94,36 @@ def test_se_step_prunes_infeasible_branch(solver):
 
 def test_counter_step_ignores_non_loops(solver):
     kappa = PreciseStore.of({"x": SVal(SymbolFactory().initial("x"))}, TRUE)
-    cmd = Seq(Assign("x", Const(1)), While(Cmp("<", Var("x"), Const(9)), SKIP))
-    (succ,) = se_step(cmd, kappa, solver, counter=(2,))
-    assert succ.counter == (2,) and succ.precise
-    (succ,) = se_step(succ.cmd, succ.kappa, solver, counter=(2,))
-    assert succ.cmd == cmd.second and succ.counter == (2,)
+    loop = While(Cmp("<", Var("x"), Const(9)), SKIP, unrolled=2)
+    cmd = Seq(Assign("x", Const(1)), loop)
+    (succ,) = se_step(cmd, kappa, solver)
+    assert succ.cmd == Seq(SKIP, loop) and succ.precise
+    (succ,) = se_step(succ.cmd, succ.kappa, solver)
+    assert succ.cmd == loop
 
 
 def test_counter_step_bound_one(solver):
-    # First iteration from outside: a zero is pushed, then bumped.
-    assert counter_apply("continue", False, W0, k=1) == (True, (1,))
-    # Second attempt on the active loop exhausts the budget and pops.
-    assert counter_apply("continue", True, (1,), k=1) == (False, ())
-    # Exits pop an active loop's entry, and leave an outer loop's alone.
-    assert counter_apply("exit", True, (1,), k=1) == (True, ())
-    assert counter_apply("exit", False, (1,), k=1) == (True, (1,))
-
-    fresh_loop, body = _counting_loop()
-    active_loop = While(fresh_loop.guard, body, active=True)
-    kappa = PreciseStore.of({"i": SVal(SymbolFactory().initial("i"))}, TRUE)
-    cont, exit_ = se_step(fresh_loop, kappa, solver, k=1)
-    assert cont.cmd == Seq(body, active_loop) and cont.counter == (1,) and cont.precise
-    assert exit_.cmd == SKIP and exit_.counter == W0
-    summary, exit_ = se_step(active_loop, kappa, solver, counter=(1,), k=1)
-    assert summary.cmd == SKIP and summary.counter == () and not summary.precise
+    loop, body = _counting_loop()
+    factory = SymbolFactory()
+    kappa = PreciseStore.of({"i": SVal(factory.initial("i"))}, TRUE)
+    # A fresh loop unrolls once and counts the iteration on the loop copy.
+    cont, exit_ = se_step(loop, kappa, solver, k=1, factory=factory)
+    assert cont.cmd == Seq(body, While(loop.guard, body, unrolled=1)) and cont.precise
+    assert exit_.cmd == SKIP and exit_.precise
+    # Once the copy has used the budget, it summarizes; the exit stays precise.
+    summary, exit_ = se_step(While(loop.guard, body, unrolled=1), kappa, solver, k=1, factory=factory)
+    assert summary.cmd == SKIP and not summary.precise
     (sym,) = symbols_of_expr(summary.kappa.store()["i"])
-    assert summary.kappa.path == TRUE and sym.fresh
-    assert exit_.counter == () and exit_.precise
+    assert summary.kappa.path == TRUE and sym != factory.initial("i")
+    assert exit_.cmd == SKIP and exit_.precise
 
 
 def test_counter_step_bound_zero_summarizes_immediately(solver):
-    assert counter_apply("continue", False, W0, k=0) == (False, ())
     loop, _ = _counting_loop()
     kappa = PreciseStore.of({"i": SVal(SymbolFactory().initial("i"))}, TRUE)
-    summary, _ = se_step(loop, kappa, solver, k=0)
-    assert summary.cmd == SKIP and summary.counter == W0 and not summary.precise
+    summary, exit_ = se_step(loop, kappa, solver, k=0)
+    assert summary.cmd == SKIP and not summary.precise
+    assert exit_.cmd == SKIP and exit_.precise
 
 
 def test_focus_and_plug_round_trip():
@@ -148,7 +143,7 @@ def test_modif():
     assert havocked["z"] == rho["z"]
     for var in ("i", "priv"):
         (sym,) = symbols_of_expr(havocked[var])
-        assert sym.fresh and sym.hint == var
+        assert sym != factory.initial(var) and sym.name.startswith(f"{var}#")
     assert modif(rho, SKIP, factory) == rho
     all_written = Seq(Assign("i", Const(0)), Seq(Assign("z", Const(0)), Assign("priv", Const(0))))
     assert all(e != rho[x] for x, e in modif(rho, all_written, factory).items())
@@ -214,7 +209,7 @@ def test_explore_terminates_on_nested_symbolic_loops(solver):
 def test_flag_false_is_absorbing(solver):
     p = _unbounded_loop_program()
     factory = SymbolFactory()
-    stack = [ProductState(p.body, initial_precise_store(p, factory), None, W0, True)]
+    stack = [ProductState(p.body, initial_precise_store(p, factory), None, True)]
     seen = 0
     while stack and seen < 3000:
         state = stack.pop()
