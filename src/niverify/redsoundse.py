@@ -21,10 +21,10 @@ from niverify.lang import Assign, BExpr, Command, Expr, If, Program, SKIP, Seq, 
 from niverify.solver import Solver
 from niverify.soundse import explore, focus, modif, plug
 from niverify.symcore import (
-    PAnd,
     PreciseStore,
     SymbolFactory,
     SymPath,
+    has_conjunct,
     pand,
     pnot,
     sym_eval_bool,
@@ -40,18 +40,6 @@ class ProductState:
     precise: bool
 
 
-def _conjuncts(path: SymPath) -> set[SymPath]:
-    out: set[SymPath] = set()
-    stack = [path]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, PAnd):
-            stack.extend((node.left, node.right))
-        else:
-            out.add(node)
-    return out
-
-
 def reduction(kappa: PreciseStore, astate: AbstractState) -> PreciseStore:
     """Strengthen the path with the abstract constraints; same concretization.
 
@@ -61,12 +49,10 @@ def reduction(kappa: PreciseStore, astate: AbstractState) -> PreciseStore:
     """
     rho = kappa.store()
     path = kappa.path
-    present = _conjuncts(path)
     for cmp in constr(astate):
         conjunct = sym_eval_bool(cmp, rho)
-        if conjunct not in present:
+        if not has_conjunct(path, conjunct):
             path = pand(path, conjunct)
-            present.add(conjunct)
     return PreciseStore.of(rho, path)
 
 

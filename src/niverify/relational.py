@@ -32,6 +32,7 @@ from niverify.redsoundse import ProductState, bounded_step, product_step
 from niverify.solver import Solver
 from niverify.soundse import explore, focus, plug
 from niverify.symcore import (
+    FALSE,
     PreciseStore,
     SVal,
     SymExpr,
@@ -188,6 +189,8 @@ class RelEngine:
 
 def _signed(path: SymPath, guard: tuple[SymPath, SymPath], s0: bool, s1: bool) -> SymPath:
     g0, g1 = guard
+    if s0 != s1 and g0 == g1:
+        return FALSE  # one guard for both traces: they cannot split on it
     b0 = g0 if s0 else pnot(g0)
     b1 = g1 if s1 else pnot(g1)
     path = pand(path, b0)

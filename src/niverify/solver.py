@@ -3,22 +3,30 @@
 Two backends sit behind one facade:
 
 * ``InternalBackend`` (default): exact decision procedure for the linear
-  fragment.  Paths are normalized to disjunctive normal form, nonlinear
-  monomials are relaxed to fresh unknowns, and each conjunctive clause is
-  decided by Fourier-Motzkin elimination over integer rows with integer
-  bound tightening.  Models are rebuilt by back-substitution and always
-  re-checked against the original path before being reported.
+  fragment.  Paths are normalized to disjunctive normal form over the rows
+  of ``symcore``, nonlinear monomials are relaxed to fresh unknowns, and
+  each conjunctive clause is decided by Fourier-Motzkin elimination over
+  integer rows with integer bound tightening.  Models are rebuilt by
+  back-substitution and always re-checked against the original path before
+  being reported.
 * ``SmtProcessBackend``: talks SMT-LIB2 v2.6 to an external solver binary
   over stdin/stdout (``--solver`` on the CLI).  ``python -m
   niverify.smtshell`` is a bundled binary-compatible peer.
 
 The facade answers each question with the least work.  ``may_sat`` and
-``prove_equal`` need only a definite Unsat, so they never search.  Only
-``model``, asked for the counter-example of a refutation, falls back to a
-bounded search over small values when the backend gives Unknown (a
-spurious point of the nonlinear relaxation, say).  Unknown is folded
-toward the sound side by the callers: a path that might be satisfiable is
-kept, an equality that might not hold is not assumed.
+``prove_equal`` need only a definite Unsat, so they never search.  With the
+internal backend they, and ``check_sat``, answer incrementally: a path is
+its parent plus a conjunct, so a model of the parent that satisfies the
+conjunct settles it, and otherwise FM runs only on the rows the new
+conjunct reaches through shared symbols, over the tightest rows the path
+caches (constraint independence, as in KLEE).  Both steps drop only rows
+that are implied or independent, so Unsat stays sound.  Only ``model``,
+asked for the counter-example of a refutation, asks the backend about the
+whole path, so the model does not depend on the queries before it; it
+falls back to a bounded search over small values when the backend gives
+Unknown (a spurious point of the nonlinear relaxation, say).  Unknown is
+folded toward the sound side by the callers: a path that might be
+satisfiable is kept, an equality that might not hold is not assumed.
 """
 
 from __future__ import annotations
@@ -28,27 +36,35 @@ import math
 import subprocess
 from dataclasses import dataclass
 
-from niverify.lang import NEGATED_CMP
 from niverify.symcore import (
+    Blowup,
+    Clause,
+    Monomial,
+    NormalForm,
     PAnd,
     PCmp,
-    PNot,
     PTrue,
+    Row,
     SBinOp,
     SConst,
     SVal,
     SymExpr,
     SymPath,
     SymValue,
+    TRUE,
     Valuation,
+    conjuncts,
+    dnf,
     eval_path,
+    normal_form,
+    normalize_row,
     pand,
     pcmp,
-    symbols_of_path,
+    render,
 )
 
-# Budgets for the internal procedure; exceeding any of them yields Unknown.
-MAX_CLAUSES = 128
+# Budgets for the internal procedure besides ``symcore.MAX_CLAUSES``;
+# exceeding any of them yields Unknown.
 MAX_ROWS = 4000
 BRUTE_DEFAULT_RANGE = (-8, 8)
 BRUTE_MAX_COMBOS = 250_000
@@ -78,131 +94,8 @@ UNSAT = Unsat()
 
 
 # ---------------------------------------------------------------------------
-# Normalization: path -> DNF of linear rows
-# ---------------------------------------------------------------------------
-
-# A monomial is a sorted tuple of symbols; () is the constant term.  Degree
-# >= 2 monomials become opaque unknowns, which only ever weakens a clause,
-# so Unsat answers remain sound for the nonlinear original.
-Monomial = tuple[SymValue, ...]
-Poly = dict[Monomial, int]
-
-
-def _poly_const(n: int) -> Poly:
-    return {(): n} if n else {}
-
-
-def _poly_add(a: Poly, b: Poly, sign: int = 1) -> Poly:
-    out = dict(a)
-    for mono, coeff in b.items():
-        out[mono] = out.get(mono, 0) + sign * coeff
-        if out[mono] == 0:
-            del out[mono]
-    return out
-
-
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            mono = tuple(sorted(m1 + m2, key=lambda s: s.uid))
-            out[mono] = out.get(mono, 0) + c1 * c2
-            if out[mono] == 0:
-                del out[mono]
-    return out
-
-
-def _expr_poly(expr: SymExpr) -> Poly:
-    match expr:
-        case SConst(value):
-            return _poly_const(value)
-        case SVal(sym):
-            return {(sym,): 1}
-        case SBinOp(op, left, right):
-            lp, rp = _expr_poly(left), _expr_poly(right)
-            if op == "+":
-                return _poly_add(lp, rp)
-            if op == "-":
-                return _poly_add(lp, rp, sign=-1)
-            return _poly_mul(lp, rp)
-    raise ValueError(f"unknown symbolic expression {expr!r}")
-
-
-# A row is (coeffs over monomial keys, constant) encoding  sum + const <= 0.
-Row = tuple[dict[Monomial, int], int]
-Clause = list[Row]
-
-
-def _rows_of_cmp(op: str, left: SymExpr, right: SymExpr) -> list[list[Row]]:
-    """Translate one comparison into DNF over rows (only != disjoins)."""
-    diff = _poly_add(_expr_poly(left), _expr_poly(right), sign=-1)
-    const = diff.pop((), 0)
-    coeffs = diff
-
-    def row(scale: int, shift: int) -> Row:
-        return ({m: scale * c for m, c in coeffs.items()}, scale * const + shift)
-
-    if op == "<":
-        return [[row(1, 1)]]
-    if op == "<=":
-        return [[row(1, 0)]]
-    if op == ">":
-        return [[row(-1, 1)]]
-    if op == ">=":
-        return [[row(-1, 0)]]
-    if op == "==":
-        return [[row(1, 0), row(-1, 0)]]
-    if op == "!=":
-        return [[row(1, 1)], [row(-1, 1)]]
-    raise ValueError(f"unknown comparison {op!r}")
-
-
-class _Blowup(Exception):
-    pass
-
-
-def _dnf(path: SymPath, positive: bool) -> list[Clause]:
-    """Clauses of rows; an empty clause list means the formula is false."""
-    match path:
-        case PTrue():
-            return [[]] if positive else []
-        case PNot(operand):
-            return _dnf(operand, not positive)
-        case PCmp(op, left, right):
-            actual = op if positive else NEGATED_CMP[op]
-            return _rows_of_cmp(actual, left, right)
-        case PAnd(left, right):
-            if positive:
-                lhs, rhs = _dnf(left, True), _dnf(right, True)
-                if len(lhs) * len(rhs) > MAX_CLAUSES:
-                    raise _Blowup
-                return [lc + rc for lc in lhs for rc in rhs]
-            out = _dnf(left, False) + _dnf(right, False)
-            if len(out) > MAX_CLAUSES:
-                raise _Blowup
-            return out
-    raise ValueError(f"unknown path {path!r}")
-
-
-# ---------------------------------------------------------------------------
 # Clause decision: Fourier-Motzkin with integer tightening
 # ---------------------------------------------------------------------------
-
-
-def _normalize_row(row: Row) -> Row | None:
-    """Divide by the gcd and tighten the constant.
-
-    Tightening (``sum a_i x_i <= c`` becomes ``sum (a_i/g) x_i <=
-    floor(c/g)``) is sound for integer solutions only, which is exactly the
-    domain we decide.  Returns None for rows that hold trivially.
-    """
-    coeffs, const = row
-    coeffs = {m: c for m, c in coeffs.items() if c != 0}
-    if not coeffs:
-        return None if const <= 0 else ({}, 1)
-    g = math.gcd(*coeffs.values())
-    # sum + const <= 0  <=>  sum/g + ceil(const/g) <= 0, as sum/g is integral
-    return ({m: c // g for m, c in coeffs.items()}, -(-const // g))
 
 
 @dataclass
@@ -222,7 +115,7 @@ def _fm_eliminate(clause: Clause) -> tuple[bool, list[_Elimination]]:
     seen: set[tuple] = set()
 
     def push(row: Row) -> bool:
-        norm = _normalize_row(row)
+        norm = normalize_row(row)
         if norm is None:
             return True
         coeffs, const = norm
@@ -247,19 +140,30 @@ def _fm_eliminate(clause: Clause) -> tuple[bool, list[_Elimination]]:
 
     trace: list[_Elimination] = []
     while True:
-        variables = {m for coeffs, _ in rows for m in coeffs}
+        # One pass counts every variable's lower and upper rows.
+        variables: set[Monomial] = set()
+        lower_rows: dict[Monomial, int] = {}
+        upper_rows: dict[Monomial, int] = {}
+        for coeffs, _ in rows:
+            for m, c in coeffs.items():
+                variables.add(m)
+                counts = lower_rows if c < 0 else upper_rows
+                counts[m] = counts.get(m, 0) + 1
         if not variables:
             return True, trace
+
         # Cheapest variable first: fewest lower*upper combinations.
         def cost(var: Monomial) -> tuple[int, int]:
-            lo = sum(1 for coeffs, _ in rows if coeffs.get(var, 0) < 0)
-            hi = sum(1 for coeffs, _ in rows if coeffs.get(var, 0) > 0)
-            return (lo * hi, min(s.uid for s in var) if var else -1)
+            combinations = lower_rows.get(var, 0) * upper_rows.get(var, 0)
+            return (combinations, min(s.uid for s in var) if var else -1)
 
         var = min(variables, key=cost)
-        lowers = [r for r in rows if r[0].get(var, 0) < 0]
-        uppers = [r for r in rows if r[0].get(var, 0) > 0]
-        rest = [r for r in rows if var not in r[0]]
+        lowers: list[Row] = []
+        uppers: list[Row] = []
+        rest: list[Row] = []
+        for r in rows:
+            c = r[0].get(var, 0)
+            (lowers if c < 0 else uppers if c > 0 else rest).append(r)
         trace.append(_Elimination(var, lowers, uppers))
         rows, seen = [], set()
         for r in rest:
@@ -277,7 +181,7 @@ def _fm_eliminate(clause: Clause) -> tuple[bool, list[_Elimination]]:
                 if not push((combined, b * lo_const + a * hi_const)):
                     return False, trace
         if len(rows) > MAX_ROWS:
-            raise _Blowup
+            raise Blowup
 
 
 def _row_bounds(var: Monomial, rows: list[Row], assignment: dict[Monomial, int]):
@@ -303,6 +207,10 @@ def _row_bounds(var: Monomial, rows: list[Row], assignment: dict[Monomial, int])
     return lo, hi
 
 
+def _model_tuple(model: Valuation) -> tuple[tuple[SymValue, int], ...]:
+    return tuple(sorted(model.items(), key=lambda kv: kv[0].uid))
+
+
 def _clause_model(trace: list[_Elimination]) -> dict[Monomial, int] | None:
     """Back-substitute an integer point through the elimination trace."""
     assignment: dict[Monomial, int] = {}
@@ -326,10 +234,10 @@ class InternalBackend:
     """Exact linear-integer decision procedure, Unknown beyond its budgets."""
 
     def check(self, path: SymPath) -> SatResult:
-        symbols = sorted(symbols_of_path(path), key=lambda s: s.uid)
+        symbols = sorted(path.symbols, key=lambda s: s.uid)
         try:
-            clauses = _dnf(path, True)
-        except _Blowup:
+            clauses = dnf(path)
+        except Blowup:
             return Unknown("normalization blowup")
         if not clauses:
             return UNSAT
@@ -337,7 +245,7 @@ class InternalBackend:
         for clause in clauses:
             try:
                 feasible, trace = _fm_eliminate(clause)
-            except _Blowup:
+            except Blowup:
                 all_unsat = False
                 continue
             if not feasible:
@@ -353,21 +261,21 @@ class InternalBackend:
             for sym in symbols:
                 model.setdefault(sym, 0)
             if eval_path(path, model):
-                return Sat(tuple(sorted(model.items(), key=lambda kv: kv[0].uid)))
+                return Sat(_model_tuple(model))
             # Otherwise the nonlinear relaxation gave a spurious point.
         return UNSAT if all_unsat else Unknown("no integer model found")
 
 
 def _brute_search(path: SymPath) -> Sat | None:
     """A model with every symbol in ``BRUTE_DEFAULT_RANGE``; None past ``BRUTE_MAX_COMBOS``."""
-    symbols = sorted(symbols_of_path(path), key=lambda s: s.uid)
+    symbols = sorted(path.symbols, key=lambda s: s.uid)
     lo, hi = BRUTE_DEFAULT_RANGE
     if (hi - lo + 1) ** len(symbols) > BRUTE_MAX_COMBOS:
         return None
     for values in itertools.product(range(lo, hi + 1), repeat=len(symbols)):
         model = dict(zip(symbols, values))
         if eval_path(path, model):
-            return Sat(tuple(sorted(model.items(), key=lambda kv: kv[0].uid)))
+            return Sat(_model_tuple(model))
     return None
 
 
@@ -391,7 +299,7 @@ def _smt_expr(expr: SymExpr) -> str:
     raise ValueError(f"unknown symbolic expression {expr!r}")
 
 
-def _smt_path(path: SymPath) -> str:
+def _smt_leaf(path: SymPath) -> str:
     match path:
         case PTrue():
             return "true"
@@ -402,17 +310,17 @@ def _smt_path(path: SymPath) -> str:
             if op == "!=":
                 return f"(not (= {lhs} {rhs}))"
             return f"({op} {lhs} {rhs})"
-        case PAnd(left, right):
-            return f"(and {_smt_path(left)} {_smt_path(right)})"
-        case PNot(operand):
-            return f"(not {_smt_path(operand)})"
     raise ValueError(f"unknown path {path!r}")
+
+
+def _smt_path(path: SymPath) -> str:
+    return render(path, _smt_leaf, ("(and ", " ", ")"), ("(not ", ")"))
 
 
 def _is_nonlinear(path: SymPath) -> bool:
     try:
-        clauses = _dnf(path, True)
-    except _Blowup:
+        clauses = dnf(path)
+    except Blowup:
         return True
     return any(len(m) > 1 for clause in clauses for coeffs, _ in clause for m in coeffs)
 
@@ -511,7 +419,7 @@ class SmtProcessBackend:
         self.timeout_ms = timeout_ms
 
     def check(self, path: SymPath) -> SatResult:
-        symbols = symbols_of_path(path)
+        symbols = path.symbols
         script = emit_smtlib(path, symbols)
         try:
             proc = subprocess.run(
@@ -531,7 +439,7 @@ class SmtProcessBackend:
             model = parse_model_output(out.split("\n", 1)[1] if "\n" in out else "", symbols)
             if model is None:
                 return Unknown("unparseable model")
-            return Sat(tuple(sorted(model.items(), key=lambda kv: kv[0].uid)))
+            return Sat(_model_tuple(model))
         return Unknown(f"solver said {first!r}")
 
 
@@ -540,14 +448,105 @@ class SmtProcessBackend:
 # ---------------------------------------------------------------------------
 
 
+# What the internal procedure knows of a decided path: a model, Unsat, or
+# Unknown.
+Known = Valuation | Unsat | Unknown
+
+
+def _extended(model: Valuation, leaves: list[SymPath]) -> Valuation | None:
+    """``model``, with 0 for the new symbols, if it satisfies every leaf."""
+    missing = {s for leaf in leaves for s in leaf.symbols if s not in model}
+    if missing:
+        model = {**model, **dict.fromkeys(missing, 0)}
+    return model if all(eval_path(leaf, model) for leaf in leaves) else None
+
+
+def _row_holds(row: Row, valuation: Valuation) -> bool:
+    coeffs, const = row
+    return sum(c * math.prod(valuation[s] for s in m) for m, c in coeffs.items()) + const <= 0
+
+
+def _component(
+    normal: NormalForm, seeds: set[SymValue]
+) -> tuple[set[SymValue], list[Row], list[tuple[SymPath, list[Clause]]]]:
+    """The symbols, rows and disjuncts that share symbols with ``seeds``, transitively."""
+    rows = list(normal.rows.values())
+    items = [{s for m in coeffs for s in m} for coeffs, _ in rows]
+    items += [leaf.symbols for leaf, _ in normal.disjuncts]
+    by_symbol: dict[SymValue, list[int]] = {}
+    for i, symbols in enumerate(items):
+        for sym in symbols:
+            by_symbol.setdefault(sym, []).append(i)
+    reached, frontier, taken = set(seeds), list(seeds), set()
+    while frontier:
+        for i in by_symbol.get(frontier.pop(), ()):
+            if i not in taken:
+                taken.add(i)
+                fresh = items[i] - reached
+                reached |= fresh
+                frontier += fresh
+    order = sorted(taken)
+    return (
+        reached,
+        [rows[i] for i in order if i < len(rows)],
+        [normal.disjuncts[i - len(rows)] for i in order if i >= len(rows)],
+    )
+
+
+def _decide_component(normal: NormalForm, prefix: Known, new: list[SymPath]) -> Known:
+    """Decide the part of a path connected to its ``new`` leaves.
+
+    The rest of the path is the decided prefix's, which is not Unsat, and
+    shares no symbol with this part, so the path is Unsat exactly when this
+    part is.  A model of the part joins the prefix's model, if it has one.
+    """
+    if normal.false:
+        return UNSAT
+    reached, rows, disjuncts = _component(normal, set().union(*(leaf.symbols for leaf in new)))
+    undecided = False
+    for choice in itertools.product(*(clauses for _, clauses in disjuncts)):
+        try:
+            feasible, trace = _fm_eliminate(rows + [row for clause in choice for row in clause])
+        except Blowup:
+            undecided = True
+            continue
+        if not feasible:
+            continue
+        undecided = True
+        if not isinstance(prefix, dict):
+            break
+        assignment = _clause_model(trace)
+        if assignment is None:
+            continue
+        model = dict(prefix)
+        for sym in reached:
+            model[sym] = assignment.get((sym,), 0)
+        if all(_row_holds(row, model) for row in rows) and all(
+            eval_path(leaf, model) for leaf, _ in disjuncts
+        ):
+            return model
+        # Otherwise the nonlinear relaxation gave a spurious point.
+    return Unknown("no integer model found") if undecided else UNSAT
+
+
 class Solver:
-    """Caching facade; every Sat model is replayed before being returned."""
+    """Caching facade; every Sat model is replayed before being returned.
+
+    With the internal backend, ``may_sat``, ``prove_equal`` and
+    ``check_sat`` decide a path from what is known of its longest decided
+    prefix (``_decide``), so a query on a long path costs about as much as
+    its last conjuncts.  ``model`` always asks the backend about the whole
+    path, so a counter-example does not depend on the queries before it.
+    With any other backend every question goes to the backend.
+    """
 
     def __init__(self, backend=None):
         self.backend = backend if backend is not None else InternalBackend()
+        self._incremental = isinstance(self.backend, InternalBackend)
         self._cache: dict[SymPath, SatResult] = {}
+        self._known: dict[SymPath, Known] = {}
 
-    def check_sat(self, path: SymPath) -> SatResult:
+    def _backend_check(self, path: SymPath) -> SatResult:
         cached = self._cache.get(path)
         if cached is not None:
             return cached
@@ -557,14 +556,73 @@ class Solver:
         self._cache[path] = result
         return result
 
+    def _decide(self, path: SymPath) -> Known:
+        """The internal procedure's answer, built on the longest decided prefix.
+
+        Under an Unsat prefix the path is Unsat.  A model of the prefix
+        that satisfies the added conjuncts is a model of the path.
+        Otherwise FM runs on the part of the path the added conjuncts reach
+        through shared symbols, over its tightest rows.
+        """
+        known = self._known
+        answer = known.get(path)
+        if answer is not None:
+            return answer
+        added: list[SymPath] = []
+        base = path
+        while isinstance(base, PAnd) and base not in known:
+            added.append(base.right)
+            base = base.left
+        prefix = known.get(base)
+        if prefix is None:
+            # No prefix is decided: start from ``true``, whose model is empty.
+            added.append(base)
+            base, prefix = TRUE, {}
+        new = [leaf for sub in reversed(added) for leaf in conjuncts(sub)]
+        if path.clause_counts[0] is None:
+            answer = Unknown("normalization blowup")
+        elif isinstance(prefix, Unsat):
+            answer = UNSAT
+        else:
+            answer = _extended(prefix, new) if isinstance(prefix, dict) else None
+            if answer is None:
+                # Only the prefix keeps its normal form: the path's is
+                # needed again only if the path is extended and decided.
+                normal = normal_form(base).copy()
+                for leaf in new:
+                    normal.add(leaf)
+                answer = _decide_component(normal, prefix, new)
+        known[path] = answer
+        return answer
+
+    def _refuted(self, path: SymPath) -> bool:
+        if self._incremental:
+            return isinstance(self._decide(path), Unsat)
+        return isinstance(self._backend_check(path), Unsat)
+
+    def check_sat(self, path: SymPath) -> SatResult:
+        """Sat with some model, Unsat, or Unknown.
+
+        The model is whichever the solver found first; ``model`` gives the
+        backend's own.  What the internal procedure leaves Unknown goes to
+        the backend.
+        """
+        if self._incremental:
+            known = self._decide(path)
+            if isinstance(known, dict):
+                return Sat(_model_tuple(known))
+            if isinstance(known, Unsat):
+                return known
+        return self._backend_check(path)
+
     def model(self, path: SymPath) -> SatResult:
-        """``check_sat``, then a bounded search for a model if that gave Unknown.
+        """The backend's answer, then a bounded search for a model if that was Unknown.
 
         Only a refutation needs a model, so only it pays for the search.  A
-        cached Unknown is searched again: ``prove_equal`` may have cached the
+        cached Unknown is searched again: ``check_sat`` may have cached the
         very same path without searching.
         """
-        result = self.check_sat(path)
+        result = self._backend_check(path)
         if isinstance(result, Unknown):
             found = _brute_search(path)
             if found is not None:
@@ -573,10 +631,10 @@ class Solver:
 
     def may_sat(self, path: SymPath) -> bool:
         """False only on a definite Unsat; Unknown stays may-satisfiable."""
-        return not isinstance(self.check_sat(path), Unsat)
+        return not self._refuted(path)
 
     def prove_equal(self, e0: SymExpr, e1: SymExpr, path: SymPath) -> bool:
         """True only if ``path and e0 != e1`` is definitely unsatisfiable."""
         if e0 == e1:
             return True
-        return isinstance(self.check_sat(pand(path, pcmp("!=", e0, e1))), Unsat)
+        return self._refuted(pand(path, pcmp("!=", e0, e1)))

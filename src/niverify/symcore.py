@@ -10,12 +10,23 @@ its concrete value and the path holds.
 Expressions are constant-folded on construction and nothing else; stronger
 rewriting would change which expressions compare syntactically equal (a
 precision knob, not a soundness one), so we keep terms predictable.
+
+Paths grow one conjunct at a time and can get long (one conjunct per loop
+iteration), so every path node carries what walks over it would need:
+its hash, size and DNF clause counts from construction, and, on first
+use, an index of its conjuncts and its normal form, the linear rows the
+solver reads (the tightest row per coefficient vector).  The last two are
+built from the nearest prefix that has them, so asking them of a path one
+conjunct longer costs about one conjunct.  They hang off the nodes of one
+run; no table outlives it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field
 
 from niverify import lang
 from niverify.lang import BExpr, Expr, NEGATED_CMP, Store, apply_cmp, apply_op
@@ -145,41 +156,248 @@ def _shifted(expr: SymExpr, shift: int) -> SymExpr:
 
 
 # ---------------------------------------------------------------------------
+# Linear rows: what the solver reads a comparison as
+# ---------------------------------------------------------------------------
+
+# A monomial is a sorted tuple of symbols; () is the constant term.  The
+# solver relaxes degree >= 2 monomials to opaque unknowns, which only ever
+# weakens a clause, so Unsat answers remain sound for the nonlinear original.
+Monomial = tuple[SymValue, ...]
+Poly = dict[Monomial, int]
+
+# A row is (coeffs over monomial keys, constant) encoding  sum + const <= 0.
+Row = tuple[dict[Monomial, int], int]
+Clause = list[Row]
+
+# Past this many DNF clauses a path is not normalized ("normalization blowup").
+MAX_CLAUSES = 128
+
+
+class Blowup(Exception):
+    """A normal form grew past its budget."""
+
+
+def _poly_const(n: int) -> Poly:
+    return {(): n} if n else {}
+
+
+def _poly_add(a: Poly, b: Poly, sign: int = 1) -> Poly:
+    out = dict(a)
+    for mono, coeff in b.items():
+        out[mono] = out.get(mono, 0) + sign * coeff
+        if out[mono] == 0:
+            del out[mono]
+    return out
+
+
+def _poly_mul(a: Poly, b: Poly) -> Poly:
+    out: Poly = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = tuple(sorted(m1 + m2, key=lambda s: s.uid))
+            out[mono] = out.get(mono, 0) + c1 * c2
+            if out[mono] == 0:
+                del out[mono]
+    return out
+
+
+def _expr_poly(expr: SymExpr) -> Poly:
+    match expr:
+        case SConst(value):
+            return _poly_const(value)
+        case SVal(sym):
+            return {(sym,): 1}
+        case SBinOp(op, left, right):
+            lp, rp = _expr_poly(left), _expr_poly(right)
+            if op == "+":
+                return _poly_add(lp, rp)
+            if op == "-":
+                return _poly_add(lp, rp, sign=-1)
+            return _poly_mul(lp, rp)
+    raise ValueError(f"unknown symbolic expression {expr!r}")
+
+
+def rows_of_cmp(op: str, left: SymExpr, right: SymExpr) -> list[Clause]:
+    """Translate one comparison into DNF over rows (only != disjoins)."""
+    diff = _poly_add(_expr_poly(left), _expr_poly(right), sign=-1)
+    const = diff.pop((), 0)
+    coeffs = diff
+
+    def row(scale: int, shift: int) -> Row:
+        return ({m: scale * c for m, c in coeffs.items()}, scale * const + shift)
+
+    if op == "<":
+        return [[row(1, 1)]]
+    if op == "<=":
+        return [[row(1, 0)]]
+    if op == ">":
+        return [[row(-1, 1)]]
+    if op == ">=":
+        return [[row(-1, 0)]]
+    if op == "==":
+        return [[row(1, 0), row(-1, 0)]]
+    if op == "!=":
+        return [[row(1, 1)], [row(-1, 1)]]
+    raise ValueError(f"unknown comparison {op!r}")
+
+
+def normalize_row(row: Row) -> Row | None:
+    """Divide by the gcd and tighten the constant.
+
+    Tightening (``sum a_i x_i <= c`` becomes ``sum (a_i/g) x_i <=
+    floor(c/g)``) is sound for integer solutions only, which is exactly the
+    domain we decide.  Returns None for rows that hold trivially.
+    """
+    coeffs, const = row
+    coeffs = {m: c for m, c in coeffs.items() if c != 0}
+    if not coeffs:
+        return None if const <= 0 else ({}, 1)
+    g = math.gcd(*coeffs.values())
+    # sum + const <= 0  <=>  sum/g + ceil(const/g) <= 0, as sum/g is integral
+    return ({m: c // g for m, c in coeffs.items()}, -(-const // g))
+
+
+def _normalized(clauses: list[Clause]) -> list[Clause]:
+    """Clauses of normalized rows; trivial rows and false clauses dropped."""
+    out = []
+    for clause in clauses:
+        rows = [norm for norm in map(normalize_row, clause) if norm is not None]
+        if all(coeffs for coeffs, _ in rows):
+            out.append(rows)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Symbolic paths
 # ---------------------------------------------------------------------------
+#
+# Every node knows its number of leaves (``size``), its ``symbols`` and its
+# DNF clause counts, positive and negated (``clause_counts``, None past
+# ``MAX_CLAUSES``).  A conjunction computes its size, clause counts and hash
+# from its children, in O(1); its symbols take a walk, which only questions
+# about the whole path make.  No walk over a path recurses on its length.
+
+
+def _times(a: int | None, b: int | None) -> int | None:
+    if a is None or b is None or a * b > MAX_CLAUSES:
+        return None
+    return a * b
+
+
+def _plus(a: int | None, b: int | None) -> int | None:
+    if a is None or b is None or a + b > MAX_CLAUSES:
+        return None
+    return a + b
 
 
 @dataclass(frozen=True)
 class PTrue:
+    size = 1
+    symbols = frozenset()
+    clause_counts = (1, 0)
+
     def __str__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PCmp:
     op: str
     left: SymExpr
     right: SymExpr
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    size = 1
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.op, self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @property
+    def clause_counts(self) -> tuple[int, int]:
+        return (2 if self.op == "!=" else 1, 2 if self.op == "==" else 1)
+
+    @property
+    def symbols(self) -> frozenset[SymValue]:
+        return frozenset(symbols_of_expr(self.left) | symbols_of_expr(self.right))
 
     def __str__(self) -> str:
         return f"{self.left} {self.op} {self.right}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class PAnd:
     left: SymPath
     right: SymPath
+    size: int = field(init=False, repr=False)
+    _positive: int | None = field(init=False, repr=False)
+    _negated: int | None = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
+    _index: _ConjunctIndex | None = field(init=False, repr=False)
+    _normal: NormalForm | None = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        left, right = self.left, self.right
+        (lpos, lneg), (rpos, rneg) = left.clause_counts, right.clause_counts
+        init = object.__setattr__
+        init(self, "size", left.size + right.size)
+        init(self, "_positive", _times(lpos, rpos))
+        init(self, "_negated", _plus(lneg, rneg))
+        init(self, "_hash", hash((left, right)))
+        init(self, "_index", None)
+        init(self, "_normal", None)
+
+    @property
+    def clause_counts(self) -> tuple[int | None, int | None]:
+        return (self._positive, self._negated)
+
+    @property
+    def symbols(self) -> frozenset[SymValue]:
+        return frozenset().union(*(leaf.symbols for leaf in conjuncts(self)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PAnd):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if isinstance(a, PAnd) and isinstance(b, PAnd):
+                if a._hash != b._hash or a.size != b.size:
+                    return False
+                pairs.append((a.right, b.right))
+                pairs.append((a.left, b.left))
+            elif a != b:
+                return False
+        return True
 
     def __str__(self) -> str:
-        return f"({self.left} && {self.right})"
+        return render(self)
 
 
 @dataclass(frozen=True)
 class PNot:
     operand: SymPath
 
+    size = 1
+
+    @property
+    def clause_counts(self) -> tuple[int | None, int | None]:
+        positive, negated = self.operand.clause_counts
+        return (negated, positive)
+
+    @property
+    def symbols(self) -> frozenset[SymValue]:
+        return self.operand.symbols
+
     def __str__(self) -> str:
-        return f"!({self.operand})"
+        return render(self)
 
 
 SymPath = PTrue | PCmp | PAnd | PNot
@@ -217,6 +435,188 @@ def pnot(path: SymPath) -> SymPath:
         case PNot(operand):
             return operand
     return PNot(path)
+
+
+def conjuncts(path: SymPath) -> Iterator[SymPath]:
+    """The leaves of a path's conjunction tree, left to right."""
+    stack = [path]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, PAnd):
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            yield node
+
+
+def render(
+    path: SymPath,
+    leaf: Callable[[SymPath], str] = str,
+    conj: tuple[str, str, str] = ("(", " && ", ")"),
+    neg: tuple[str, str] = ("!(", ")"),
+) -> str:
+    """The text of a path: ``conj`` around and between the two sides of a
+    conjunction, ``neg`` around a negated operand, ``leaf`` for the rest."""
+    out: list[str] = []
+    stack: list[SymPath | str] = [path]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, PAnd):
+            stack += (conj[2], item.right, conj[1], item.left, conj[0])
+        elif isinstance(item, PNot):
+            stack += (neg[1], item.operand, neg[0])
+        else:
+            out.append(leaf(item))
+    return "".join(out)
+
+
+class _ConjunctIndex:
+    """First positions of the conjuncts along one chain of left-nested conjunctions.
+
+    Every node of the chain is a prefix of the last one to extend it
+    (``tip``), so one dict answers for all of them: a node holds the
+    conjuncts whose first position is at most its size.  Only the tip
+    extends the dict in place; extending an earlier node copies its prefix.
+    """
+
+    __slots__ = ("first", "tip")
+
+    def __init__(self, first: dict[SymPath, int], tip: SymPath) -> None:
+        self.first = first
+        self.tip = tip
+
+
+def _conjunct_index(path: PAnd) -> _ConjunctIndex:
+    if path._index is not None:
+        return path._index
+    pending: list[PAnd] = []
+    node: SymPath = path
+    while isinstance(node, PAnd) and node._index is None:
+        pending.append(node)
+        node = node.left
+    if not isinstance(node, PAnd):
+        index = _ConjunctIndex({node: 1}, node)
+    elif node._index.tip is node:
+        index = node._index
+    else:
+        first = {c: p for c, p in node._index.first.items() if p <= node.size}
+        index = _ConjunctIndex(first, node)
+    for link in reversed(pending):
+        position = link.left.size
+        for leaf in conjuncts(link.right):
+            position += 1
+            index.first.setdefault(leaf, position)
+        object.__setattr__(link, "_index", index)
+    index.tip = path
+    return index
+
+
+def has_conjunct(path: SymPath, conjunct: SymPath) -> bool:
+    """Whether ``conjunct`` is one of the leaves of ``path``."""
+    if not isinstance(path, PAnd):
+        return path == conjunct
+    position = _conjunct_index(path).first.get(conjunct)
+    return position is not None and position <= path.size
+
+
+def _leaf_dnf(leaf: SymPath, positive: bool) -> list[Clause]:
+    match leaf:
+        case PTrue():
+            return [[]] if positive else []
+        case PNot(operand):
+            return dnf(operand, not positive)
+        case PCmp(op, left, right):
+            return rows_of_cmp(op if positive else NEGATED_CMP[op], left, right)
+    raise ValueError(f"unknown path {leaf!r}")
+
+
+def dnf(path: SymPath, positive: bool = True) -> list[Clause]:
+    """Clauses of rows; an empty clause list means the formula is false.
+
+    Raises ``Blowup`` when some conjunction of the path, or of a negated
+    operand, expands to more than ``MAX_CLAUSES`` clauses.
+    """
+    count = path.clause_counts[0 if positive else 1]
+    if count is None:
+        raise Blowup
+    if not positive:
+        return [clause for leaf in conjuncts(path) for clause in _leaf_dnf(leaf, False)]
+    if count == 0:
+        return []
+    out: list[Clause] = [[]]
+    for leaf in conjuncts(path):
+        options = _leaf_dnf(leaf, True)
+        if len(options) == 1:
+            for clause in out:
+                clause.extend(options[0])
+        else:
+            out = [clause + option for clause in out for option in options]
+    return out
+
+
+class NormalForm:
+    """A path as the solver reads it.
+
+    ``rows`` holds the rows of the conjuncts with one DNF clause, keeping
+    the tightest constant per coefficient vector, which implies the others.
+    ``disjuncts`` holds each conjunct with several clauses next to its
+    clauses, and ``false`` marks a path with a conjunct that has none.
+    """
+
+    __slots__ = ("rows", "disjuncts", "false")
+
+    def __init__(self) -> None:
+        self.rows: dict[frozenset, Row] = {}
+        self.disjuncts: list[tuple[SymPath, list[Clause]]] = []
+        self.false = False
+
+    def copy(self) -> NormalForm:
+        out = NormalForm()
+        out.rows, out.disjuncts, out.false = dict(self.rows), list(self.disjuncts), self.false
+        return out
+
+    def add(self, leaf: SymPath) -> None:
+        if self.false:
+            return
+        clauses = _normalized(_leaf_dnf(leaf, True))
+        if not clauses:
+            self.false = True
+        elif len(clauses) == 1:
+            for row in clauses[0]:
+                key = frozenset(row[0].items())
+                kept = self.rows.get(key)
+                if kept is None or kept[1] < row[1]:
+                    self.rows[key] = row
+        elif all(clauses):  # a clause without rows makes the conjunct true
+            self.disjuncts.append((leaf, clauses))
+
+
+def normal_form(path: SymPath) -> NormalForm:
+    """The path's normal form, built on from the nearest prefix that has one.
+
+    Only the conjunction asked about keeps it, so a chain holds one per
+    node the solver needed it for.  Raises ``Blowup`` like ``dnf``.
+    """
+    if isinstance(path, PAnd) and path._normal is not None:
+        return path._normal
+    pending: list[SymPath] = []
+    node = path
+    while isinstance(node, PAnd) and node._normal is None:
+        pending.append(node.right)
+        node = node.left
+    if isinstance(node, PAnd):
+        normal = node._normal.copy()
+    else:
+        normal = NormalForm()
+        pending.append(node)
+    for sub in reversed(pending):
+        for leaf in conjuncts(sub):
+            normal.add(leaf)
+    if isinstance(path, PAnd):
+        object.__setattr__(path, "_normal", normal)
+    return normal
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +684,19 @@ def eval_sym(expr: SymExpr, valuation: Valuation) -> int:
 
 
 def eval_path(path: SymPath, valuation: Valuation) -> bool:
-    match path:
-        case PTrue():
-            return True
-        case PCmp(op, left, right):
-            return apply_cmp(op, eval_sym(left, valuation), eval_sym(right, valuation))
-        case PAnd(left, right):
-            return eval_path(left, valuation) and eval_path(right, valuation)
-        case PNot(operand):
-            return not eval_path(operand, valuation)
-    raise lang.LangError(f"unknown path {path!r}")
+    for leaf in conjuncts(path):
+        match leaf:
+            case PTrue():
+                continue
+            case PCmp(op, left, right):
+                if not apply_cmp(op, eval_sym(left, valuation), eval_sym(right, valuation)):
+                    return False
+            case PNot(operand):
+                if eval_path(operand, valuation):
+                    return False
+            case _:
+                raise lang.LangError(f"unknown path {leaf!r}")
+    return True
 
 
 def symbols_of_expr(expr: SymExpr) -> set[SymValue]:
@@ -305,19 +708,6 @@ def symbols_of_expr(expr: SymExpr) -> set[SymValue]:
         case SBinOp(_, left, right):
             return symbols_of_expr(left) | symbols_of_expr(right)
     raise lang.LangError(f"unknown symbolic expression {expr!r}")
-
-
-def symbols_of_path(path: SymPath) -> set[SymValue]:
-    match path:
-        case PTrue():
-            return set()
-        case PCmp(_, left, right):
-            return symbols_of_expr(left) | symbols_of_expr(right)
-        case PAnd(left, right):
-            return symbols_of_path(left) | symbols_of_path(right)
-        case PNot(operand):
-            return symbols_of_path(operand)
-    raise lang.LangError(f"unknown path {path!r}")
 
 
 def in_gamma_m(rho: SymStore, store: Store, valuation: Valuation) -> bool:

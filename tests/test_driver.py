@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from niverify.driver import (
     replay,
     run_corpus,
     verdict_name,
+    verdict_to_json,
     verify_ni,
 )
 from niverify.lang import parse_program
@@ -31,7 +34,7 @@ from niverify.relational import Pair, modif_dep
 from niverify.solver import Solver
 from niverify.symcore import PreciseStore, SConst, SVal, SymbolFactory, TRUE, pand, pcmp
 
-from helpers import shared
+from helpers import random_program, shared
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -404,3 +407,37 @@ def test_cli_internal_error_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli.driver, "verify_ni", broken)
     assert cli.main(["check", str(CORPUS / "prog_a.imp")]) == 3
     assert capsys.readouterr().err == "error: ReplayFailure: replayed runs ended low-equal; model was spurious\n"
+
+
+def test_cli_long_loop_ends_secure(capsys):
+    """prog_b's loop unrolled 1000 times; paths past 500 conjuncts used to raise RecursionError.
+
+    About five states per iteration, so the default path cap of 4096 would
+    stop it first.
+    """
+    argv = ["check", str(CORPUS / "prog_b.imp"), "--bound", "1000", "--path-cap", "8192"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.strip() == "Secure"
+
+
+_CMP60 = """
+import json, random
+from helpers import random_program
+from niverify.driver import AnalysisConfig, config_for, verdict_to_json, verify_ni
+program = random_program(random.Random("cmp:60"), 3, 3)
+print(json.dumps(verdict_to_json(verify_ni(program, config_for("soundrse", "soundse", AnalysisConfig())))))
+"""
+
+
+def test_verdict_does_not_depend_on_earlier_runs():
+    """Symbol uids restart in every run, so no cache may outlive one."""
+    config = config_for("soundrse", "soundse", AnalysisConfig())
+    for i in range(1, 60):
+        verify_ni(random_program(random.Random(f"cmp:{i}"), 3, 3), config)
+    after = verdict_to_json(verify_ni(random_program(random.Random("cmp:60"), 3, 3), config))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    solo = subprocess.run(
+        [sys.executable, "-c", _CMP60], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert after == json.loads(solo.stdout)
+    assert after["counterexample"]["valuation"] == {"a#0": -3, "a#1": 0, "b": 4}

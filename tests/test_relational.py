@@ -156,6 +156,21 @@ def test_step_on_shared_guard_stays_in_lockstep(solver):
     assert not any(isinstance(s.control, Diverged) for s in successors)
 
 
+def test_shared_guard_does_not_split_past_the_clause_budget(solver):
+    """The solver gives up on a path of 2**8 DNF clauses, so only the step can
+    see that one guard cannot send the two traces different ways."""
+    engine = _plain_engine(solver)
+    i = SVal(engine.factory.initial("i"))
+    path = TRUE
+    for k in range(8):
+        path = pand(path, pcmp("!=", i, SConst(10 + k)))
+    cmd = If(Cmp("<", Var("i"), Const(1)), SKIP, SKIP)
+    state = RelState(cmd, PreciseStore.of({"i": shared(i)}, path), None, None, True)
+    successors = srse_step(state, engine)
+    assert len(successors) == 2
+    assert not any(isinstance(s.control, Diverged) for s in successors)
+
+
 def test_explore_secret_branch_program(solver):
     engine = _plain_engine(solver)
     program = _secret_branch_program()

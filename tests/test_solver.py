@@ -3,6 +3,7 @@ import random
 import sys
 
 from niverify.solver import (
+    InternalBackend,
     Sat,
     SmtProcessBackend,
     Solver,
@@ -159,6 +160,27 @@ def test_prove_equal_soundness_against_enumeration():
                 nu = dict(zip(symbols, values))
                 if eval_path(path, nu):
                     assert eval_sym(e0, nu) == eval_sym(e1, nu)
+
+
+def test_incremental_answers_match_the_backend_from_scratch():
+    """Paths grown one conjunct at a time: every prefix is decided from the one before."""
+    rng = random.Random(45)
+    for _ in range(80):
+        factory = SymbolFactory()
+        symbols = [factory.initial(v) for v in "xyz"]
+        solver = Solver()
+        path = TRUE
+        for _ in range(8):
+            path = pand(path, _random_path(rng, symbols, 2))
+            fresh = InternalBackend().check(path)
+            assert solver.may_sat(path) == (not isinstance(fresh, Unsat)), path
+            e0 = SBinOp(rng.choice("+-"), SVal(rng.choice(symbols)), SConst(rng.randint(-2, 2)))
+            e1 = SVal(rng.choice(symbols))
+            query = pand(path, pcmp("!=", e0, e1))
+            assert solver.prove_equal(e0, e1, path) == isinstance(InternalBackend().check(query), Unsat)
+            # A refutation's model does not depend on the queries before it.
+            assert solver.model(path) == Solver().model(path)
+            assert solver.model(query) == Solver().model(query)
 
 
 def test_check_sat_does_not_search_past_the_relaxation():

@@ -12,8 +12,10 @@ from niverify.symcore import (
     SVal,
     SymbolFactory,
     TRUE,
+    conjuncts,
     eval_path,
     eval_sym,
+    has_conjunct,
     in_gamma_k,
     pand,
     pcmp,
@@ -22,6 +24,7 @@ from niverify.symcore import (
     sym_eval_bool,
     sym_eval_expr,
 )
+from niverify.solver import emit_smtlib
 
 from helpers import random_expr
 
@@ -157,3 +160,42 @@ def test_gamma_k_monotone_under_path_strengthening():
         strong = in_gamma_k(PreciseStore.of(rho, pand(base, extra)), mu, nu)
         weak = in_gamma_k(PreciseStore.of(rho, base), mu, nu)
         assert not strong or weak
+
+
+def _chain(n):
+    factory = SymbolFactory()
+    x, z = SVal(factory.initial("x")), SVal(factory.initial("z"))
+    leaves = [pcmp("<", sbinop("+", x, SConst(k)), z) for k in range(n)]
+    path = TRUE
+    for leaf in leaves:
+        path = pand(path, leaf)
+    return path, leaves, (x.sym, z.sym)
+
+
+def test_long_paths_are_walked_without_recursion():
+    path, leaves, (x, z) = _chain(5000)
+    assert str(path) == "(" * 4999 + str(leaves[0]) + "".join(f" && {leaf})" for leaf in leaves[1:])
+    assert list(conjuncts(path)) == leaves
+    assert path.symbols == {x, z}
+    assert eval_path(path, {x: -5000, z: 0}) and not eval_path(path, {x: -4999, z: 0})
+    again, _, _ = _chain(5000)
+    assert again == path and hash(again) == hash(path)
+    assert pand(path, leaves[0]) != path
+    script = emit_smtlib(path, {x, z})
+    assert script.count("(and ") == 4999
+
+
+def test_has_conjunct_sees_exactly_the_leaves_of_each_prefix():
+    path, leaves, _ = _chain(6)
+    prefixes = [path]
+    while prefixes[-1] != leaves[0]:
+        prefixes.append(prefixes[-1].left)
+    # Ask the longest path first, so that its index serves every prefix.
+    for prefix in prefixes:
+        for leaf in leaves:
+            assert has_conjunct(prefix, leaf) == (leaf in set(conjuncts(prefix)))
+    # A second extension of a prefix must not see the first one's conjuncts.
+    middle = prefixes[3]
+    other = pand(middle, pnot(leaves[5]))
+    assert has_conjunct(other, pnot(leaves[5])) and not has_conjunct(other, leaves[5])
+    assert has_conjunct(other, leaves[0]) and not has_conjunct(other, leaves[4])
