@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from niverify import lang
-from niverify.lang import BExpr, Cmp, Command, Const, Expr, Var, BinOp, Skip, Assign, If, While, Seq
+from niverify.lang import BExpr, Command, Const, Expr, Var, BinOp, Skip, Assign, If, While, Seq
 
 WIDEN_DELAY = 2
 
@@ -355,19 +355,19 @@ class BottomState(ValueError):
     """constr() was asked for the unreachable state."""
 
 
-def constr(a: AbstractState) -> list[Cmp]:
-    """The state as comparisons over program variables (finite bounds only)."""
+def constr(a: AbstractState) -> list[tuple[str, str, int]]:
+    """The state as bounds ``(x, op, c)``, each meaning ``x op c`` (finite bounds only)."""
     if a.is_bottom:
         raise BottomState("no constraints for bottom")
-    out: list[Cmp] = []
+    out: list[tuple[str, str, int]] = []
     for x, iv in a.env:
         if iv.is_singleton():
-            out.append(Cmp("==", Var(x), Const(iv.lo)))
+            out.append((x, "==", iv.lo))
             continue
         if iv.lo is not None:
-            out.append(Cmp(">=", Var(x), Const(iv.lo)))
+            out.append((x, ">=", iv.lo))
         if iv.hi is not None:
-            out.append(Cmp("<=", Var(x), Const(iv.hi)))
+            out.append((x, "<=", iv.hi))
     return out
 
 

@@ -22,10 +22,12 @@ from niverify.solver import Solver
 from niverify.soundse import explore, focus, modif, plug
 from niverify.symcore import (
     PreciseStore,
+    SConst,
     SymbolFactory,
     SymPath,
     has_conjunct,
     pand,
+    pcmp,
     pnot,
     sym_eval_bool,
     sym_eval_expr,
@@ -43,17 +45,20 @@ class ProductState:
 def reduction(kappa: PreciseStore, astate: AbstractState) -> PreciseStore:
     """Strengthen the path with the abstract constraints; same concretization.
 
-    Each bound constraint over a program variable is rephrased over that
-    variable's current symbolic expression.  Conjuncts already present are
-    not repeated, keeping paths small and runs deterministic.
+    Each bound ``x op c`` the state asserts on a variable the store binds
+    becomes the conjunct ``rho[x] op c``, the bound rephrased over that
+    variable's current symbolic expression; variables the store leaves out
+    are not reduced.  Conjuncts already present are not repeated, keeping
+    paths small and runs deterministic.
     """
     rho = kappa.store()
     path = kappa.path
-    for cmp in constr(astate):
-        conjunct = sym_eval_bool(cmp, rho)
-        if not has_conjunct(path, conjunct):
-            path = pand(path, conjunct)
-    return PreciseStore.of(rho, path)
+    for x, op, bound in constr(astate):
+        if x in rho:
+            conjunct = pcmp(op, rho[x], SConst(bound))
+            if not has_conjunct(path, conjunct):
+                path = pand(path, conjunct)
+    return PreciseStore(kappa.rho, path)
 
 
 # None-aware transfer functions: with no domain (None) they do nothing.

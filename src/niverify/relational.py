@@ -11,6 +11,18 @@ and finally resumes the shared continuation.  Whether a state carries
 interval states (``a0``/``a1`` not None) decides whether the steps reduce
 with them.
 
+Work the two traces share is done once.  Both traces start with one
+interval state object, and a lockstep step that moves both the same way
+(an assignment, a branch both take on the same side, a loop summary)
+computes the transfer once and gives the result to both, so ``a0 is a1``
+holds until the traces split at a condition; from there each refines its
+own state, and the identity does not come back at the join.  The transfer
+functions are pure and mint no symbols, so sharing changes no result.
+While it holds, the reduction of trace 1 skips the shared variables, whose
+conjuncts trace 0 has just added.  A branch on a guard both traces share
+never tries the two mixed sign pairs: their path is false, so no interval
+or solver work is spent on them.
+
 Each loop node counts its own unrolled iterations (``While.unrolled``), so
 a trace that runs a loop alone after a split spends that copy's budget.
 Loop budget exhaustion havocs the loop's write set on both sides and
@@ -216,12 +228,18 @@ def _unified_step(state: RelState, engine: RelEngine) -> list[RelState]:
     rho2 = state.kappa2.store()
     path = state.kappa2.path
 
+    # One interval state for both traces, as long as they agree.
+    one_domain = state.a1 is state.a0
+
     def fork(bguard: BExpr, beta: tuple[SymPath, SymPath], signs, taken: Command, not_taken: Command) -> None:
         """Successors where trace 0 takes the guard as s0 and trace 1 as s1."""
+        sides = {True: bguard, False: bguard.negate()}
         for s0, s1 in signs:
             path2 = _signed(path, beta, s0, s1)
-            a0 = redsoundse.guard(bguard if s0 else bguard.negate(), state.a0)
-            a1 = redsoundse.guard(bguard if s1 else bguard.negate(), state.a1)
+            if path2 == FALSE:
+                continue  # no interval work for a pair the path rules out
+            a0 = redsoundse.guard(sides[s0], state.a0)
+            a1 = a0 if one_domain and s0 == s1 else redsoundse.guard(sides[s1], state.a1)
             if redsoundse.dead(a0) or redsoundse.dead(a1) or not solver.may_sat(path2):
                 continue
             c0 = taken if s0 else not_taken
@@ -238,7 +256,8 @@ def _unified_step(state: RelState, engine: RelEngine) -> list[RelState]:
         case Assign(var, expr):
             store = dict(rho2)
             store[var] = rel_eval_expr(expr, rho2)
-            a0, a1 = redsoundse.assign(var, expr, state.a0), redsoundse.assign(var, expr, state.a1)
+            a0 = redsoundse.assign(var, expr, state.a0)
+            a1 = a0 if one_domain else redsoundse.assign(var, expr, state.a1)
             kappa2 = PreciseStore.of(store, path)
             out.append(RelState(plug(SKIP, rest), kappa2, a0, a1, state.precise))
         case If(bguard, then_branch, else_branch):
@@ -255,7 +274,8 @@ def _unified_step(state: RelState, engine: RelEngine) -> list[RelState]:
                 path2 = _signed(path, rel_eval_bool(bguard, rho2h), False, False)
                 a0, a1 = state.a0, state.a1
                 if a0 is not None:
-                    a0, a1 = analyze(redex, a0), analyze(redex, a1)
+                    a0 = analyze(redex, a0)
+                    a1 = a0 if one_domain else analyze(redex, a1)
                 if not redsoundse.dead(a0) and not redsoundse.dead(a1) and solver.may_sat(path2):
                     kappa2 = _reduce2(PreciseStore.of(rho2h, path2), a0, a1)
                     out.append(RelState(plug(SKIP, rest), kappa2, a0, a1, False))
@@ -269,15 +289,19 @@ def _unified_step(state: RelState, engine: RelEngine) -> list[RelState]:
 def _reduce2(kappa2: PreciseStore, a0: AbstractState | None, a1: AbstractState | None) -> PreciseStore:
     """Reduction over both projections of a relational store; none without a domain.
 
-    ``reduction`` is looked up on its module at call time, so a wrapper
-    installed there (as the benchmark's tracer does) sees these calls too.
+    With one interval state for both traces, a shared variable's conjunct
+    for trace 1 is the one trace 0 has just added, so trace 1 reduces only
+    the variables whose sides differ.  ``reduction`` is looked up on its
+    module at call time, so a wrapper installed there (as the benchmark's
+    tracer does) sees these calls too.
     """
     if a0 is None:
         return kappa2
     rho2 = kappa2.store()
     path = redsoundse.reduction(PreciseStore.of(proj(0, rho2), kappa2.path), a0).path
-    path = redsoundse.reduction(PreciseStore.of(proj(1, rho2), path), a1).path
-    return PreciseStore.of(rho2, path)
+    rho1 = {x: e.right for x, e in rho2.items() if not (a1 is a0 and e.shared)}
+    path = redsoundse.reduction(PreciseStore.of(rho1, path), a1).path
+    return PreciseStore(kappa2.rho, path)
 
 
 def _diverged_step(state: RelState, engine: RelEngine) -> list[RelState]:

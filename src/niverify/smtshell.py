@@ -32,6 +32,10 @@ class ShellError(ValueError):
     pass
 
 
+# SMT-LIB comparison heads and the path comparisons they denote.
+_RELATIONS = {"=": "==", "distinct": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+
+
 class Session:
     def __init__(self) -> None:
         self.factory = SymbolFactory()
@@ -47,51 +51,31 @@ class Session:
             self.symbols[name] = self.factory.fresh(name)
 
     def term(self, node) -> SymExpr:
-        if isinstance(node, str):
-            name = node.strip("|")
-            if name.lstrip("-").isdigit():
-                return SConst(int(name))
-            if name in self.symbols:
-                return SVal(self.symbols[name])
-            raise ShellError(f"unknown constant {name!r}")
-        head, *args = node
-        if head == "-" and len(args) == 1:
-            operand = self.term(args[0])
-            return sbinop("-", SConst(0), operand)
-        if head in ("+", "-", "*"):
-            expr = self.term(args[0])
-            for arg in args[1:]:
-                expr = sbinop(head, expr, self.term(arg))
-            return expr
-        raise ShellError(f"unknown term head {head!r}")
+        return _fold(node, ("+", "-", "*"), self._constant, _arithmetic)
+
+    def _constant(self, node) -> SymExpr:
+        if not isinstance(node, str):
+            raise ShellError(f"unknown term {node!r}")
+        name = node.strip("|")
+        if name.lstrip("-").isdigit():
+            return SConst(int(name))
+        if name in self.symbols:
+            return SVal(self.symbols[name])
+        raise ShellError(f"unknown constant {name!r}")
 
     def formula(self, node) -> SymPath:
+        return _fold(node, ("not", "and", "or"), self._atom, _connective)
+
+    def _atom(self, node) -> SymPath:
         if node == "true":
             return TRUE
         if node == "false":
             return pnot(TRUE)
-        if isinstance(node, str):
+        if isinstance(node, str) or not node:
             raise ShellError(f"unknown formula {node!r}")
         head, *args = node
-        if head == "not":
-            return pnot(self.formula(args[0]))
-        if head == "and":
-            out = TRUE
-            for arg in args:
-                out = pand(out, self.formula(arg))
-            return out
-        if head == "or":
-            # or(a, b, ...) == not(and(not a, not b, ...))
-            out = TRUE
-            for arg in args:
-                out = pand(out, pnot(self.formula(arg)))
-            return pnot(out)
-        if head == "=":
-            return pcmp("==", self.term(args[0]), self.term(args[1]))
-        if head == "distinct":
-            return pcmp("!=", self.term(args[0]), self.term(args[1]))
-        if head in ("<", "<=", ">", ">="):
-            return pcmp(head, self.term(args[0]), self.term(args[1]))
+        if isinstance(head, str) and head in _RELATIONS:
+            return pcmp(_RELATIONS[head], self.term(args[0]), self.term(args[1]))
         raise ShellError(f"unknown formula head {head!r}")
 
     def command(self, node) -> None:
@@ -125,6 +109,51 @@ class Session:
             print("\n".join(lines))
             return
         raise ShellError(f"unknown command {head!r}")
+
+
+def _fold(node, heads: tuple[str, ...], leaf, combine):
+    """Evaluate ``node`` bottom-up, with a stack instead of recursion.
+
+    A list whose head is in ``heads`` is ``combine(head, values of its
+    arguments)``; any other node is ``leaf(node)``.  Arguments are
+    evaluated left to right, and nesting depth costs no Python stack.
+    """
+    values: list = []
+    todo = [(node, False)]
+    while todo:
+        item, ready = todo.pop()
+        if ready:
+            start = len(values) - (len(item) - 1)
+            args = values[start:]
+            del values[start:]
+            values.append(combine(item[0], args))
+        elif isinstance(item, list) and item and item[0] in heads:
+            todo.append((item, True))
+            todo.extend((arg, False) for arg in reversed(item[1:]))
+        else:
+            values.append(leaf(item))
+    return values[0]
+
+
+def _arithmetic(head: str, args: list[SymExpr]) -> SymExpr:
+    if not args:
+        raise ShellError(f"{head!r} needs an argument")
+    if head == "-" and len(args) == 1:
+        return sbinop("-", SConst(0), args[0])
+    expr = args[0]
+    for arg in args[1:]:
+        expr = sbinop(head, expr, arg)
+    return expr
+
+
+def _connective(head: str, args: list[SymPath]) -> SymPath:
+    if head == "not":
+        return pnot(args[0])
+    out = TRUE
+    for arg in args:
+        out = pand(out, arg if head == "and" else pnot(arg))
+    # or(a, b, ...) == not(and(not a, not b, ...))
+    return out if head == "and" else pnot(out)
 
 
 def main() -> int:

@@ -82,50 +82,59 @@ def run_capped(cmd, store, fuel, cap=MAGNITUDE_CAP):
 
 VAR_POOL = ("a", "b", "c", "d")
 
+# Constants at the edges of float precision (2^53) and of machine words
+# (2^63), for ``random_program(..., constants=BOUNDARY_CONSTANTS)``.
+BOUNDARY_CONSTANTS = (0, 1, -1, 3, 2**53, 2**53 + 1, -(2**53) - 1, 2**63, 10**17 + 3)
 
-def random_expr(rng: random.Random, variables, depth: int):
+
+def random_expr(rng: random.Random, variables, depth: int, constants=None):
+    """A random term; its constants come from ``constants``, or from [-4, 4] if None."""
     if depth <= 0 or rng.random() < 0.4:
         if rng.random() < 0.5:
-            return Const(rng.randint(-4, 4))
+            return Const(rng.randint(-4, 4) if constants is None else rng.choice(constants))
         return Var(rng.choice(variables))
     op = rng.choice(["+", "+", "-", "*"])
-    return BinOp(op, random_expr(rng, variables, depth - 1), random_expr(rng, variables, depth - 1))
+    return BinOp(
+        op,
+        random_expr(rng, variables, depth - 1, constants),
+        random_expr(rng, variables, depth - 1, constants),
+    )
 
 
-def random_cmp(rng: random.Random, variables, depth: int) -> Cmp:
+def random_cmp(rng: random.Random, variables, depth: int, constants=None) -> Cmp:
     op = rng.choice(["<", "<=", "==", "!=", ">", ">="])
-    return Cmp(op, random_expr(rng, variables, depth), random_expr(rng, variables, depth))
+    return Cmp(op, random_expr(rng, variables, depth, constants), random_expr(rng, variables, depth, constants))
 
 
-def random_command(rng: random.Random, variables, depth: int):
+def random_command(rng: random.Random, variables, depth: int, constants=None):
     roll = rng.random()
     if depth <= 0 or roll < 0.42:
-        return Assign(rng.choice(variables), random_expr(rng, variables, min(depth, 2)))
+        return Assign(rng.choice(variables), random_expr(rng, variables, min(depth, 2), constants))
     if roll < 0.58:
         return Seq(
-            random_command(rng, variables, depth - 1),
-            random_command(rng, variables, depth - 1),
+            random_command(rng, variables, depth - 1, constants),
+            random_command(rng, variables, depth - 1, constants),
         )
     if roll < 0.62:
         return SKIP
     if roll < 0.84:
         return If(
-            random_cmp(rng, variables, 1),
-            random_command(rng, variables, depth - 1),
-            random_command(rng, variables, depth - 1),
+            random_cmp(rng, variables, 1, constants),
+            random_command(rng, variables, depth - 1, constants),
+            random_command(rng, variables, depth - 1, constants),
         )
     # Loops are biased toward a counting shape so enough samples terminate.
     v = rng.choice(variables)
     bound = rng.randint(0, 4)
-    body = Seq(Assign(v, BinOp("+", Var(v), Const(1))), random_command(rng, variables, depth - 1))
+    body = Seq(Assign(v, BinOp("+", Var(v), Const(1))), random_command(rng, variables, depth - 1, constants))
     if rng.random() < 0.25:
-        return While(random_cmp(rng, variables, 1), random_command(rng, variables, depth - 1))
+        return While(random_cmp(rng, variables, 1, constants), random_command(rng, variables, depth - 1, constants))
     return While(Cmp("<", Var(v), Const(bound)), body)
 
 
-def random_program(rng: random.Random, max_depth: int = 4, max_vars: int = 4) -> Program:
+def random_program(rng: random.Random, max_depth: int = 4, max_vars: int = 4, constants=None) -> Program:
     variables = VAR_POOL[: rng.randint(1, max_vars)]
-    body = random_command(rng, variables, max_depth)
+    body = random_command(rng, variables, max_depth, constants)
     n_low = rng.randint(0, len(variables))
     low = frozenset(rng.sample(variables, n_low))
     return Program(body, low, frozenset(variables))

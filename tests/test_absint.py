@@ -106,12 +106,10 @@ def test_analyze_trivial_shapes():
 
 def test_constr():
     a = env(priv=(2, None), i=(10, 10))
-    assert constr(a) == [
-        Cmp("==", Var("i"), Const(10)),
-        Cmp(">=", Var("priv"), Const(2)),
-    ]
+    assert constr(a) == [("i", "==", 10), ("priv", ">=", 2)]
     assert constr(AbstractState.top({"x"})) == []
-    assert constr(env(x=(3, 3))) == [Cmp("==", Var("x"), Const(3))]
+    assert constr(env(x=(3, 3))) == [("x", "==", 3)]
+    assert constr(env(x=(None, 4))) == [("x", "<=", 4)]
     with pytest.raises(BottomState):
         constr(BOTTOM)
 

@@ -34,7 +34,7 @@ from niverify.relational import Pair, modif_dep
 from niverify.solver import Solver
 from niverify.symcore import PreciseStore, SConst, SVal, SymbolFactory, TRUE, pand, pcmp
 
-from helpers import random_program, shared
+from helpers import BOUNDARY_CONSTANTS, random_program, run_capped, shared
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -245,6 +245,35 @@ def test_secure_verdicts_survive_differential_testing():
             r1 = lang.run(p, mu1, 10_000)
             if isinstance(r0, lang.Final) and isinstance(r1, lang.Final):
                 assert lang.low_equal(r0.as_store(), r1.as_store(), p.low_vars)
+
+
+def test_boundary_constant_programs_get_consistent_sound_verdicts():
+    """Seeded programs with constants near 2^53 and 2^63, under every ``MATRIX`` config.
+
+    No two configs give opposite definite verdicts, and a program some
+    config calls Secure keeps its low outputs equal on 20 concrete
+    low-equal store pairs.  Runs whose values pass 2^512 are skipped like
+    diverging ones.
+    """
+    values = BOUNDARY_CONSTANTS + tuple(range(-4, 5))
+    secure = pairs = 0
+    for i in range(100):
+        rng = random.Random(f"boundary:{i}")
+        program = random_program(rng, 3, 3, constants=BOUNDARY_CONSTANTS)
+        verdicts = {verdict_name(verify_ni(program, config_for(e, s, AnalysisConfig()))) for e, s in MATRIX}
+        assert not {"Secure", "Insecure"} <= verdicts, program.body
+        if "Secure" not in verdicts:
+            continue
+        secure += 1
+        variables = sorted(program.all_vars)
+        for _ in range(20):
+            mu0 = {x: rng.choice(values) for x in variables}
+            mu1 = {x: mu0[x] if x in program.low_vars else rng.choice(values) for x in variables}
+            r0, r1 = (run_capped(program.body, mu, 300, cap=2**512) for mu in (mu0, mu1))
+            if r0 is not None and r1 is not None:
+                assert lang.low_equal(r0.as_store(), r1.as_store(), program.low_vars), (program.body, mu0, mu1)
+                pairs += 1
+    assert secure >= 70 and pairs >= 1200, (secure, pairs)
 
 
 def test_engine_monotonicity_on_corpus():

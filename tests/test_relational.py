@@ -1,13 +1,16 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from niverify.absint import AbstractState
-from niverify.driver import initial_rel_store
+from niverify import redsoundse
+from niverify.absint import AbstractState, Interval
+from niverify.driver import AnalysisConfig, Secure, initial_rel_store, make_rel_engine, verify_ni
 from niverify.lang import Cmp, Const, If, Program, SKIP, Var, parse_program
 from niverify.redsoundse import product_explore
 from niverify.relational import (
     Diverged,
+    _reduce2,
     Pair,
     RelEngine,
     RelState,
@@ -22,7 +25,7 @@ from niverify.relational import (
     srse_step,
 )
 from niverify.solver import Sat, Solver
-from niverify.soundse import initial_precise_store
+from niverify.soundse import PathCapExceeded, explore, initial_precise_store
 from niverify.symcore import (
     PreciseStore,
     SBinOp,
@@ -31,6 +34,7 @@ from niverify.symcore import (
     SymbolFactory,
     TRUE,
     eval_sym,
+    has_conjunct,
     pand,
     pcmp,
 )
@@ -330,3 +334,66 @@ def test_flag_true_finals_replay_as_two_runs(solver):
         assert in_gamma_k2(kappa2, out0.as_store(), out1.as_store(), nu)
         replayed += 1
     assert replayed >= 3
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def _default_finals(program, one_domain: bool):
+    """Finals under the default config, the traces starting with one or two interval states."""
+    config = AnalysisConfig()
+    engine = make_rel_engine(program, config, Solver())
+    a0 = AbstractState.top(program.all_vars)
+    a1 = a0 if one_domain else AbstractState.top(program.all_vars)
+    start = RelState(program.body, PreciseStore.of(initial_rel_store(program, engine.factory), TRUE), a0, a1, True)
+    try:
+        finals = explore(start, lambda state: srse_step(state, engine), lambda state: state.final, config.path_cap)
+        return [(str(state.kappa2), state.precise) for state in finals]
+    except PathCapExceeded as exc:
+        return str(exc)
+
+
+def test_sharing_the_interval_state_is_invisible():
+    """One interval state for both traces gives the same finals as two equal ones."""
+    programs = [parse_program(path.read_text()) for path in sorted(CORPUS.glob("*.imp"))]
+    programs += [random_program(random.Random(f"share:{i}"), 3, 3) for i in range(30)]
+    for program in programs:
+        assert _default_finals(program, True) == _default_finals(program, False), program.body
+
+
+def test_lockstep_branches_run_each_transfer_once(monkeypatch):
+    """Three low-guarded ifs fork 7 times: one interval guard per side, none for dead sign pairs."""
+    calls = {"a_guard": 0, "a_assign": 0}
+    for name in calls:
+        real = getattr(redsoundse, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(redsoundse, name, counted)
+    program = parse_program(
+        "low l1, l2, l3, y; high h;\n"
+        + "".join(f"if (l{k} > 0) {{ y := y + {k}; }} else {{ h := h + 1; }}\n" for k in (1, 2, 3))
+    )
+    assert verify_ni(program, AnalysisConfig()) == Secure()
+    assert calls == {"a_guard": 14, "a_assign": 14}
+
+
+def test_reduce2_skips_only_conjuncts_trace_0_added():
+    """Trace 1's reduction skips shared variables only when both traces hold one interval state."""
+    factory = SymbolFactory()
+    x = SVal(factory.initial("x"))
+    rho2 = {"x": shared(x), "h": Pair(SVal(factory.fresh("h")), SVal(factory.fresh("h")))}
+    kappa2 = PreciseStore.of(rho2, TRUE)
+
+    def both_projections(a0, a1):
+        path = redsoundse.reduction(PreciseStore.of(proj(0, rho2), TRUE), a0).path
+        return PreciseStore.of(rho2, redsoundse.reduction(PreciseStore.of(proj(1, rho2), path), a1).path)
+
+    a0 = AbstractState.of({"x": Interval(0, 5), "h": Interval(1, None)})
+    a1 = AbstractState.of({"x": Interval(2, 9), "h": Interval(None, 0)})
+    assert _reduce2(kappa2, a0, a0) == both_projections(a0, a0)
+    reduced = _reduce2(kappa2, a0, a1)
+    assert reduced == both_projections(a0, a1)
+    assert has_conjunct(reduced.path, pcmp(">=", x, SConst(2)))

@@ -261,6 +261,21 @@ def test_subprocess_shell_unsat_and_negative_model():
     assert res.valuation()[x] < -3
 
 
+def test_subprocess_shell_decides_long_paths():
+    """A 2000-conjunct path nests 2000 ``and``s deep in SMT-LIB; the shell walks it without recursion."""
+    _, (x, y) = _symbols(2)
+    total, diff = SBinOp("+", SVal(x), SVal(y)), SBinOp("-", SVal(x), SVal(y))
+    path = TRUE
+    for i in range(2000):
+        path = pand(path, pcmp(">=", total, SConst(-i)) if i % 2 else pcmp("<=", diff, SConst(i)))
+    closed = pand(path, pcmp("<", total, SConst(-1)))
+    backend = SmtProcessBackend(SHELL, timeout_ms=30_000)
+    for query in (path, closed):
+        expected = InternalBackend().check(query)
+        assert isinstance(expected, (Sat, Unsat))
+        assert type(backend.check(query)) is type(expected)
+
+
 def test_unavailable_solver_is_unknown():
     backend = SmtProcessBackend(["/nonexistent/solver-binary"], timeout_ms=500)
     _, (x, *_) = _symbols(1)
