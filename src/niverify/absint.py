@@ -32,7 +32,7 @@ def _as_bound(value: float | int) -> int | None:
     return None if value in (_NEG_INF, _POS_INF) else int(value)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Interval:
     """``[lo, hi]`` with ``None`` for an infinite endpoint; never empty."""
 
@@ -107,7 +107,7 @@ def interval_mul(a: Interval, b: Interval) -> Interval:
     return Interval(_as_bound(min(corners)), _as_bound(max(corners)))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AbstractState:
     """Bottom (``env is None``) or a total interval environment."""
 

@@ -95,6 +95,10 @@ def main(argv: list[str] | None = None) -> int:
     _add_analysis_flags(corpus)
 
     args = parser.parse_args(argv)
+    for name, least in driver.MINIMUMS.items():
+        if getattr(args, name) < least:
+            flag = "--" + name.replace("_", "-")
+            parser.error(f"argument {flag}: must be at least {least}, got {getattr(args, name)}")
 
     try:
         if args.command == "check":

@@ -55,6 +55,9 @@ DOMAINS = ("intervals", "none")
 # Steps each replayed run may take before replay gives up.
 REPLAY_FUEL = 200_000
 
+# The least value each numeric setting of ``AnalysisConfig`` accepts.
+MINIMUMS = {"bound": 0, "path_cap": 1, "solver_timeout_ms": 1}
+
 
 class ConfigError(ValueError):
     pass
@@ -83,6 +86,9 @@ class AnalysisConfig:
             raise ConfigError(f"unknown domain {self.domain!r}")
         if self.single_engine == "redsoundse" and self.domain != "intervals":
             raise ConfigError("the redsoundse single-trace engine requires domain='intervals'")
+        for name, least in MINIMUMS.items():
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
     def label(self) -> str:
         if self.engine == "dep":

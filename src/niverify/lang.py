@@ -45,7 +45,7 @@ class ParseError(LangError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Const:
     value: int
 
@@ -53,7 +53,7 @@ class Const:
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var:
     name: str
 
@@ -61,7 +61,7 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BinOp:
     op: str
     left: Expr
@@ -74,7 +74,7 @@ class BinOp:
 Expr = Const | Var | BinOp
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Cmp:
     """A single comparison; the condition grammar has no connectives."""
 
@@ -92,13 +92,13 @@ class Cmp:
 BExpr = Cmp
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Skip:
     def __str__(self) -> str:
         return "skip"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Assign:
     var: str
     expr: Expr
@@ -107,7 +107,7 @@ class Assign:
         return f"{self.var} := {self.expr}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class If:
     guard: BExpr
     then_branch: Command
@@ -117,7 +117,7 @@ class If:
         return f"if ({self.guard}) {{ {self.then_branch} }} else {{ {self.else_branch} }}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class While:
     guard: BExpr
     body: Command
@@ -130,7 +130,7 @@ class While:
         return f"while ({self.guard}) {{ {self.body} }}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Seq:
     first: Command
     second: Command

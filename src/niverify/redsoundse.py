@@ -34,7 +34,7 @@ from niverify.symcore import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProductState:
     cmd: Command
     kappa: PreciseStore

@@ -62,7 +62,7 @@ from niverify.symcore import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Pair:
     """One expression per execution; shared when both sides are equal."""
 
@@ -150,7 +150,7 @@ def in_gamma_k2(kappa2: PreciseStore, store0, store1, valuation: Valuation) -> b
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Diverged:
     """The traces split at a condition: each runs its own side, then ``cont``."""
 
@@ -159,7 +159,7 @@ class Diverged:
     cont: Command
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RelState:
     control: Command | Diverged
     kappa2: PreciseStore

@@ -109,10 +109,11 @@ def _fm_eliminate(clause: Clause) -> tuple[bool, list[_Elimination]]:
     """Eliminate all variables; returns (rationally feasible, trace).
 
     The trace records, per eliminated variable, the rows that bounded it at
-    elimination time, for model back-substitution.
+    elimination time, for model back-substitution.  Rows are kept by their
+    dedup key, in the order first pushed; a row that survives a round keeps
+    its key, and only the combined rows are normalized and keyed.
     """
-    rows: list[Row] = []
-    seen: set[tuple] = set()
+    rows: dict[tuple, Row] = {}
 
     def push(row: Row) -> bool:
         norm = normalize_row(row)
@@ -121,17 +122,7 @@ def _fm_eliminate(clause: Clause) -> tuple[bool, list[_Elimination]]:
         coeffs, const = norm
         if not coeffs:
             return const <= 0
-        key = (
-            tuple(
-                sorted(
-                    ((tuple(s.uid for s in m), c) for m, c in coeffs.items()),
-                )
-            ),
-            const,
-        )
-        if key not in seen:
-            seen.add(key)
-            rows.append(norm)
+        rows.setdefault((tuple(sorted(coeffs.items())), const), norm)
         return True
 
     for row in clause:
@@ -144,7 +135,7 @@ def _fm_eliminate(clause: Clause) -> tuple[bool, list[_Elimination]]:
         variables: set[Monomial] = set()
         lower_rows: dict[Monomial, int] = {}
         upper_rows: dict[Monomial, int] = {}
-        for coeffs, _ in rows:
+        for coeffs, _ in rows.values():
             for m, c in coeffs.items():
                 variables.add(m)
                 counts = lower_rows if c < 0 else upper_rows
@@ -152,23 +143,25 @@ def _fm_eliminate(clause: Clause) -> tuple[bool, list[_Elimination]]:
         if not variables:
             return True, trace
 
-        # Cheapest variable first: fewest lower*upper combinations.
-        def cost(var: Monomial) -> tuple[int, int]:
-            combinations = lower_rows.get(var, 0) * upper_rows.get(var, 0)
-            return (combinations, min(s.uid for s in var) if var else -1)
+        # Cheapest variable first: fewest lower*upper combinations, then
+        # the least symbol (a monomial is sorted, so its first).
+        def cost(var: Monomial) -> tuple[int, SymValue]:
+            return (lower_rows.get(var, 0) * upper_rows.get(var, 0), var[0])
 
         var = min(variables, key=cost)
         lowers: list[Row] = []
         uppers: list[Row] = []
-        rest: list[Row] = []
-        for r in rows:
+        rest: dict[tuple, Row] = {}
+        for key, r in rows.items():
             c = r[0].get(var, 0)
-            (lowers if c < 0 else uppers if c > 0 else rest).append(r)
+            if c < 0:
+                lowers.append(r)
+            elif c > 0:
+                uppers.append(r)
+            else:
+                rest[key] = r
         trace.append(_Elimination(var, lowers, uppers))
-        rows, seen = [], set()
-        for r in rest:
-            if not push(r):
-                return False, trace
+        rows = rest
         for lo_coeffs, lo_const in lowers:
             for hi_coeffs, hi_const in uppers:
                 a = -lo_coeffs[var]
@@ -208,7 +201,7 @@ def _row_bounds(var: Monomial, rows: list[Row], assignment: dict[Monomial, int])
 
 
 def _model_tuple(model: Valuation) -> tuple[tuple[SymValue, int], ...]:
-    return tuple(sorted(model.items(), key=lambda kv: kv[0].uid))
+    return tuple(sorted(model.items()))
 
 
 def _clause_model(trace: list[_Elimination]) -> dict[Monomial, int] | None:
@@ -234,7 +227,7 @@ class InternalBackend:
     """Exact linear-integer decision procedure, Unknown beyond its budgets."""
 
     def check(self, path: SymPath) -> SatResult:
-        symbols = sorted(path.symbols, key=lambda s: s.uid)
+        symbols = sorted(path.symbols)
         try:
             clauses = dnf(path)
         except Blowup:
@@ -268,7 +261,7 @@ class InternalBackend:
 
 def _brute_search(path: SymPath) -> Sat | None:
     """A model with every symbol in ``BRUTE_DEFAULT_RANGE``; None past ``BRUTE_MAX_COMBOS``."""
-    symbols = sorted(path.symbols, key=lambda s: s.uid)
+    symbols = sorted(path.symbols)
     lo, hi = BRUTE_DEFAULT_RANGE
     if (hi - lo + 1) ** len(symbols) > BRUTE_MAX_COMBOS:
         return None
@@ -329,7 +322,7 @@ def emit_smtlib(path: SymPath, symbols: set[SymValue]) -> str:
     """Render a complete SMT-LIB2 script for the given path."""
     logic = "QF_NIA" if _is_nonlinear(path) else "QF_LIA"
     lines = [f"(set-logic {logic})"]
-    for sym in sorted(symbols, key=lambda s: s.uid):
+    for sym in sorted(symbols):
         lines.append(f"(declare-const {_smt_name(sym)} Int)")
     lines.append(f"(assert {_smt_path(path)})")
     lines.append("(check-sat)")

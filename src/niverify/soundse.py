@@ -39,9 +39,10 @@ class PathCapExceeded(Exception):
 
 
 def modif(rho: SymStore, cmd: Command, factory: SymbolFactory) -> SymStore:
-    """Havoc: fresh symbols for everything the command may assign."""
+    """Havoc: fresh symbols for everything the command may assign, minted
+    in sorted variable order."""
     written = assigned_vars(cmd)
-    return {x: SVal(factory.fresh(x)) if x in written else e for x, e in rho.items()}
+    return {x: SVal(factory.fresh(x)) if x in written else rho[x] for x in sorted(rho)}
 
 
 def focus(cmd: Command) -> tuple[Command, list[Command]]:

@@ -19,6 +19,19 @@ solver reads (the tightest row per coefficient vector).  The last two are
 built from the nearest prefix that has them, so asking them of a path one
 conjunct longer costs about one conjunct.  They hang off the nodes of one
 run; no table outlives it.
+
+Value types.  The records an exploration builds for every state (terms,
+paths, stores, interval states, commands, relational and product states)
+are ``@dataclass(slots=True)``, not frozen: nothing mutates them, slots
+stop stray attributes, and a frozen ``__init__`` costs about four times as
+much.  They must still hash exactly as frozen dataclasses did, because set
+and dict iteration order picks the solver's elimination order, and with it
+Unsat strength, blowups and models.  So a record hashes as the hash of its
+field tuple (``unsafe_hash=True``, or a hash cached at construction with
+that same formula, as the terms and path nodes do), and a symbol hashes as
+its uid.  A ``PreciseStore`` holds its store dict as given, so it and the
+states around it are not hashable.  Stores keep sorted variable order, and
+havoc mints fresh symbols in that order.
 """
 
 from __future__ import annotations
@@ -36,26 +49,33 @@ class MissingSymbol(KeyError):
     """A valuation was asked for a symbol it does not define."""
 
 
-@dataclass(frozen=True, eq=False)
-class SymValue:
+class SymValue(int):
     """An opaque integer unknown.
 
-    ``uid`` is unique within one analysis run and is the identity; ``name``
-    is a human-readable label (``x`` for the canonical initial value of
-    ``x``, ``x#3`` for fresh symbols minted later).
+    The integer value is ``uid``, unique within one analysis run and the
+    identity: a symbol hashes, compares and sorts as its uid, all in C.
+    ``name`` is a human-readable label (``x`` for the canonical initial
+    value of ``x``, ``x#3`` for fresh symbols minted later), and ``str``
+    gives it.
     """
 
-    uid: int
-    name: str
+    def __new__(cls, uid: int, name: str) -> SymValue:
+        sym = super().__new__(cls, uid)
+        sym.name = name
+        return sym
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SymValue) and self.uid == other.uid
+    @property
+    def uid(self) -> int:
+        return int(self)
 
-    def __hash__(self) -> int:
-        return hash(self.uid)
+    def __getnewargs__(self) -> tuple[int, str]:
+        return (int(self), self.name)
 
     def __str__(self) -> str:
         return self.name
+
+    def __repr__(self) -> str:
+        return f"SymValue(uid={int(self)}, name={self.name!r})"
 
 
 class SymbolFactory:
@@ -88,27 +108,78 @@ class SymbolFactory:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+# A term computes its hash once, with the formula a frozen dataclass uses.
+# Equality tries identity, then the hash, then the fields.
+
+
+@dataclass(slots=True)
 class SConst:
     value: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._hash = hash((self.value,))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not SConst:
+            return NotImplemented
+        return self._hash == other._hash and self.value == other.value
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SVal:
     sym: SymValue
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._hash = hash((self.sym,))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not SVal:
+            return NotImplemented
+        return self._hash == other._hash and self.sym == other.sym
 
     def __str__(self) -> str:
         return str(self.sym)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SBinOp:
     op: str
     left: SymExpr
     right: SymExpr
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._hash = hash((self.op, self.left, self.right))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not SBinOp:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.op == other.op
+            and self.left == other.left
+            and self.right == other.right
+        )
 
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
@@ -194,7 +265,7 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            mono = tuple(sorted(m1 + m2, key=lambda s: s.uid))
+            mono = tuple(sorted(m1 + m2))
             out[mono] = out.get(mono, 0) + c1 * c2
             if out[mono] == 0:
                 del out[mono]
@@ -253,6 +324,8 @@ def normalize_row(row: Row) -> Row | None:
     if not coeffs:
         return None if const <= 0 else ({}, 1)
     g = math.gcd(*coeffs.values())
+    if g == 1:
+        return (coeffs, const)
     # sum + const <= 0  <=>  sum/g + ceil(const/g) <= 0, as sum/g is integral
     return ({m: c // g for m, c in coeffs.items()}, -(-const // g))
 
@@ -290,7 +363,7 @@ def _plus(a: int | None, b: int | None) -> int | None:
     return a + b
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PTrue:
     size = 1
     symbols = frozenset()
@@ -300,7 +373,7 @@ class PTrue:
         return "true"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PCmp:
     op: str
     left: SymExpr
@@ -310,7 +383,7 @@ class PCmp:
     size = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.op, self.left, self.right)))
+        self._hash = hash((self.op, self.left, self.right))
 
     def __hash__(self) -> int:
         return self._hash
@@ -327,7 +400,7 @@ class PCmp:
         return f"{self.left} {self.op} {self.right}"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(slots=True, eq=False)
 class PAnd:
     left: SymPath
     right: SymPath
@@ -341,13 +414,12 @@ class PAnd:
     def __post_init__(self) -> None:
         left, right = self.left, self.right
         (lpos, lneg), (rpos, rneg) = left.clause_counts, right.clause_counts
-        init = object.__setattr__
-        init(self, "size", left.size + right.size)
-        init(self, "_positive", _times(lpos, rpos))
-        init(self, "_negated", _plus(lneg, rneg))
-        init(self, "_hash", hash((left, right)))
-        init(self, "_index", None)
-        init(self, "_normal", None)
+        self.size = left.size + right.size
+        self._positive = _times(lpos, rpos)
+        self._negated = _plus(lneg, rneg)
+        self._hash = hash((left, right))
+        self._index = None
+        self._normal = None
 
     @property
     def clause_counts(self) -> tuple[int | None, int | None]:
@@ -381,7 +453,7 @@ class PAnd:
         return render(self)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PNot:
     operand: SymPath
 
@@ -508,7 +580,7 @@ def _conjunct_index(path: PAnd) -> _ConjunctIndex:
         for leaf in conjuncts(link.right):
             position += 1
             index.first.setdefault(leaf, position)
-        object.__setattr__(link, "_index", index)
+        link._index = index
     index.tip = path
     return index
 
@@ -615,7 +687,7 @@ def normal_form(path: SymPath) -> NormalForm:
         for leaf in conjuncts(sub):
             normal.add(leaf)
     if isinstance(path, PAnd):
-        object.__setattr__(path, "_normal", normal)
+        path._normal = normal
     return normal
 
 
@@ -626,22 +698,26 @@ def normal_form(path: SymPath) -> NormalForm:
 SymStore = dict[str, SymExpr]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PreciseStore:
-    """A symbolic store plus the path that contextualizes it."""
+    """A symbolic store plus the path that contextualizes it.
 
-    rho: tuple[tuple[str, SymExpr], ...]
+    The store is held as given, neither copied nor sorted: whoever changes
+    a store copies it first.
+    """
+
+    rho: SymStore
     path: SymPath
 
     @staticmethod
     def of(rho: SymStore, path: SymPath) -> PreciseStore:
-        return PreciseStore(tuple(sorted(rho.items())), path)
+        return PreciseStore(rho, path)
 
     def store(self) -> SymStore:
-        return dict(self.rho)
+        return self.rho
 
     def __str__(self) -> str:
-        bindings = ", ".join(f"{x} -> {e}" for x, e in self.rho)
+        bindings = ", ".join(f"{x} -> {self.rho[x]}" for x in sorted(self.rho))
         return f"[{bindings}] | {self.path}"
 
 

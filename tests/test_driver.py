@@ -174,6 +174,10 @@ def test_config_validation():
             corpus_program("a"),
             AnalysisConfig(engine="soundrse", single_engine="redsoundse", domain="none"),
         )
+    for changes in ({"bound": -1}, {"path_cap": 0}, {"solver_timeout_ms": 0}):
+        with pytest.raises(ConfigError, match=next(iter(changes))):
+            verify_ni(corpus_program("a"), AnalysisConfig(**changes))
+    verify_ni(corpus_program("a"), AnalysisConfig(bound=0, path_cap=1, solver_timeout_ms=1, engine="dep"))
 
 
 def test_path_cap_yields_inconclusive():
@@ -247,21 +251,36 @@ def test_secure_verdicts_survive_differential_testing():
                 assert lang.low_equal(r0.as_store(), r1.as_store(), p.low_vars)
 
 
+# Definite verdicts outrank Inconclusive; a more precise config never ranks lower.
+RANK = {"Inconclusive": 0, "Secure": 1, "Insecure": 1}
+PRECISION_CHAINS = (
+    ("soundrse+soundse", "redsoundrse+soundse", "redsoundrse+redsoundse"),
+    ("soundrse+soundse", "soundrse+redsoundse", "redsoundrse+redsoundse"),
+)
+
+
 def test_boundary_constant_programs_get_consistent_sound_verdicts():
     """Seeded programs with constants near 2^53 and 2^63, under every ``MATRIX`` config.
 
-    No two configs give opposite definite verdicts, and a program some
-    config calls Secure keeps its low outputs equal on 20 concrete
-    low-equal store pairs.  Runs whose values pass 2^512 are skipped like
-    diverging ones.
+    No two configs give opposite definite verdicts, the verdicts keep the
+    precision chains, and a program some config calls Secure keeps its low
+    outputs equal on 20 concrete low-equal store pairs.  Runs whose values
+    pass 2^512 are skipped like diverging ones.
     """
     values = BOUNDARY_CONSTANTS + tuple(range(-4, 5))
     secure = pairs = 0
     for i in range(100):
         rng = random.Random(f"boundary:{i}")
         program = random_program(rng, 3, 3, constants=BOUNDARY_CONSTANTS)
-        verdicts = {verdict_name(verify_ni(program, config_for(e, s, AnalysisConfig()))) for e, s in MATRIX}
+        by_config = {}
+        for e, s in MATRIX:
+            config = config_for(e, s, AnalysisConfig())
+            by_config[config.label()] = verdict_name(verify_ni(program, config))
+        verdicts = set(by_config.values())
         assert not {"Secure", "Insecure"} <= verdicts, program.body
+        for chain in PRECISION_CHAINS:
+            scores = [RANK[by_config[label]] for label in chain]
+            assert scores == sorted(scores), (i, chain, by_config)
         if "Secure" not in verdicts:
             continue
         secure += 1
@@ -282,7 +301,6 @@ def test_engine_monotonicity_on_corpus():
         ("redsoundrse", "soundse"),
         ("redsoundrse", "redsoundse"),
     )
-    rank = {"Inconclusive": 0, "Secure": 1, "Insecure": 1}
     for name in ("a", "b", "c", "d", "e", "g", "h", "i"):
         p = corpus_program(name)
         bound = 4 if name == "h" else 3
@@ -295,7 +313,7 @@ def test_engine_monotonicity_on_corpus():
                 bound=bound,
             )
             verdicts.append(verdict_name(verify_ni(p, cfg)))
-        scores = [rank[v] for v in verdicts]
+        scores = [RANK[v] for v in verdicts]
         assert scores == sorted(scores), (name, verdicts)
 
 
@@ -416,6 +434,19 @@ def test_cli_usage_errors_exit_3(capsys):
     assert exc.value.code == 0
 
 
+def test_cli_rejects_nonsense_limits(tmp_path, capsys):
+    leak = tmp_path / "leak.imp"
+    leak.write_text("low l; high h; if (h > 0) { l := 1; }")
+    for command in (["check", str(leak)], ["corpus", str(tmp_path)]):
+        for flag, value in (("--bound", "-1"), ("--path-cap", "-5"), ("--path-cap", "0"), ("--solver-timeout-ms", "0")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(command + [flag, value])
+            assert exc.value.code == 3, (command, flag)
+            assert f"argument {flag}: must be at least" in capsys.readouterr().err
+    assert cli.main(["check", str(leak), "--bound", "0", "--path-cap", "1"]) == 2
+    assert "more than 1 states expanded" in capsys.readouterr().out
+
+
 def test_cli_corpus(tmp_path, capsys):
     (tmp_path / "prog_a.imp").write_text((CORPUS / "prog_a.imp").read_text())
     code = cli.main(["corpus", str(tmp_path), "--format", "json"])
@@ -470,3 +501,26 @@ def test_verdict_does_not_depend_on_earlier_runs():
     )
     assert after == json.loads(solo.stdout)
     assert after["counterexample"]["valuation"] == {"a#0": -3, "a#1": 0, "b": 4}
+
+
+def test_verdict_snapshot_compare_flags_one_sided_timeouts(tmp_path, capsys):
+    from verdict_snapshot import compare
+
+    def cell(i, config, verdict, **rest):
+        return {"program": f"cmp:{i}", "config": config, "verdict": verdict, **rest}
+
+    a = [cell(1, "dep", "Secure"), cell(2, "dep", "TIMEOUT"), cell(3, "dep", "Secure"), cell(4, "dep", "TIMEOUT")]
+    b = [cell(1, "dep", "Secure"), cell(2, "dep", "Insecure"), cell(3, "dep", "Secure"), cell(4, "dep", "TIMEOUT")]
+    for name, cells in (("a.json", a), ("b.json", b)):
+        (tmp_path / name).write_text(json.dumps(cells))
+    assert compare(str(tmp_path / "a.json"), str(tmp_path / "b.json")) == 0
+    out = capsys.readouterr().out
+    assert "cmp:2 dep: TIMEOUT | Insecure (timeout on one side only)" in out
+    assert "--only 2 --cpu-limit 0" in out and "cmp:1" not in out and "cmp:4" not in out
+
+    b[2] = cell(3, "dep", "Inconclusive", alarms=[])
+    (tmp_path / "b.json").write_text(json.dumps(b[:3]))
+    assert compare(str(tmp_path / "a.json"), str(tmp_path / "b.json")) == 1
+    out = capsys.readouterr().out
+    assert "cmp:3 dep: Secure | Inconclusive (differs)" in out
+    assert "cmp:4 dep: TIMEOUT | MISSING (differs)" in out

@@ -1,9 +1,12 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from niverify.lang import BinOp, Cmp, Const, Var
+from niverify.lang import Assign, BinOp, Cmp, Const, Seq, Var
 from niverify.symcore import (
     MissingSymbol,
     PreciseStore,
@@ -199,3 +202,96 @@ def test_has_conjunct_sees_exactly_the_leaves_of_each_prefix():
     other = pand(middle, pnot(leaves[5]))
     assert has_conjunct(other, pnot(leaves[5])) and not has_conjunct(other, leaves[5])
     assert has_conjunct(other, leaves[0]) and not has_conjunct(other, leaves[4])
+
+
+# --- the exactness invariant ------------------------------------------------
+#
+# Set and dict iteration order decides FM's elimination order, and with it
+# Unsat strength, blowups and models; so every hash stays what a frozen
+# dataclass gives (the hash of the field tuple) and a symbol hashes as its
+# uid.  Fresh symbols are minted in sorted variable order.
+
+
+def _value_types():
+    from niverify.absint import AbstractState, Interval
+    from niverify.lang import Assign, If, Seq, SKIP, While
+    from niverify.relational import Diverged, Pair
+    from niverify.symcore import PCmp, PNot
+
+    factory = SymbolFactory()
+    x = SVal(factory.initial("x"))
+    guard = Cmp("<", Var("x"), BinOp("+", Const(1), Var("y")))
+    loop = While(guard, Assign("x", Const(2)), 1)
+    return [
+        SConst(3),
+        SConst(-(2**64)),
+        x,
+        SBinOp("*", x, SBinOp("+", x, SConst(1))),
+        TRUE,
+        PCmp("<", x, SConst(2)),
+        PNot(PCmp("==", x, SConst(2))),
+        Interval(1, None),
+        AbstractState.top({"x", "y"}),
+        Const(1),
+        Var("x"),
+        guard,
+        SKIP,
+        Assign("x", Const(2)),
+        If(guard, SKIP, loop),
+        loop,
+        Seq(SKIP, loop),
+        Pair(x, SConst(1)),
+        Diverged(SKIP, loop, SKIP),
+    ]
+
+
+def test_value_types_hash_as_their_field_tuple():
+    for value in _value_types():
+        fields = tuple(getattr(value, f.name) for f in dataclasses.fields(value) if f.compare)
+        assert hash(value) == hash(fields), value
+        assert not hasattr(value, "__dict__"), value  # slotted, so no stray attributes
+    x = SVal(SymbolFactory().initial("x"))
+    path = pand(pcmp("<", x, SConst(1)), pcmp(">", x, SConst(-1)))
+    assert hash(path) == hash((path.left, path.right))
+
+
+def test_equal_terms_are_equal_in_every_way():
+    factory = SymbolFactory()
+    x = factory.initial("x")
+    a = SBinOp("+", SVal(x), SConst(1))
+    b = SBinOp("+", SVal(x), SConst(1))
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert a != SBinOp("-", SVal(x), SConst(1)) and a != SConst(1) and SConst(1) != SVal(x)
+    assert SConst(1) != 1 and SVal(x) != x
+
+
+def test_symbols_hash_and_sort_as_their_uid_and_print_as_their_name():
+    factory = SymbolFactory()
+    symbols = [factory.fresh("y"), factory.initial("x"), factory.fresh("y")]
+    for sym in symbols:
+        assert hash(sym) == hash(sym.uid) and sym.uid == int(sym)
+    assert [s.uid for s in sorted(reversed(symbols))] == [0, 1, 2]
+    y0 = symbols[0]
+    assert str(y0) == f"{y0}" == "%s" % y0 == "{}".format(y0) == "y#0"
+    assert repr(y0) == "SymValue(uid=0, name='y#0')"
+    assert repr(SVal(y0)) == "SVal(sym=SymValue(uid=0, name='y#0'))"
+    for clone in (copy.copy(y0), copy.deepcopy(y0), pickle.loads(pickle.dumps(y0))):
+        assert clone == y0 and clone.name == "y#0"
+    monomials = {(symbols[1], symbols[2]): 1, (symbols[0],): 2}
+    assert hash((symbols[1], symbols[2])) == hash((1, 2))
+    assert sorted(monomials) == [(symbols[0],), (symbols[1], symbols[2])]
+
+
+def test_havoc_mints_fresh_symbols_in_sorted_variable_order():
+    from niverify.relational import Pair, modif_dep
+    from niverify.soundse import modif
+
+    body = Seq(Assign("z", Const(1)), Seq(Assign("x", Const(1)), Assign("y", Const(1))))
+    for order in (("x", "y", "z"), ("z", "y", "x")):
+        factory = SymbolFactory()
+        out = modif({v: SConst(0) for v in order}, body, factory)
+        assert [out[v].sym.uid for v in ("x", "y", "z")] == [0, 1, 2]
+        factory = SymbolFactory()
+        out2 = modif_dep({v: Pair(SConst(0), SConst(0)) for v in order}, body, {"y"}, factory)
+        uids = [e.sym.uid for v in ("x", "y", "z") for e in (out2[v].left, out2[v].right)]
+        assert uids == [0, 1, 2, 2, 3, 4]

@@ -10,9 +10,14 @@ that raises gets ``ERROR`` with the exception.  The cells are written as
 one JSON list, in program order and then ``MATRIX`` order, with sorted keys.
 
 Run it on two checkouts, each with its own ``src`` on ``PYTHONPATH``, and
-``diff`` the files: no difference means the same verdicts.  Re-run a cell
-that timed out on one side only with ``--only I --cpu-limit 0``.  The
-script is not a test module; pytest does not collect it.
+compare the files:
+
+    PYTHONPATH=src python tests/verdict_snapshot.py --compare parent.json change.json
+
+prints every cell that differs, flags the cells that timed out on one side
+only, and gives the ``--only ... --cpu-limit 0`` command that re-runs their
+programs with no limit.  It exits 0 when no cell differs except by such a
+timeout.  The script is not a test module; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -54,13 +59,48 @@ def check_cell(program, config: AnalysisConfig, cpu_limit: float) -> dict:
         return {"verdict": "ERROR", "error": f"{type(exc).__name__}: {exc}"}
 
 
+def compare(path_a: str, path_b: str) -> int:
+    """Print the cells of two snapshots that differ; 1 if any differs beyond a one-sided timeout."""
+    sides = []
+    for path in (path_a, path_b):
+        with open(path) as f:
+            sides.append({(cell["program"], cell["config"]): cell for cell in json.load(f)})
+    a, b = sides
+    missing = {"verdict": "MISSING"}
+    rerun: list[str] = []
+    differ = 0
+    for key in list(a) + [key for key in b if key not in a]:
+        cell_a, cell_b = a.get(key, missing), b.get(key, missing)
+        if cell_a == cell_b:
+            continue
+        verdicts = (cell_a["verdict"], cell_b["verdict"])
+        one_sided = verdicts.count("TIMEOUT") == 1 and "MISSING" not in verdicts
+        if one_sided:
+            rerun.append(key[0].split(":")[1])
+            note = "timeout on one side only"
+        else:
+            differ += 1
+            note = "differs" if verdicts[0] != verdicts[1] else "same verdict, details differ"
+        print(f"{key[0]} {key[1]}: {verdicts[0]} | {verdicts[1]} ({note})")
+    print(f"{len(a)} | {len(b)} cells, {differ} differ, {len(rerun)} time out on one side only")
+    if rerun:
+        numbers = " ".join(dict.fromkeys(rerun))
+        print(f"re-run on both sides: PYTHONPATH=src python tests/verdict_snapshot.py --only {numbers} --cpu-limit 0 --out FILE")
+    return 1 if differ else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--programs", type=int, default=300, help="check programs 0 .. N-1")
     parser.add_argument("--only", type=int, nargs="*", help="check only these program numbers")
     parser.add_argument("--cpu-limit", type=float, default=1.0, help="CPU seconds per cell; 0 for none")
-    parser.add_argument("--out", required=True)
+    parser.add_argument("--out", help="where to write the snapshot")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two snapshots instead")
     args = parser.parse_args()
+    if args.compare:
+        return compare(*args.compare)
+    if args.out is None:
+        parser.error("--out is required unless --compare is given")
 
     signal.signal(signal.SIGPROF, _expire)
     numbers = args.only if args.only else range(args.programs)
