@@ -79,22 +79,31 @@ class Interval:
 TOP_INTERVAL = Interval(None, None)
 
 
+# Endpoint arithmetic never mixes an int with a float infinity: Python would
+# convert the int to a float, which overflows from 2**1024 up.  So a sum is
+# infinite when an operand end is, and a product with an infinity is one.
+
+
 def _emul(a: float | int, b: float | int) -> float | int:
     # 0 * inf = 0: correct for interval corner products.
     if a == 0 or b == 0:
         return 0
+    if isinstance(a, float) or isinstance(b, float):
+        return _POS_INF if (a > 0) == (b > 0) else _NEG_INF
     return a * b
 
 
 def interval_add(a: Interval, b: Interval) -> Interval:
     return Interval(
-        _as_bound(_lo(a.lo) + _lo(b.lo)), _as_bound(_hi(a.hi) + _hi(b.hi))
+        None if a.lo is None or b.lo is None else a.lo + b.lo,
+        None if a.hi is None or b.hi is None else a.hi + b.hi,
     )
 
 
 def interval_sub(a: Interval, b: Interval) -> Interval:
     return Interval(
-        _as_bound(_lo(a.lo) - _hi(b.hi)), _as_bound(_hi(a.hi) - _lo(b.lo))
+        None if a.lo is None or b.hi is None else a.lo - b.hi,
+        None if a.hi is None or b.lo is None else a.hi - b.lo,
     )
 
 
@@ -276,28 +285,24 @@ def a_guard(bexpr: BExpr, a: AbstractState) -> AbstractState:
     return AbstractState.of(env)
 
 
-def a_join(a0: AbstractState, a1: AbstractState) -> AbstractState:
+def _pointwise(op, a0: AbstractState, a1: AbstractState) -> AbstractState:
+    """``op`` on each variable's two intervals; bottom is the unit."""
     if a0.is_bottom:
         return a1
     if a1.is_bottom:
         return a0
     e0, e1 = a0.as_dict(), a1.as_dict()
-    keys = set(e0) | set(e1)
     return AbstractState.of(
-        {x: e0.get(x, TOP_INTERVAL).hull(e1.get(x, TOP_INTERVAL)) for x in keys}
+        {x: op(e0.get(x, TOP_INTERVAL), e1.get(x, TOP_INTERVAL)) for x in set(e0) | set(e1)}
     )
+
+
+def a_join(a0: AbstractState, a1: AbstractState) -> AbstractState:
+    return _pointwise(Interval.hull, a0, a1)
 
 
 def a_widen(a0: AbstractState, a1: AbstractState) -> AbstractState:
-    if a0.is_bottom:
-        return a1
-    if a1.is_bottom:
-        return a0
-    e0, e1 = a0.as_dict(), a1.as_dict()
-    keys = set(e0) | set(e1)
-    return AbstractState.of(
-        {x: e0.get(x, TOP_INTERVAL).widen(e1.get(x, TOP_INTERVAL)) for x in keys}
-    )
+    return _pointwise(Interval.widen, a0, a1)
 
 
 def a_leq(a0: AbstractState, a1: AbstractState) -> bool:

@@ -24,16 +24,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--bound", type=int, default=3, help="loop iteration budget (default 3)")
-    parser.add_argument("--path-cap", type=int, default=4096)
+def _add_analysis_flags(parser: argparse.ArgumentParser, defaults: AnalysisConfig) -> None:
+    parser.add_argument(
+        "--bound", type=int, default=defaults.bound, help="loop iteration budget (default %(default)s)"
+    )
+    parser.add_argument("--path-cap", type=int, default=defaults.path_cap)
     parser.add_argument(
         "--solver",
         default=None,
         help="external SMT-LIB2 solver command, e.g. 'z3 -in' or "
         "'python3 -m niverify.smtshell'",
     )
-    parser.add_argument("--solver-timeout-ms", type=int, default=5000)
+    parser.add_argument("--solver-timeout-ms", type=int, default=defaults.solver_timeout_ms)
     parser.add_argument("--format", choices=("text", "json"), default="text")
 
 
@@ -82,17 +84,18 @@ EXIT_CODES = {Secure: 0, Insecure: 1, Inconclusive: 2}
 
 def main(argv: list[str] | None = None) -> int:
     parser = _Parser(prog="ni", description="noninterference verifier")
+    defaults = AnalysisConfig()  # every flag's default is the config's own
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="analyze one program")
     check.add_argument("file")
-    check.add_argument("--engine", choices=driver.ENGINES, default="redsoundrse")
-    check.add_argument("--single-engine", choices=driver.SINGLE_ENGINES, default="redsoundse")
-    _add_analysis_flags(check)
+    check.add_argument("--engine", choices=driver.ENGINES, default=defaults.engine)
+    check.add_argument("--single-engine", choices=driver.SINGLE_ENGINES, default=defaults.single_engine)
+    _add_analysis_flags(check, defaults)
 
     corpus = sub.add_parser("corpus", help="run the engine matrix over a directory")
     corpus.add_argument("dir")
-    _add_analysis_flags(corpus)
+    _add_analysis_flags(corpus, defaults)
 
     args = parser.parse_args(argv)
     for name, least in driver.MINIMUMS.items():

@@ -3,12 +3,12 @@
 Two backends sit behind one facade:
 
 * ``InternalBackend`` (default): exact decision procedure for the linear
-  fragment.  Paths are normalized to disjunctive normal form over the rows
-  of ``symcore``, nonlinear monomials are relaxed to fresh unknowns, and
-  each conjunctive clause is decided by Fourier-Motzkin elimination over
-  integer rows with integer bound tightening.  Models are rebuilt by
-  back-substitution and always re-checked against the original path before
-  being reported.
+  fragment, the incremental procedure below started from ``true``.  The
+  path's normal form is decided by Fourier-Motzkin elimination over
+  integer rows with integer bound tightening, once per choice of a clause
+  of each disjunctive conjunct; nonlinear monomials are relaxed to fresh
+  unknowns.  Models are rebuilt by back-substitution and always re-checked
+  against the original path before being reported.
 * ``SmtProcessBackend``: talks SMT-LIB2 v2.6 to an external solver binary
   over stdin/stdout (``--solver`` on the CLI).  ``python -m
   niverify.smtshell`` is a bundled binary-compatible peer.
@@ -224,39 +224,13 @@ def _clause_model(trace: list[_Elimination]) -> dict[Monomial, int] | None:
 
 
 class InternalBackend:
-    """Exact linear-integer decision procedure, Unknown beyond its budgets."""
+    """The incremental procedure on a path with no decided prefix; Unknown beyond its budgets."""
 
     def check(self, path: SymPath) -> SatResult:
-        symbols = sorted(path.symbols)
-        try:
-            clauses = dnf(path)
-        except Blowup:
+        if path.clause_counts[0] is None:
             return Unknown("normalization blowup")
-        if not clauses:
-            return UNSAT
-        all_unsat = True
-        for clause in clauses:
-            try:
-                feasible, trace = _fm_eliminate(clause)
-            except Blowup:
-                all_unsat = False
-                continue
-            if not feasible:
-                continue
-            all_unsat = False
-            assignment = _clause_model(trace)
-            if assignment is None:
-                continue
-            model: Valuation = {}
-            for mono, value in assignment.items():
-                if len(mono) == 1:
-                    model[mono[0]] = value
-            for sym in symbols:
-                model.setdefault(sym, 0)
-            if eval_path(path, model):
-                return Sat(_model_tuple(model))
-            # Otherwise the nonlinear relaxation gave a spurious point.
-        return UNSAT if all_unsat else Unknown("no integer model found")
+        answer = _decide_component(NormalForm(), {}, list(conjuncts(path)))
+        return Sat(_model_tuple(answer)) if isinstance(answer, dict) else answer
 
 
 def _brute_search(path: SymPath) -> Sat | None:
@@ -489,10 +463,14 @@ def _component(
 def _decide_component(normal: NormalForm, prefix: Known, new: list[SymPath]) -> Known:
     """Decide the part of a path connected to its ``new`` leaves.
 
-    The rest of the path is the decided prefix's, which is not Unsat, and
-    shares no symbol with this part, so the path is Unsat exactly when this
-    part is.  A model of the part joins the prefix's model, if it has one.
+    ``normal`` is a copy of the decided prefix's normal form, and takes the
+    ``new`` leaves.  The rest of the path is the prefix's, which is not
+    Unsat, and shares no symbol with this part, so the path is Unsat
+    exactly when this part is.  A model of the part joins the prefix's
+    model, if it has one.
     """
+    for leaf in new:
+        normal.add(leaf)
     if normal.false:
         return UNSAT
     reached, rows, disjuncts = _component(normal, set().union(*(leaf.symbols for leaf in new)))
@@ -581,10 +559,7 @@ class Solver:
             if answer is None:
                 # Only the prefix keeps its normal form: the path's is
                 # needed again only if the path is extended and decided.
-                normal = normal_form(base).copy()
-                for leaf in new:
-                    normal.add(leaf)
-                answer = _decide_component(normal, prefix, new)
+                answer = _decide_component(normal_form(base).copy(), prefix, new)
         known[path] = answer
         return answer
 

@@ -610,22 +610,12 @@ def dnf(path: SymPath, positive: bool = True) -> list[Clause]:
     Raises ``Blowup`` when some conjunction of the path, or of a negated
     operand, expands to more than ``MAX_CLAUSES`` clauses.
     """
-    count = path.clause_counts[0 if positive else 1]
-    if count is None:
+    if path.clause_counts[0 if positive else 1] is None:
         raise Blowup
     if not positive:
         return [clause for leaf in conjuncts(path) for clause in _leaf_dnf(leaf, False)]
-    if count == 0:
-        return []
-    out: list[Clause] = [[]]
-    for leaf in conjuncts(path):
-        options = _leaf_dnf(leaf, True)
-        if len(options) == 1:
-            for clause in out:
-                clause.extend(options[0])
-        else:
-            out = [clause + option for clause in out for option in options]
-    return out
+    options = [_leaf_dnf(leaf, True) for leaf in conjuncts(path)]
+    return [[row for clause in choice for row in clause] for choice in itertools.product(*options)]
 
 
 class NormalForm:

@@ -63,6 +63,24 @@ def test_guard_through_a_constant_factor_divides_exactly():
     assert a.get("x") == Interval(None, -3)
 
 
+def test_bounds_past_the_float_range_meet_infinities_exactly():
+    # Python converts an int to a float before adding it to or multiplying
+    # it with a float infinity, which overflows from 2**1024 up.
+    big = 10**400
+    a = a_assign("l", BinOp("+", Var("l"), Var("h")), env(l=(big, big), h=(1, None)))
+    assert a.get("l") == Interval(big + 1, None)
+    a = a_assign("l", BinOp("-", Var("h"), Const(big)), env(h=(None, 0)))
+    assert a.get("l") == Interval(None, -big)
+    a = a_assign("l", BinOp("*", Var("h"), Const(big)), env(h=(None, None)))
+    assert a.get("l") == Interval(None, None)
+    a = a_assign("l", BinOp("*", Var("h"), Const(-big)), env(h=(1, None)))
+    assert a.get("l") == Interval(None, -big)
+    a = a_guard(Cmp("<=", BinOp("+", Var("x"), Var("h")), Const(big)), env(x=(0, None), h=(None, None)))
+    assert (a.get("x"), a.get("h")) == (Interval(0, None), Interval(None, big))
+    a = a_guard(Cmp("<", Var("x"), Const(big)), env(x=(None, None)))
+    assert a.get("x") == Interval(None, big - 1)
+
+
 def test_guard_equality_and_disequality():
     a = a_guard(Cmp("==", Var("x"), Const(3)), env(x=(0, 10)))
     assert a.get("x") == Interval(3, 3)

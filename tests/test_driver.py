@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -330,6 +331,21 @@ def test_large_constant_guard_keeps_the_leaking_input():
         assert dict(verdict.counterexample.store0)["h"] == 5 * 10**16 + 1
 
 
+def test_constants_past_the_float_range_keep_the_leak():
+    """Interval bounds of 10**400 meet infinite ones; they once raised OverflowError."""
+    big = 10**400
+    for source in (
+        f"low l; high h; l := {big}; if (h > 0) {{ l := l + h; }}",
+        f"low l; high h; l := h * {big};",
+    ):
+        p = parse_program(source)
+        for engine, single in MATRIX:
+            if engine == "dep":
+                continue
+            verdict = verify_ni(p, config_for(engine, single, AnalysisConfig()))
+            assert isinstance(verdict, Insecure), (source, engine, single)
+
+
 def test_config_for_keeps_every_other_field():
     base = AnalysisConfig(bound=7, path_cap=99, solver_command=["z3", "-in"], solver_timeout_ms=10)
     config = config_for("soundrse", "redsoundse", base)
@@ -413,6 +429,22 @@ def test_cli_engine_flags(capsys):
         ]
     )
     assert code == 2
+
+
+def test_cli_defaults_are_the_config_defaults(monkeypatch, capsys):
+    seen = []
+
+    def record(program, config):
+        seen.append(config)
+        return Secure()
+
+    monkeypatch.setattr(cli.driver, "verify_ni", record)
+    assert cli.main(["check", str(CORPUS / "prog_a.imp")]) == 0
+    assert seen == [config_for("redsoundrse", "redsoundse", AnalysisConfig())]
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        cli.main(["check", "--help"])
+    assert f"(default {AnalysisConfig().bound})" in capsys.readouterr().out
 
 
 def test_cli_usage_errors_exit_3(capsys):
@@ -524,3 +556,28 @@ def test_verdict_snapshot_compare_flags_one_sided_timeouts(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "cmp:3 dep: Secure | Inconclusive (differs)" in out
     assert "cmp:4 dep: TIMEOUT | MISSING (differs)" in out
+
+
+def test_verdict_snapshot_exits_1_on_a_crashed_cell(tmp_path, monkeypatch, capsys):
+    import verdict_snapshot
+
+    def broken(program, config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verdict_snapshot, "verify_ni", broken)
+    out = tmp_path / "snap.json"
+    argv = ["verdict_snapshot.py", "--programs", "1", "--cpu-limit", "0", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    handler = signal.getsignal(signal.SIGPROF)
+    try:
+        assert verdict_snapshot.main() == 1
+    finally:
+        signal.signal(signal.SIGPROF, handler)
+    cells = json.loads(out.read_text())
+    assert {cell["verdict"] for cell in cells} == {"ERROR"}
+    assert cells[0]["error"] == "RuntimeError: boom"
+    assert "cmp:0 dep: ERROR RuntimeError: boom" in capsys.readouterr().err
+
+    # Both sides crashed alike: no cell differs, and the comparison still fails.
+    assert verdict_snapshot.compare(str(out), str(out)) == 1
+    assert f"{len(cells)} | {len(cells)} cells, 0 differ, 0 time out on one side only, {2 * len(cells)} ERROR" in capsys.readouterr().out

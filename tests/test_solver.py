@@ -10,9 +10,13 @@ from niverify.solver import (
     Unknown,
     Unsat,
     emit_smtlib,
+    _clause_model,
+    _fm_eliminate,
+    _model_tuple,
     parse_model_output,
 )
 from niverify.symcore import (
+    Blowup,
     PAnd,
     PNot,
     SBinOp,
@@ -20,6 +24,7 @@ from niverify.symcore import (
     SVal,
     SymbolFactory,
     TRUE,
+    dnf,
     eval_path,
     pand,
     pcmp,
@@ -108,17 +113,23 @@ def test_parse_model_output_negative_literals():
     assert model == {x: -7, y: 3}
 
 
-def _random_path(rng, symbols, depth):
+def _random_path(rng, symbols, depth, products=False):
+    """A random path; with ``products``, some leaves multiply two symbols."""
     if depth <= 0 or rng.random() < 0.45:
         op = rng.choice(["<", "<=", "==", "!=", ">", ">="])
         def leaf():
             if rng.random() < 0.5:
                 return SConst(rng.randint(-3, 3))
+            if products and rng.random() < 0.4:
+                return SBinOp("*", SVal(rng.choice(symbols)), SVal(rng.choice(symbols)))
             return SVal(rng.choice(symbols))
         return pcmp(op, leaf(), leaf())
     if rng.random() < 0.35:
-        return PNot(_random_path(rng, symbols, depth - 1))
-    return PAnd(_random_path(rng, symbols, depth - 1), _random_path(rng, symbols, depth - 1))
+        return PNot(_random_path(rng, symbols, depth - 1, products))
+    return PAnd(
+        _random_path(rng, symbols, depth - 1, products),
+        _random_path(rng, symbols, depth - 1, products),
+    )
 
 
 def _brute_witness(path, symbols, lo=-2, hi=2):
@@ -142,6 +153,53 @@ def test_internal_backend_never_contradicts_brute_force():
             assert not isinstance(res, Unsat), f"unsat but {witness} satisfies {path}"
         if isinstance(res, Sat):
             assert eval_path(path, res.valuation())
+
+
+def _per_clause_check(path):
+    """Reference oracle for ``InternalBackend.check``: FM on each DNF clause of the whole path in turn."""
+    try:
+        clauses = dnf(path)
+    except Blowup:
+        return Unknown("normalization blowup")
+    all_unsat = True
+    for clause in clauses:
+        try:
+            feasible, trace = _fm_eliminate(clause)
+        except Blowup:
+            all_unsat = False
+            continue
+        if not feasible:
+            continue
+        all_unsat = False
+        assignment = _clause_model(trace)
+        if assignment is None:
+            continue
+        model = {mono[0]: value for mono, value in assignment.items() if len(mono) == 1}
+        for sym in path.symbols:
+            model.setdefault(sym, 0)
+        if eval_path(path, model):
+            return Sat(_model_tuple(model))
+    return Unsat() if all_unsat else Unknown("no integer model found")
+
+
+def test_whole_path_check_matches_the_per_clause_reference():
+    """Same answer kind as FM clause by clause; every model binds every symbol and satisfies the path.
+
+    Half of the paths multiply symbols, so the relaxation's Unknown is compared too.
+    """
+    rng = random.Random(46)
+    kinds = set()
+    for i in range(2000):
+        factory = SymbolFactory()
+        symbols = [factory.initial(v) for v in "wxyz"]
+        path = _random_path(rng, symbols, rng.randint(2, 4), products=i % 2 == 1)
+        answer = InternalBackend().check(path)
+        assert type(answer) is type(_per_clause_check(path)), path
+        kinds.add(type(answer))
+        if isinstance(answer, Sat):
+            assert set(answer.valuation()) == path.symbols, path
+            assert eval_path(path, answer.valuation()), path
+    assert kinds == {Sat, Unsat, Unknown}
 
 
 def test_prove_equal_soundness_against_enumeration():

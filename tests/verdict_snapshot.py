@@ -6,8 +6,9 @@ Program ``i`` is ``random_program(Random(f"cmp:{i}"), 3, 3)``.  Each cell
 (one program under one config) gets the JSON ``ni check --format json``
 would print, alarms and counter-examples included.  A cell that uses more
 than ``--cpu-limit`` seconds of CPU time gets the verdict ``TIMEOUT``; one
-that raises gets ``ERROR`` with the exception.  The cells are written as
-one JSON list, in program order and then ``MATRIX`` order, with sorted keys.
+that raises gets ``ERROR`` with the exception, and makes the script exit 1.
+The cells are written as one JSON list, in program order and then
+``MATRIX`` order, with sorted keys.
 
 Run it on two checkouts, each with its own ``src`` on ``PYTHONPATH``, and
 compare the files:
@@ -17,7 +18,8 @@ compare the files:
 prints every cell that differs, flags the cells that timed out on one side
 only, and gives the ``--only ... --cpu-limit 0`` command that re-runs their
 programs with no limit.  It exits 0 when no cell differs except by such a
-timeout.  The script is not a test module; pytest does not collect it.
+timeout and neither side has an ``ERROR`` cell.  The script is not a test
+module; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def check_cell(program, config: AnalysisConfig, cpu_limit: float) -> dict:
 
 
 def compare(path_a: str, path_b: str) -> int:
-    """Print the cells of two snapshots that differ; 1 if any differs beyond a one-sided timeout."""
+    """Print the cells of two snapshots that differ; 1 if any differs beyond a one-sided timeout or crashed."""
     sides = []
     for path in (path_a, path_b):
         with open(path) as f:
@@ -82,11 +84,12 @@ def compare(path_a: str, path_b: str) -> int:
             differ += 1
             note = "differs" if verdicts[0] != verdicts[1] else "same verdict, details differ"
         print(f"{key[0]} {key[1]}: {verdicts[0]} | {verdicts[1]} ({note})")
-    print(f"{len(a)} | {len(b)} cells, {differ} differ, {len(rerun)} time out on one side only")
+    errors = sum(cell["verdict"] == "ERROR" for side in sides for cell in side.values())
+    print(f"{len(a)} | {len(b)} cells, {differ} differ, {len(rerun)} time out on one side only, {errors} ERROR")
     if rerun:
         numbers = " ".join(dict.fromkeys(rerun))
         print(f"re-run on both sides: PYTHONPATH=src python tests/verdict_snapshot.py --only {numbers} --cpu-limit 0 --out FILE")
-    return 1 if differ else 0
+    return 1 if differ or errors else 0
 
 
 def main() -> int:
@@ -122,8 +125,8 @@ def main() -> int:
     print(f"{len(cells)} cells in {time.monotonic() - started:.1f} s: {counts}", file=sys.stderr)
     for cell in cells:
         if cell["verdict"] in ("TIMEOUT", "ERROR"):
-            print(f"{cell['program']} {cell['config']}: {cell['verdict']}", file=sys.stderr)
-    return 0
+            print(f"{cell['program']} {cell['config']}: {cell['verdict']} {cell.get('error', '')}".rstrip(), file=sys.stderr)
+    return 1 if "ERROR" in counts else 0
 
 
 if __name__ == "__main__":
