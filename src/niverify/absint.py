@@ -5,11 +5,18 @@ optionally infinite endpoints; Bottom denotes unreachability.  Loops are
 solved by one unrolled first iteration (so states that must enter the loop
 are not polluted by the entry state at the exit guard), Kleene iteration
 with widening after a short delay, and a single decreasing pass.
+
+A transfer that changes nothing returns its input state itself, and the
+state remembers the transfer's key (``a_guard``'s comparison, ``a_assign``'s
+variable and expression), so the same transfer on the same state is then a
+set lookup.  A long loop whose body leaves the intervals alone runs each
+guard and assignment on one state object.  Only keys are kept, never
+results: a state that held its successors would keep them all alive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from niverify import lang
 from niverify.lang import BExpr, Command, Const, Expr, Var, BinOp, Skip, Assign, If, While, Seq
@@ -118,9 +125,14 @@ def interval_mul(a: Interval, b: Interval) -> Interval:
 
 @dataclass(slots=True, unsafe_hash=True)
 class AbstractState:
-    """Bottom (``env is None``) or a total interval environment."""
+    """Bottom (``env is None``) or a total interval environment.
+
+    ``noops`` holds the keys of the transfers known to leave the state
+    unchanged; it is not part of the value.
+    """
 
     env: tuple[tuple[str, Interval], ...] | None
+    noops: set | None = field(default=None, compare=False, hash=False, repr=False)
 
     @staticmethod
     def top(variables) -> AbstractState:
@@ -167,11 +179,25 @@ def eval_interval(expr: Expr, env: dict[str, Interval]) -> Interval:
     raise lang.LangError(f"unknown expression {expr!r}")
 
 
+def _unchanged(a: AbstractState, key) -> AbstractState:
+    """``a``, remembering that the transfer ``key`` leaves it as it is."""
+    if a.noops is None:
+        a.noops = set()
+    a.noops.add(key)
+    return a
+
+
 def a_assign(var: str, expr: Expr, a: AbstractState) -> AbstractState:
     if a.is_bottom:
         return BOTTOM
+    key = (var, expr)
+    if a.noops is not None and key in a.noops:
+        return a
     env = a.as_dict()
-    env[var] = eval_interval(expr, env)
+    value = eval_interval(expr, env)
+    if env.get(var) == value:
+        return _unchanged(a, key)
+    env[var] = value
     return AbstractState.of(env)
 
 
@@ -274,6 +300,8 @@ def a_guard(bexpr: BExpr, a: AbstractState) -> AbstractState:
     """Sound restriction of a state by a comparison (single backward pass)."""
     if a.is_bottom:
         return BOTTOM
+    if a.noops is not None and bexpr in a.noops:
+        return a
     env = a.as_dict()
     li, ri = eval_interval(bexpr.left, env), eval_interval(bexpr.right, env)
     targets = _cmp_targets(bexpr.op, li, ri)
@@ -282,7 +310,10 @@ def a_guard(bexpr: BExpr, a: AbstractState) -> AbstractState:
     lt, rt = targets
     if not _backward(bexpr.left, lt, env) or not _backward(bexpr.right, rt, env):
         return BOTTOM
-    return AbstractState.of(env)
+    items = tuple(sorted(env.items()))
+    if items == a.env:
+        return _unchanged(a, bexpr)
+    return AbstractState(items)
 
 
 def _pointwise(op, a0: AbstractState, a1: AbstractState) -> AbstractState:

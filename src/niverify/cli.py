@@ -28,14 +28,24 @@ def _add_analysis_flags(parser: argparse.ArgumentParser, defaults: AnalysisConfi
     parser.add_argument(
         "--bound", type=int, default=defaults.bound, help="loop iteration budget (default %(default)s)"
     )
-    parser.add_argument("--path-cap", type=int, default=defaults.path_cap)
+    parser.add_argument(
+        "--path-cap",
+        type=int,
+        default=defaults.path_cap,
+        help="states to expand before ending Inconclusive (default %(default)s)",
+    )
     parser.add_argument(
         "--solver",
         default=None,
         help="external SMT-LIB2 solver command, e.g. 'z3 -in' or "
         "'python3 -m niverify.smtshell'",
     )
-    parser.add_argument("--solver-timeout-ms", type=int, default=defaults.solver_timeout_ms)
+    parser.add_argument(
+        "--solver-timeout-ms",
+        type=int,
+        default=defaults.solver_timeout_ms,
+        help="time limit of each query to an external solver (default %(default)s)",
+    )
     parser.add_argument("--format", choices=("text", "json"), default="text")
 
 

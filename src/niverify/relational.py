@@ -19,9 +19,18 @@ holds until the traces split at a condition; from there each refines its
 own state, and the identity does not come back at the join.  The transfer
 functions are pure and mint no symbols, so sharing changes no result.
 While it holds, the reduction of trace 1 skips the shared variables, whose
-conjuncts trace 0 has just added.  A branch on a guard both traces share
-never tries the two mixed sign pairs: their path is false, so no interval
-or solver work is spent on them.
+conjuncts trace 0 has just added.  A transfer that changes nothing returns
+its input state (see ``absint``), so the identity also holds after a mixed
+branch whose guards leave the intervals alone, and the skip is exact
+there too.  A branch on a guard both traces share never tries the two
+mixed sign pairs: their path is false, so no interval or solver work is
+spent on them.
+
+A program expression is evaluated for both traces in one walk over the
+pair store (``rel_eval_expr``, ``rel_eval_bool``).  Where every variable
+it reads holds one object for both sides, it builds one term, or one
+guard, and gives it to both; so a shared value stays shared by identity,
+and ``Pair.shared`` and the mixed-sign check compare by identity first.
 
 Each loop node counts its own unrolled iterations (``While.unrolled``), so
 a trace that runs a loop alone after a split spends that copy's budget.
@@ -38,7 +47,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from niverify.absint import AbstractState, analyze
-from niverify.lang import Assign, BExpr, Command, If, Program, SKIP, Seq, Skip, While, assigned_vars
+from niverify import lang
+from niverify.lang import Assign, BExpr, Command, Expr, If, Program, SKIP, Seq, Skip, While, assigned_vars
 from niverify import redsoundse
 from niverify.redsoundse import ProductState, bounded_step, product_step
 from niverify.solver import Solver
@@ -46,6 +56,7 @@ from niverify.soundse import explore, focus, plug
 from niverify.symcore import (
     FALSE,
     PreciseStore,
+    SConst,
     SVal,
     SymExpr,
     SymbolFactory,
@@ -56,9 +67,9 @@ from niverify.symcore import (
     eval_sym,
     eval_path,
     pand,
+    pcmp,
     pnot,
-    sym_eval_bool,
-    sym_eval_expr,
+    sbinop,
 )
 
 
@@ -71,7 +82,7 @@ class Pair:
 
     @property
     def shared(self) -> bool:
-        return self.left == self.right
+        return self.left is self.right or self.left == self.right
 
     def __str__(self) -> str:
         if self.shared:
@@ -104,12 +115,31 @@ def pairing(rho0: SymStore, rho1: SymStore, path: SymPath, solver: Solver) -> Re
     return out
 
 
-def rel_eval_expr(expr, rho2: RelSymStore) -> Pair:
-    return Pair(sym_eval_expr(expr, proj(0, rho2)), sym_eval_expr(expr, proj(1, rho2)))
+def rel_eval_expr(expr: Expr, rho2: RelSymStore) -> Pair:
+    """Both traces' terms in one walk; an operation on operands whose sides
+    are one object builds one term, which is then both sides."""
+    match expr:
+        case lang.Const(value):
+            term = SConst(value)
+            return Pair(term, term)
+        case lang.Var(name):
+            return rho2[name]
+        case lang.BinOp(op, left, right):
+            lp, rp = rel_eval_expr(left, rho2), rel_eval_expr(right, rho2)
+            if lp.left is lp.right and rp.left is rp.right:
+                term = sbinop(op, lp.left, rp.left)
+                return Pair(term, term)
+            return Pair(sbinop(op, lp.left, rp.left), sbinop(op, lp.right, rp.right))
+    raise lang.LangError(f"unknown expression {expr!r}")
 
 
 def rel_eval_bool(bexpr: BExpr, rho2: RelSymStore) -> tuple[SymPath, SymPath]:
-    return sym_eval_bool(bexpr, proj(0, rho2)), sym_eval_bool(bexpr, proj(1, rho2))
+    """Both traces' guards; one object when both operands are shared by identity."""
+    lp, rp = rel_eval_expr(bexpr.left, rho2), rel_eval_expr(bexpr.right, rho2)
+    g0 = pcmp(bexpr.op, lp.left, rp.left)
+    if lp.left is lp.right and rp.left is rp.right:
+        return g0, g0
+    return g0, pcmp(bexpr.op, lp.right, rp.right)
 
 
 def modif_dep(
@@ -201,12 +231,12 @@ class RelEngine:
 
 def _signed(path: SymPath, guard: tuple[SymPath, SymPath], s0: bool, s1: bool) -> SymPath:
     g0, g1 = guard
-    if s0 != s1 and g0 == g1:
+    if s0 != s1 and (g0 is g1 or g0 == g1):
         return FALSE  # one guard for both traces: they cannot split on it
     b0 = g0 if s0 else pnot(g0)
-    b1 = g1 if s1 else pnot(g1)
+    b1 = b0 if g1 is g0 else g1 if s1 else pnot(g1)
     path = pand(path, b0)
-    if b1 != b0:
+    if b1 is not b0 and b1 != b0:
         path = pand(path, b1)
     return path
 

@@ -15,12 +15,24 @@ Two backends sit behind one facade:
 
 The facade answers each question with the least work.  ``may_sat`` and
 ``prove_equal`` need only a definite Unsat, so they never search.  With the
-internal backend they, and ``check_sat``, answer incrementally: a path is
-its parent plus a conjunct, so a model of the parent that satisfies the
-conjunct settles it, and otherwise FM runs only on the rows the new
-conjunct reaches through shared symbols, over the tightest rows the path
-caches (constraint independence, as in KLEE).  Both steps drop only rows
-that are implied or independent, so Unsat stays sound.  Only ``model``,
+internal backend they, and ``check_sat``, answer incrementally, since a
+path is its parent plus a conjunct (``Solver._decide``).  The answer comes
+from the first of:
+
+1. the cache of answers for the path itself;
+2. Unsat, when the longest decided prefix is Unsat;
+3. the prefix's model, if it satisfies the new conjuncts, or the same
+   model repaired when exactly one linear new conjunct fails: one symbol
+   moves to that conjunct's boundary, as a simplex pivot moves a variable
+   to a violated bound (Dutertre and de Moura, CAV 2006), and the result
+   must satisfy the prefix's rows and every new conjunct;
+4. FM on the rows the new conjuncts reach through shared symbols, over
+   the tightest rows the path caches (constraint independence, as in
+   KLEE).
+
+Unsat comes only from 2 and 4, which drop only rows that are implied or
+independent, so it stays sound; a model from 3 is checked against the
+whole path, so it exists only for a satisfiable path.  Only ``model``,
 asked for the counter-example of a refutation, asks the backend about the
 whole path, so the model does not depend on the queries before it; it
 falls back to a bounded search over small values when the backend gives
@@ -45,7 +57,6 @@ from niverify.symcore import (
     PCmp,
     PTrue,
     Row,
-    SBinOp,
     SConst,
     SVal,
     SymExpr,
@@ -56,11 +67,13 @@ from niverify.symcore import (
     conjuncts,
     dnf,
     eval_path,
+    fold,
     normal_form,
     normalize_row,
     pand,
     pcmp,
     render,
+    rows_of_cmp,
 )
 
 # Budgets for the internal procedure besides ``symcore.MAX_CLAUSES``;
@@ -255,15 +268,17 @@ def _smt_name(sym: SymValue) -> str:
     return f"|{sym.name}|"
 
 
-def _smt_expr(expr: SymExpr) -> str:
-    match expr:
+def _smt_atom(term: SymExpr) -> str:
+    match term:
         case SConst(value):
             return str(value) if value >= 0 else f"(- {-value})"
         case SVal(sym):
             return _smt_name(sym)
-        case SBinOp(op, left, right):
-            return f"({op} {_smt_expr(left)} {_smt_expr(right)})"
-    raise ValueError(f"unknown symbolic expression {expr!r}")
+    raise ValueError(f"unknown symbolic expression {term!r}")
+
+
+def _smt_expr(expr: SymExpr) -> str:
+    return fold(expr, _smt_atom, lambda op, left, right: f"({op} {left} {right})")
 
 
 def _smt_leaf(path: SymPath) -> str:
@@ -420,12 +435,66 @@ class SmtProcessBackend:
 Known = Valuation | Unsat | Unknown
 
 
-def _extended(model: Valuation, leaves: list[SymPath]) -> Valuation | None:
-    """``model``, with 0 for the new symbols, if it satisfies every leaf."""
+def _extended(model: Valuation, leaves: list[SymPath], base: SymPath) -> Valuation | None:
+    """A model of ``base`` and ``leaves``, from ``model``, a model of ``base``; or None.
+
+    ``model``, with 0 for the new symbols, if it satisfies every leaf;
+    otherwise, if exactly one leaf fails, ``model`` repaired on that leaf.
+    """
     missing = {s for leaf in leaves for s in leaf.symbols if s not in model}
     if missing:
         model = {**model, **dict.fromkeys(missing, 0)}
-    return model if all(eval_path(leaf, model) for leaf in leaves) else None
+    failed = None
+    for leaf in leaves:
+        if not eval_path(leaf, model):
+            if failed is not None:
+                return None
+            failed = leaf
+    return model if failed is None else _repaired(model, failed, leaves, base)
+
+
+def _repaired(model: Valuation, leaf: SymPath, leaves: list[SymPath], base: SymPath) -> Valuation | None:
+    """``model`` with one symbol of the failed linear ``leaf`` moved to the leaf's boundary.
+
+    For each symbol of the leaf in turn, and for ``!=`` on either side,
+    the symbol takes the value nearest its own at which the leaf holds.
+    The first candidate that satisfies every row and disjunct of
+    ``base``'s normal form and every leaf is a model of the whole path.  A
+    symbol the model does not bind, or a nonlinear leaf, gives up and
+    leaves the path to FM.
+    """
+    if not isinstance(leaf, PCmp):
+        return None
+    clauses = rows_of_cmp(leaf.op, leaf.left, leaf.right)
+    if any(len(m) != 1 for clause in clauses for coeffs, _ in clause for m in coeffs):
+        return None
+    normal = normal_form(base)
+    for mono in sorted(clauses[0][0][0]):
+        for clause in clauses:
+            # The rows of one clause bound the shift d of the symbol: each
+            # is c*d + value <= 0, and d = 0 breaks one of them.
+            lo = hi = None
+            for coeffs, const in clause:
+                c = coeffs[mono]
+                value = const + sum(k * model[m[0]] for m, k in coeffs.items())
+                if c > 0:
+                    hi = -value // c if hi is None else min(hi, -value // c)
+                else:
+                    lo = -(value // c) if lo is None else max(lo, -(value // c))
+            if lo is not None and hi is not None and lo > hi:
+                continue
+            candidate = dict(model)
+            candidate[mono[0]] += lo if lo is not None and lo > 0 else hi
+            try:
+                if (
+                    all(_row_holds(row, candidate) for row in normal.rows.values())
+                    and all(eval_path(other, candidate) for other, _ in normal.disjuncts)
+                    and all(eval_path(other, candidate) for other in leaves)
+                ):
+                    return candidate
+            except KeyError:  # a symbol of the prefix the model does not bind
+                return None
+    return None
 
 
 def _row_holds(row: Row, valuation: Valuation) -> bool:
@@ -505,8 +574,9 @@ class Solver:
 
     With the internal backend, ``may_sat``, ``prove_equal`` and
     ``check_sat`` decide a path from what is known of its longest decided
-    prefix (``_decide``), so a query on a long path costs about as much as
-    its last conjuncts.  ``model`` always asks the backend about the whole
+    prefix (``_decide``: cache, Unsat prefix, extended or repaired model,
+    FM), so a query on a long path costs about as much as its last
+    conjuncts.  ``model`` always asks the backend about the whole
     path, so a counter-example does not depend on the queries before it.
     With any other backend every question goes to the backend.
     """
@@ -530,10 +600,12 @@ class Solver:
     def _decide(self, path: SymPath) -> Known:
         """The internal procedure's answer, built on the longest decided prefix.
 
-        Under an Unsat prefix the path is Unsat.  A model of the prefix
-        that satisfies the added conjuncts is a model of the path.
-        Otherwise FM runs on the part of the path the added conjuncts reach
-        through shared symbols, over its tightest rows.
+        In order: the answer known for the path; Unsat under an Unsat
+        prefix; the prefix's model, if it satisfies the added conjuncts or
+        does once repaired on the one linear conjunct it fails
+        (``_extended``); otherwise FM on the part of the path the added
+        conjuncts reach through shared symbols, over its tightest rows.
+        The repair builds the prefix's normal form only where FM would.
         """
         known = self._known
         answer = known.get(path)
@@ -555,7 +627,7 @@ class Solver:
         elif isinstance(prefix, Unsat):
             answer = UNSAT
         else:
-            answer = _extended(prefix, new) if isinstance(prefix, dict) else None
+            answer = _extended(prefix, new, base) if isinstance(prefix, dict) else None
             if answer is None:
                 # Only the prefix keeps its normal form: the path's is
                 # needed again only if the path is extended and decided.

@@ -174,15 +174,25 @@ class SBinOp:
             return True
         if other.__class__ is not SBinOp:
             return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.op == other.op
-            and self.left == other.left
-            and self.right == other.right
-        )
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or a._hash != b._hash:
+                return False
+            if a.__class__ is not SBinOp:
+                if a != b:
+                    return False
+            elif a.op != b.op:
+                return False
+            else:
+                pairs.append((a.right, b.right))
+                pairs.append((a.left, b.left))
+        return True
 
     def __str__(self) -> str:
-        return f"({self.left} {self.op} {self.right})"
+        return fold(self, str, lambda op, left, right: f"({left} {op} {right})")
 
 
 SymExpr = SConst | SVal | SBinOp
@@ -224,6 +234,27 @@ def _shifted(expr: SymExpr, shift: int) -> SymExpr:
     if shift > 0:
         return SBinOp("+", expr, SConst(shift))
     return SBinOp("-", expr, SConst(-shift))
+
+
+# Terms can nest thousands deep (``x := x * 2`` in a long loop), so no walk
+# over a term recurses on its depth.
+
+
+def fold(expr: SymExpr, leaf: Callable, node: Callable):
+    """``leaf(t)`` at each constant or symbol term, ``node(op, l, r)`` at each
+    operation over its operands' results, bottom up and without recursion."""
+    out: list = []
+    stack: list = [expr]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is SBinOp:
+            stack += (item.op, item.right, item.left)
+        elif item.__class__ is str:
+            right = out.pop()
+            out[-1] = node(item, out[-1], right)
+        else:
+            out.append(leaf(item))
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -272,20 +303,24 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
     return out
 
 
+def _leaf_poly(term: SymExpr) -> Poly:
+    if term.__class__ is SVal:
+        return {(term.sym,): 1}
+    if term.__class__ is SConst:
+        return _poly_const(term.value)
+    raise ValueError(f"unknown symbolic expression {term!r}")
+
+
+def _node_poly(op: str, lp: Poly, rp: Poly) -> Poly:
+    if op == "+":
+        return _poly_add(lp, rp)
+    if op == "-":
+        return _poly_add(lp, rp, sign=-1)
+    return _poly_mul(lp, rp)
+
+
 def _expr_poly(expr: SymExpr) -> Poly:
-    match expr:
-        case SConst(value):
-            return _poly_const(value)
-        case SVal(sym):
-            return {(sym,): 1}
-        case SBinOp(op, left, right):
-            lp, rp = _expr_poly(left), _expr_poly(right)
-            if op == "+":
-                return _poly_add(lp, rp)
-            if op == "-":
-                return _poly_add(lp, rp, sign=-1)
-            return _poly_mul(lp, rp)
-    raise ValueError(f"unknown symbolic expression {expr!r}")
+    return fold(expr, _leaf_poly, _node_poly)
 
 
 def rows_of_cmp(op: str, left: SymExpr, right: SymExpr) -> list[Clause]:
@@ -736,17 +771,27 @@ def sym_eval_bool(bexpr: BExpr, rho: SymStore) -> SymPath:
 
 
 def eval_sym(expr: SymExpr, valuation: Valuation) -> int:
-    match expr:
-        case SConst(value):
-            return value
-        case SVal(sym):
+    """The term's value; ``fold`` written out, as every model check runs it."""
+    values: list[int] = []
+    stack: list = [expr]
+    while stack:
+        item = stack.pop()
+        cls = item.__class__
+        if cls is SBinOp:
+            stack += (item.op, item.right, item.left)
+        elif cls is SVal:
             try:
-                return valuation[sym]
+                values.append(valuation[item.sym])
             except KeyError:
-                raise MissingSymbol(sym) from None
-        case SBinOp(op, left, right):
-            return apply_op(op, eval_sym(left, valuation), eval_sym(right, valuation))
-    raise lang.LangError(f"unknown symbolic expression {expr!r}")
+                raise MissingSymbol(item.sym) from None
+        elif cls is SConst:
+            values.append(item.value)
+        elif cls is str:
+            right = values.pop()
+            values[-1] = apply_op(item, values[-1], right)
+        else:
+            raise lang.LangError(f"unknown symbolic expression {item!r}")
+    return values[0]
 
 
 def eval_path(path: SymPath, valuation: Valuation) -> bool:
@@ -766,14 +811,18 @@ def eval_path(path: SymPath, valuation: Valuation) -> bool:
 
 
 def symbols_of_expr(expr: SymExpr) -> set[SymValue]:
-    match expr:
-        case SConst():
-            return set()
-        case SVal(sym):
-            return {sym}
-        case SBinOp(_, left, right):
-            return symbols_of_expr(left) | symbols_of_expr(right)
-    raise lang.LangError(f"unknown symbolic expression {expr!r}")
+    out: set[SymValue] = set()
+    stack = [expr]
+    while stack:
+        item = stack.pop()
+        cls = item.__class__
+        if cls is SBinOp:
+            stack += (item.right, item.left)
+        elif cls is SVal:
+            out.add(item.sym)
+        elif cls is not SConst:
+            raise lang.LangError(f"unknown symbolic expression {item!r}")
+    return out
 
 
 def in_gamma_m(rho: SymStore, store: Store, valuation: Valuation) -> bool:

@@ -31,7 +31,7 @@ from niverify.lang import (
     parse_program,
 )
 
-from helpers import random_command, run_capped
+from helpers import random_cmp, random_command, random_expr, run_capped
 
 
 def env(**kwargs) -> AbstractState:
@@ -183,3 +183,60 @@ def test_analyze_terminates_on_triple_nested_loops():
     out = analyze(p.body, AbstractState.top(p.all_vars))
     assert time.monotonic() - start < 1.0
     assert not out.is_bottom
+
+
+def _random_box(rng, variables):
+    """A state whose intervals are finite, half-open or unbounded."""
+    def bound():
+        return None if rng.random() < 0.3 else rng.randint(-4, 4)
+
+    def interval():
+        lo, hi = bound(), bound()
+        if lo is not None and hi is not None and lo > hi:
+            lo, hi = hi, lo
+        return Interval(lo, hi)
+
+    return AbstractState.of({x: interval() for x in variables})
+
+
+def test_memoized_transfers_equal_the_uncached_ones():
+    """A transfer that changes nothing returns its input and is remembered on
+    it; every answer equals the transfer on a copy that remembers nothing."""
+    rng = random.Random(91)
+    variables = ("a", "b", "c")
+    unchanged = 0
+    for _ in range(300):
+        states = [_random_box(rng, variables) for _ in range(3)]
+        transfers = [
+            ("guard", random_cmp(rng, variables, 1))
+            if rng.random() < 0.5
+            else ("assign", (rng.choice(variables), random_expr(rng, variables, 2)))
+            for _ in range(4)
+        ]
+        transfers.append(("guard", Cmp("<=", Var("a"), Const(10**6))))  # a no-op on a finite a
+        for _ in range(3):
+            for a in states:
+                for kind, key in rng.sample(transfers, len(transfers)):
+                    fresh = AbstractState(a.env)
+                    if kind == "guard":
+                        got, want = a_guard(key, a), a_guard(key, fresh)
+                    else:
+                        got, want = a_assign(*key, a), a_assign(*key, fresh)
+                    assert got == want, (kind, key, a)
+                    if got == a:
+                        unchanged += 1
+                        assert got is a and key in a.noops
+                    else:
+                        assert a.noops is None or key not in a.noops
+    assert unchanged > 1000
+
+
+def test_remembered_transfers_are_not_part_of_the_value():
+    a = env(x=(0, 5))
+    b = AbstractState(a.env)
+    assert a_guard(Cmp(">=", Var("x"), Const(0)), a) is a
+    assert a_assign("x", Var("x"), a) is a
+    assert a.noops and b.noops is None
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b)
+    assert {a: 1}[b] == 1

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from niverify import cli, lang
+from niverify import cli, driver, lang, relational
 from niverify.driver import (
     Alarm,
     AnalysisConfig,
@@ -510,6 +510,87 @@ def test_cli_long_loop_ends_secure(capsys):
     argv = ["check", str(CORPUS / "prog_b.imp"), "--bound", "1000", "--path-cap", "8192"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.strip() == "Secure"
+
+
+def _wide_branches(n: int) -> str:
+    """N low-guarded ifs in sequence: 2^N relational paths."""
+    lows = [f"l{k}" for k in range(1, n + 1)]
+    lines = [f"low {', '.join(lows)}, y;", "high h;"]
+    for k, low in enumerate(lows, 1):
+        lines.append(f"if ({low} > 0) {{ y := y + {k}; }} else {{ h := h + 1; }}")
+    return "\n".join(lines) + "\n"
+
+
+_PROG_B_LOOP = "low i, z; high priv; while (i < z) { i := i + 1; priv := priv + 1; }"
+
+
+def _exploration_counts(monkeypatch, run) -> tuple[int, int, int, int]:
+    """Calls of ``srse_step``, ``may_sat``, ``prove_equal`` and ``classify_path`` while ``run()`` runs.
+
+    Each is counted through the attribute its callers look up, as a tracer
+    that wraps functions by name would see it.
+    """
+    counts = dict.fromkeys(("step", "may_sat", "prove_equal", "classify"), 0)
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(relational, "srse_step", counted("step", relational.srse_step))
+    monkeypatch.setattr(Solver, "may_sat", counted("may_sat", Solver.may_sat))
+    monkeypatch.setattr(Solver, "prove_equal", counted("prove_equal", Solver.prove_equal))
+    monkeypatch.setattr(driver, "classify_path", counted("classify", driver.classify_path))
+    run()
+    return counts["step"], counts["may_sat"], counts["prove_equal"], counts["classify"]
+
+
+@pytest.mark.parametrize(
+    "name, run, expected",
+    [
+        ("wide-9", lambda: verify_ni(parse_program(_wide_branches(9)), AnalysisConfig()), (2043, 1022, 0, 512)),
+        (
+            "prog_b loop, bound 150",
+            lambda: verify_ni(parse_program(_PROG_B_LOOP), AnalysisConfig(bound=150)),
+            (751, 303, 1, 152),
+        ),
+        ("corpus", lambda: run_corpus(CORPUS), (1542, 686, 801, 182)),
+    ],
+)
+def test_stress_programs_explore_the_same_states_and_queries(monkeypatch, name, run, expected):
+    """The exploration of the stress programs is pinned: a speed change must
+    not add or drop a state, a solver question or a classified path."""
+    assert _exploration_counts(monkeypatch, run) == expected
+
+
+def test_cli_limit_flags_say_their_defaults(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["check", "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    defaults = AnalysisConfig()
+    for flag, value in (
+        ("--bound", defaults.bound),
+        ("--path-cap", defaults.path_cap),
+        ("--solver-timeout-ms", defaults.solver_timeout_ms),
+    ):
+        assert f"(default {value})" in text.split(flag, 2)[2].split(" --", 1)[0], flag
+
+
+@pytest.mark.parametrize(
+    "body, bound, code",
+    [("x := x * 2;", 1000, 0), ("x := x * 2 + h - h;", 400, 2)],
+)
+def test_cli_loop_building_deep_terms_reaches_a_verdict(tmp_path, capsys, body, bound, code):
+    """Each iteration nests x's term one level deeper; walking such a term
+    used to raise RecursionError (exit 3) from a few hundred iterations."""
+    program = tmp_path / "deep.imp"
+    program.write_text(f"low x, y; high h; while (y < 2000) {{ {body} y := y + 1; }}\n")
+    argv = ["check", str(program), "--bound", str(bound), "--path-cap", "100000"]
+    assert cli.main(argv) == code
+    assert capsys.readouterr().err == ""
 
 
 _CMP60 = """

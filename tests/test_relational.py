@@ -6,7 +6,7 @@ import pytest
 from niverify import redsoundse
 from niverify.absint import AbstractState, Interval
 from niverify.driver import AnalysisConfig, Secure, initial_rel_store, make_rel_engine, verify_ni
-from niverify.lang import Cmp, Const, If, Program, SKIP, Var, parse_program
+from niverify.lang import Cmp, Const, If, Program, SKIP, Var, parse_program, used_vars
 from niverify.redsoundse import product_explore
 from niverify.relational import (
     Diverged,
@@ -21,6 +21,7 @@ from niverify.relational import (
     proj,
     proj_expr,
     rel_eval_bool,
+    rel_eval_expr,
     srse_explore,
     srse_step,
 )
@@ -37,9 +38,11 @@ from niverify.symcore import (
     has_conjunct,
     pand,
     pcmp,
+    sym_eval_bool,
+    sym_eval_expr,
 )
 
-from helpers import check_relational_coverage, random_program, random_store, shared
+from helpers import check_relational_coverage, random_cmp, random_expr, random_program, random_store, shared
 
 
 @pytest.fixture
@@ -397,3 +400,32 @@ def test_reduce2_skips_only_conjuncts_trace_0_added():
     reduced = _reduce2(kappa2, a0, a1)
     assert reduced == both_projections(a0, a1)
     assert has_conjunct(reduced.path, pcmp(">=", x, SConst(2)))
+
+
+def test_one_walk_evaluation_matches_the_projections():
+    """``rel_eval_expr``/``rel_eval_bool`` give each side the term of its own
+    projection, and one object for both when every variable read is shared."""
+    rng = random.Random(93)
+    variables = ("a", "b", "c", "d")
+    both_shared = 0
+    for _ in range(1000):
+        factory = SymbolFactory()
+        rho2 = {}
+        for x in variables:
+            left = sym_eval_expr(random_expr(rng, variables, 1), {v: SVal(factory.initial(v)) for v in variables})
+            if rng.random() < 0.5:
+                rho2[x] = Pair(left, left)
+            else:
+                rho2[x] = Pair(left, SVal(factory.fresh(x)))
+        expr = random_expr(rng, variables, 3)
+        got = rel_eval_expr(expr, rho2)
+        assert got == Pair(sym_eval_expr(expr, proj(0, rho2)), sym_eval_expr(expr, proj(1, rho2)))
+        bexpr = random_cmp(rng, variables, 2)
+        g0, g1 = rel_eval_bool(bexpr, rho2)
+        assert (g0, g1) == (sym_eval_bool(bexpr, proj(0, rho2)), sym_eval_bool(bexpr, proj(1, rho2)))
+        if all(rho2[v].left is rho2[v].right for v in used_vars(expr)):
+            both_shared += 1
+            assert got.left is got.right
+        if all(rho2[v].left is rho2[v].right for v in used_vars(bexpr)):
+            assert g0 is g1
+    assert both_shared > 100

@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 
+from niverify import solver as solver_module
 from niverify.solver import (
     InternalBackend,
     Sat,
@@ -338,3 +339,50 @@ def test_unavailable_solver_is_unknown():
     backend = SmtProcessBackend(["/nonexistent/solver-binary"], timeout_ms=500)
     _, (x, *_) = _symbols(1)
     assert isinstance(backend.check(pcmp("<", SVal(x), SConst(0))), Unknown)
+
+
+def _growing_paths(seed, chains=250, steps=8):
+    """Paths grown one random conjunct at a time, with an equality to prove on each."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(chains):
+        factory = SymbolFactory()
+        symbols = [factory.initial(v) for v in "wxyz"]
+        path, chain = TRUE, []
+        for _ in range(steps):
+            path = pand(path, _random_path(rng, symbols, 2))
+            e0 = SBinOp(rng.choice("+-"), SVal(rng.choice(symbols)), SConst(rng.randint(-2, 2)))
+            chain.append((path, e0, SVal(rng.choice(symbols))))
+        out.append(chain)
+    return out
+
+
+def _answers(chains):
+    answers = []
+    for chain in chains:
+        solver = Solver()
+        for path, e0, e1 in chain:
+            answers.append((solver.may_sat(path), solver.prove_equal(e0, e1, path)))
+    return answers
+
+
+def test_repaired_models_change_no_answer(monkeypatch):
+    """2000 paths and their prefixes: the same ``may_sat``/``prove_equal``
+    booleans with the model repair switched off, and every repaired model
+    satisfies the path it was repaired for."""
+    chains = _growing_paths(47)
+    repaired = []
+    original = solver_module._repaired
+
+    def checked(model, leaf, leaves, base):
+        out = original(model, leaf, leaves, base)
+        if out is not None:
+            repaired.append(out)
+            assert eval_path(base, out) and all(eval_path(other, out) for other in leaves), base
+        return out
+
+    monkeypatch.setattr(solver_module, "_repaired", checked)
+    with_repair = _answers(chains)
+    monkeypatch.setattr(solver_module, "_repaired", lambda *args: None)
+    assert _answers(chains) == with_repair
+    assert len(repaired) > 100

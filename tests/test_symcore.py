@@ -15,6 +15,7 @@ from niverify.symcore import (
     SVal,
     SymbolFactory,
     TRUE,
+    _expr_poly,
     conjuncts,
     eval_path,
     eval_sym,
@@ -26,8 +27,9 @@ from niverify.symcore import (
     sbinop,
     sym_eval_bool,
     sym_eval_expr,
+    symbols_of_expr,
 )
-from niverify.solver import emit_smtlib
+from niverify.solver import _smt_expr, emit_smtlib
 
 from helpers import random_expr
 
@@ -186,6 +188,35 @@ def test_long_paths_are_walked_without_recursion():
     assert pand(path, leaves[0]) != path
     script = emit_smtlib(path, {x, z})
     assert script.count("(and ") == 4999
+
+
+def _deep_term(n, last=0):
+    """``(((x + 1) * 1) + 1) ...``: n operations nested on the left, the last adding ``last``."""
+    factory = SymbolFactory()
+    x = factory.initial("x")
+    term = SVal(x)
+    for k in range(n - 1):
+        term = SBinOp("+" if k % 2 == 0 else "*", term, SConst(1))
+    return SBinOp("+", term, SConst(last)), x
+
+
+def test_deep_terms_are_walked_without_recursion():
+    """``x := x * 2`` in a long loop nests a term once per iteration."""
+    term, x = _deep_term(5000)
+    assert symbols_of_expr(term) == {x}
+    assert eval_sym(term, {x: 7}) == 7 + 2500
+    assert _expr_poly(term) == {(x,): 1, (): 2500}
+    text, smt = "x", "|x|"
+    for k in range(4999):
+        op = "+" if k % 2 == 0 else "*"
+        text, smt = f"({text} {op} 1)", f"({op} {smt} 1)"
+    assert str(term) == f"({text} + 0)"
+    assert _smt_expr(term) == f"(+ {smt} 0)"
+    again, _ = _deep_term(5000)
+    assert again is not term and again == term
+    assert _deep_term(5000, last=1)[0] != term
+    with pytest.raises(MissingSymbol):
+        eval_sym(term, {})
 
 
 def test_has_conjunct_sees_exactly_the_leaves_of_each_prefix():
