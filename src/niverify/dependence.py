@@ -60,6 +60,11 @@ def dep_analyze(
 def _analyze(
     cmd: Command, pc: PcLevel, d: DepState, a: AbstractState | None
 ) -> tuple[DepState, AbstractState | None]:
+    # A sequence runs down its right spine in this loop, so a long
+    # straight-line program costs no recursion depth.
+    while isinstance(cmd, Seq):
+        d, a = _analyze(cmd.first, pc, d, a)
+        cmd = cmd.second
     if a is not None and a.is_bottom:
         return d, a
     match cmd:
@@ -70,9 +75,6 @@ def _analyze(
             low = d.low_agree | {var} if keep else d.low_agree - {var}
             a2 = a_assign(var, expr, a) if a is not None else None
             return DepState(low), a2
-        case Seq(first, second):
-            d1, a1 = _analyze(first, pc, d, a)
-            return _analyze(second, pc, d1, a1)
         case If(guard, then_branch, else_branch):
             branch_pc = pc.join(level_of(guard, d))
             results = []

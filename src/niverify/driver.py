@@ -8,6 +8,15 @@ ever reported after its model replayed concretely as two runs from
 low-equal stores ending low-unequal; failure to replay is a soundness bug
 and aborts loudly.
 
+Noninterference compares only the final values of low variables, so a
+program that assigns none of them is ``Secure`` before any engine runs.
+The rule is syntactic (``lang.assigned_vars``) and exact for every
+engine: an unwritten low variable keeps its one shared initial symbol,
+since havoc renames only written variables, so every final path would be
+infeasible or secure, and ``dep`` keeps it in its agreement set.  The
+only other outcome exploration could reach is the path-cap alarm, a
+budget overrun and not a verdict.
+
 The corpus runner evaluates a directory of programs under the full engine
 matrix and emits a deterministic verdict grid.
 """
@@ -290,8 +299,14 @@ def _verify_dep_only(program: Program) -> Verdict:
 
 
 def verify_ni(program: Program, config: AnalysisConfig) -> Verdict:
-    """Prove noninterference, refute it with a replayed model, or report alarms."""
+    """Prove noninterference, refute it with a replayed model, or report alarms.
+
+    A program that writes no low variable is ``Secure`` at once: both
+    runs end with the low values they started with.
+    """
     config.validate()
+    if not program.low_vars & lang.assigned_vars(program.body):
+        return Secure()
     if config.engine == "dep":
         return _verify_dep_only(program)
 

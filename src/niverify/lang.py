@@ -397,42 +397,53 @@ def parse_program(text: str) -> Program:
 # ---------------------------------------------------------------------------
 
 
+# Sequences are right-nested and can be thousands of statements long, so
+# no walk over a command recurses on their length.
+
+
 def used_vars(node: Expr | BExpr | Command) -> set[str]:
     """All variable names occurring anywhere in the given tree."""
-    match node:
-        case Const():
-            return set()
-        case Var(name):
-            return {name}
-        case BinOp(_, left, right) | Cmp(_, left, right):
-            return used_vars(left) | used_vars(right)
-        case Skip():
-            return set()
-        case Assign(var, expr):
-            return {var} | used_vars(expr)
-        case If(guard, then_branch, else_branch):
-            return used_vars(guard) | used_vars(then_branch) | used_vars(else_branch)
-        case While(guard, body):
-            return used_vars(guard) | used_vars(body)
-        case Seq(first, second):
-            return used_vars(first) | used_vars(second)
-    raise LangError(f"unknown node {node!r}")
+    names: set[str] = set()
+    stack = [node]
+    while stack:
+        match stack.pop():
+            case Const() | Skip():
+                pass
+            case Var(name):
+                names.add(name)
+            case BinOp(_, left, right) | Cmp(_, left, right) | Seq(left, right):
+                stack += (left, right)
+            case Assign(var, expr):
+                names.add(var)
+                stack.append(expr)
+            case If(guard, then_branch, else_branch):
+                stack += (guard, then_branch, else_branch)
+            case While(guard, body):
+                stack += (guard, body)
+            case other:
+                raise LangError(f"unknown node {other!r}")
+    return names
 
 
 def assigned_vars(cmd: Command) -> set[str]:
     """Syntactic over-approximation of the variables a command may write."""
-    match cmd:
-        case Skip():
-            return set()
-        case Assign(var, _):
-            return {var}
-        case If(_, then_branch, else_branch):
-            return assigned_vars(then_branch) | assigned_vars(else_branch)
-        case While(_, body):
-            return assigned_vars(body)
-        case Seq(first, second):
-            return assigned_vars(first) | assigned_vars(second)
-    raise LangError(f"unknown command {cmd!r}")
+    written: set[str] = set()
+    stack = [cmd]
+    while stack:
+        match stack.pop():
+            case Skip():
+                pass
+            case Assign(var, _):
+                written.add(var)
+            case If(_, then_branch, else_branch):
+                stack += (then_branch, else_branch)
+            case While(_, body):
+                stack.append(body)
+            case Seq(first, second):
+                stack += (first, second)
+            case other:
+                raise LangError(f"unknown command {other!r}")
+    return written
 
 
 def apply_op(op: str, left: int, right: int) -> int:

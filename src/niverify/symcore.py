@@ -162,9 +162,12 @@ class SBinOp:
     left: SymExpr
     right: SymExpr
     _hash: int = field(init=False, repr=False, compare=False)
+    # The term's polynomial, kept by ``_expr_poly`` if an operand is an operation.
+    _poly: Poly | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._hash = hash((self.op, self.left, self.right))
+        self._poly = None
 
     def __hash__(self) -> int:
         return self._hash
@@ -320,7 +323,36 @@ def _node_poly(op: str, lp: Poly, rp: Poly) -> Poly:
 
 
 def _expr_poly(expr: SymExpr) -> Poly:
-    return fold(expr, _leaf_poly, _node_poly)
+    """The polynomial of a term, which callers must not mutate.
+
+    An operation with an operation operand keeps its polynomial once
+    built, from its operands' ones, so a term one node deeper than a
+    normalized one costs one step.  An operation over two leaves is cheap
+    to rebuild and keeps nothing, so shallow terms hold no extra dict.
+    The walk stops at kept polynomials, and nothing recurses on the
+    term's depth.
+    """
+    if expr.__class__ is not SBinOp:
+        return _leaf_poly(expr)
+    if not _nested(expr):
+        return _node_poly(expr.op, _leaf_poly(expr.left), _leaf_poly(expr.right))
+    stack = [expr]
+    while stack:
+        node = stack[-1]
+        if node._poly is not None:
+            stack.pop()
+            continue
+        pending = [t for t in (node.right, node.left) if t.__class__ is SBinOp and t._poly is None and _nested(t)]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        node._poly = _node_poly(node.op, _expr_poly(node.left), _expr_poly(node.right))
+    return expr._poly
+
+
+def _nested(term: SBinOp) -> bool:
+    return term.left.__class__ is SBinOp or term.right.__class__ is SBinOp
 
 
 def rows_of_cmp(op: str, left: SymExpr, right: SymExpr) -> list[Clause]:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -35,7 +36,7 @@ from niverify.relational import Pair, modif_dep
 from niverify.solver import Solver
 from niverify.symcore import PreciseStore, SConst, SVal, SymbolFactory, TRUE, pand, pcmp
 
-from helpers import BOUNDARY_CONSTANTS, random_program, run_capped, shared
+from helpers import BOUNDARY_CONSTANTS, VAR_POOL, random_program, run_capped, shared
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -662,3 +663,111 @@ def test_verdict_snapshot_exits_1_on_a_crashed_cell(tmp_path, monkeypatch, capsy
     # Both sides crashed alike: no cell differs, and the comparison still fails.
     assert verdict_snapshot.compare(str(out), str(out)) == 1
     assert f"{len(cells)} | {len(cells)} cells, 0 differ, 0 time out on one side only, {2 * len(cells)} ERROR" in capsys.readouterr().out
+
+
+# --- programs that write no low variable ---------------------------------------
+#
+# Noninterference compares final low values only, so such a program is Secure
+# before any engine runs.
+
+
+class EngineRan(Exception):
+    pass
+
+
+def _no_engine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise EngineRan
+
+    monkeypatch.setattr(driver, "srse_explore", refuse)
+    monkeypatch.setattr(driver, "dep_analyze", refuse)
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["high h, k; h := h * k; while (h > 0) { h := h - 1; }", "low y; high h; if (y > h) { h := y * y; } else { h := 0; }"],
+)
+def test_program_writing_no_low_variable_is_secure_without_exploring(monkeypatch, source):
+    _no_engine(monkeypatch)
+    program = parse_program(source)
+    for e, s in MATRIX:
+        assert verify_ni(program, config_for(e, s, AnalysisConfig())) == Secure()
+
+
+@pytest.mark.parametrize("index", [64, 280])
+def test_random_programs_past_the_path_cap_that_write_no_low_are_secure(monkeypatch, index):
+    """Both explored past 4096 states under the ``soundse`` configs and ended Inconclusive."""
+    _no_engine(monkeypatch)
+    program = random_program(random.Random(f"cmp:{index}"), 3, 3)
+    for e, s in (("soundrse", "soundse"), ("redsoundrse", "soundse")):
+        assert verify_ni(program, config_for(e, s, AnalysisConfig())) == Secure()
+
+
+def test_low_write_in_dead_code_is_still_explored(monkeypatch):
+    """The rule reads the program text, not which statements can run."""
+    program = parse_program("low y; high h; if (0 > 1) { y := h; }")
+    verdicts = []
+
+    def run():
+        verdicts.extend(verdict_name(verify_ni(program, config_for(e, s, AnalysisConfig()))) for e, s in MATRIX)
+
+    steps, _, _, classified = _exploration_counts(monkeypatch, run)
+    assert verdicts == ["Inconclusive"] + ["Secure"] * 4  # dep does not see that the branch is dead
+    assert steps > 0 and classified >= 4
+
+
+def _reads_its_lows_only(program) -> bool:
+    return bool(program.low_vars) and not program.low_vars & lang.assigned_vars(program.body)
+
+
+def test_forced_exploration_of_programs_writing_no_low_never_finds_a_leak(monkeypatch):
+    """The rule is exact: explored anyway, such a program ends Secure or at the path cap.
+
+    Exploration is forced by making the rule see every variable written,
+    so only programs with a low variable take part: with none, it fires
+    whatever the write set.  Half the programs draw boundary constants.
+    """
+    programs = []
+    for i in itertools.count():
+        constants = BOUNDARY_CONSTANTS if i % 2 else None
+        program = random_program(random.Random(f"nolow:{i}"), 3, 3, constants=constants)
+        if _reads_its_lows_only(program):
+            programs.append(program)
+        if len(programs) == 150:
+            break
+    monkeypatch.setattr(driver.lang, "assigned_vars", lambda cmd: set(VAR_POOL))
+    cap_alarm = Inconclusive((Alarm(store="", path="more than 256 states expanded", precise=False),))
+    for program in programs:
+        for e, s in MATRIX:
+            verdict = verify_ni(program, config_for(e, s, AnalysisConfig(), path_cap=256))
+            assert verdict in (Secure(), cap_alarm), (program.body, e, s, verdict)
+
+
+def test_the_rule_settles_185_of_the_first_400_random_nonlinear_programs(monkeypatch):
+    """Seed 1 of the benchmark's random programs: 144 have no low variable,
+    41 more never write theirs."""
+    _no_engine(monkeypatch)
+    settled = 0
+    for i in range(400):
+        program = random_program(random.Random(f"1:{i}"), 3, 3)
+        try:
+            assert verify_ni(program, AnalysisConfig()) == Secure()
+            settled += 1
+        except EngineRan:
+            pass
+    assert settled == 185
+
+
+def _straight_line(n: int, low_write: bool = False) -> str:
+    return "low y; high h;\n" + "h := h + 1;\n" * n + ("y := y + 1;\n" if low_write else "")
+
+
+def test_long_straight_line_programs_reach_a_verdict(monkeypatch):
+    """Walks over a command loop down a sequence; 3000 statements used to raise RecursionError."""
+    program = parse_program(_straight_line(20_000))
+    with monkeypatch.context() as patched:
+        _no_engine(patched)
+        for e, s in MATRIX:
+            assert verify_ni(program, config_for(e, s, AnalysisConfig())) == Secure()
+    assert verify_ni(parse_program(_straight_line(20_000, True)), AnalysisConfig(engine="dep")) == Secure()
+    assert verify_ni(parse_program(_straight_line(3000, True)), AnalysisConfig(path_cap=8192)) == Secure()

@@ -24,6 +24,7 @@ from niverify.lang import (
     low_equal,
     parse_program,
     run,
+    used_vars,
 )
 
 from helpers import random_program, random_store, run_capped
@@ -130,6 +131,14 @@ def test_assigned_vars():
     )
     assert assigned_vars(While(Cmp("<", Var("i"), Var("z")), loop_body)) == {"i", "priv"}
     assert assigned_vars(If(Cmp("<", Var("x"), Const(0)), Assign("x", Const(1)), Assign("y", Const(2)))) == {"x", "y"}
+
+
+def test_walks_over_long_sequences_do_not_recurse():
+    cmd = Assign("y", Var("x"))
+    for _ in range(20_000):
+        cmd = Seq(Assign("h", BinOp("+", Var("h"), Const(1))), cmd)
+    assert used_vars(cmd) == {"h", "x", "y"}
+    assert assigned_vars(cmd) == {"h", "y"}
 
 
 def test_step_is_deterministic():

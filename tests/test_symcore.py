@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from niverify import symcore
 from niverify.lang import Assign, BinOp, Cmp, Const, Seq, Var
 from niverify.symcore import (
     MissingSymbol,
@@ -19,6 +20,7 @@ from niverify.symcore import (
     conjuncts,
     eval_path,
     eval_sym,
+    fold,
     has_conjunct,
     in_gamma_k,
     pand,
@@ -217,6 +219,38 @@ def test_deep_terms_are_walked_without_recursion():
     assert _deep_term(5000, last=1)[0] != term
     with pytest.raises(MissingSymbol):
         eval_sym(term, {})
+
+
+def test_each_new_term_node_costs_one_polynomial_step(monkeypatch):
+    """``x := x * 2 + h - h`` in a loop: normalizing t_1 ... t_n must cost
+    O(n) polynomial steps, not the O(n^2) of rebuilding every t_k from its
+    leaves, and the kept polynomials change no hash, equality or repr."""
+    factory = SymbolFactory()
+    x, h = SVal(factory.initial("x")), SVal(factory.initial("h"))
+    terms = [x]
+    for _ in range(400):
+        terms.append(sbinop("-", sbinop("+", sbinop("*", terms[-1], SConst(2)), h), h))
+    fresh = [_rebuilt(t) for t in terms]
+    plain_node_poly = symcore._node_poly
+    steps = []
+
+    def counted(op, lp, rp):
+        steps.append(op)
+        return plain_node_poly(op, lp, rp)
+
+    monkeypatch.setattr(symcore, "_node_poly", counted)
+    for k, term in enumerate(terms[1:], 1):
+        assert _expr_poly(term) == {(x.sym,): 2**k}
+    assert len(steps) == 3 * 400
+    assert repr(terms[20]) == repr(fresh[20])  # the dataclass repr recurses, so a shallow one
+    for term, again in zip(terms, fresh):
+        assert term == again and hash(term) == hash(again)
+        assert _expr_poly(term) == fold(again, symcore._leaf_poly, plain_node_poly)
+
+
+def _rebuilt(term):
+    """An equal copy of a term that shares no operation node with it."""
+    return fold(term, lambda leaf: leaf, SBinOp)
 
 
 def test_has_conjunct_sees_exactly_the_leaves_of_each_prefix():
