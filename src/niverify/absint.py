@@ -12,10 +12,19 @@ variable and expression), so the same transfer on the same state is then a
 set lookup.  A long loop whose body leaves the intervals alone runs each
 guard and assignment on one state object.  Only keys are kept, never
 results: a state that held its successors would keep them all alive.
+
+A transfer that changes some variables replaces only their env entries,
+in place in the sorted env, and every other entry stays the same
+(name, interval) object; an interval operation whose result equals an
+operand returns that operand.  So an unchanged interval keeps its
+identity from step to step, which is what lets ``redsoundse.reduction``
+assert again only the variables a step changed: it compares entries by
+identity, and an identical entry is an identical interval.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from niverify import lang
@@ -23,20 +32,10 @@ from niverify.lang import BExpr, Command, Const, Expr, Var, BinOp, Skip, Assign,
 
 WIDEN_DELAY = 2
 
-_NEG_INF = float("-inf")
-_POS_INF = float("inf")
 
-
-def _lo(bound: int | None) -> float | int:
-    return _NEG_INF if bound is None else bound
-
-
-def _hi(bound: int | None) -> float | int:
-    return _POS_INF if bound is None else bound
-
-
-def _as_bound(value: float | int) -> int | None:
-    return None if value in (_NEG_INF, _POS_INF) else int(value)
+# Endpoints are ``int`` or ``None`` (infinite) and are computed on as such:
+# an ``int`` never meets a float infinity, which would convert it to a
+# float and overflow from 2**1024 up.
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -51,31 +50,37 @@ class Interval:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
     def contains(self, value: int) -> bool:
-        return _lo(self.lo) <= value <= _hi(self.hi)
+        return (self.lo is None or self.lo <= value) and (self.hi is None or value <= self.hi)
 
     def is_singleton(self) -> bool:
         return self.lo is not None and self.lo == self.hi
 
     def meet(self, other: Interval) -> Interval | None:
-        lo = max(_lo(self.lo), _lo(other.lo))
-        hi = min(_hi(self.hi), _hi(other.hi))
-        if lo > hi:
+        if self is other:
+            return self
+        slo, shi, olo, ohi = self.lo, self.hi, other.lo, other.hi
+        lo = olo if slo is None else slo if olo is None or olo <= slo else olo
+        hi = ohi if shi is None else shi if ohi is None or shi <= ohi else ohi
+        if lo is not None and hi is not None and lo > hi:
             return None
-        return Interval(_as_bound(lo), _as_bound(hi))
+        return _made(lo, hi, self, other)
 
     def hull(self, other: Interval) -> Interval:
-        return Interval(
-            _as_bound(min(_lo(self.lo), _lo(other.lo))),
-            _as_bound(max(_hi(self.hi), _hi(other.hi))),
-        )
+        slo, shi, olo, ohi = self.lo, self.hi, other.lo, other.hi
+        lo = None if slo is None or olo is None else slo if slo <= olo else olo
+        hi = None if shi is None or ohi is None else shi if shi >= ohi else ohi
+        return _made(lo, hi, self, other)
 
     def widen(self, other: Interval) -> Interval:
-        lo = self.lo if (self.lo is not None and _lo(other.lo) >= self.lo) else None
-        hi = self.hi if (self.hi is not None and _hi(other.hi) <= self.hi) else None
-        return Interval(lo, hi)
+        lo = self.lo if (self.lo is not None and other.lo is not None and other.lo >= self.lo) else None
+        hi = self.hi if (self.hi is not None and other.hi is not None and other.hi <= self.hi) else None
+        return _made(lo, hi, self, other)
 
     def leq(self, other: Interval) -> bool:
-        return _lo(other.lo) <= _lo(self.lo) and _hi(self.hi) <= _hi(other.hi)
+        olo, ohi = other.lo, other.hi
+        return (olo is None or (self.lo is not None and olo <= self.lo)) and (
+            ohi is None or (self.hi is not None and self.hi <= ohi)
+        )
 
     def __str__(self) -> str:
         lo = "-oo" if self.lo is None else str(self.lo)
@@ -83,44 +88,67 @@ class Interval:
         return f"[{lo}, {hi}]"
 
 
+def _made(lo: int | None, hi: int | None, a: Interval, b: Interval) -> Interval:
+    """``[lo, hi]``, as ``a`` or ``b`` itself where it is that interval."""
+    if lo == a.lo and hi == a.hi:
+        return a
+    if lo == b.lo and hi == b.hi:
+        return b
+    return Interval(lo, hi)
+
+
+def bounds(iv: Interval) -> tuple[tuple[str, int], ...]:
+    """The finite bounds ``(op, c)`` of an interval, each meaning ``x op c``."""
+    lo, hi = iv.lo, iv.hi
+    if lo is not None and lo == hi:
+        return (("==", lo),)
+    if lo is None:
+        return () if hi is None else (("<=", hi),)
+    return ((">=", lo),) if hi is None else ((">=", lo), ("<=", hi))
+
+
 TOP_INTERVAL = Interval(None, None)
 
 
-# Endpoint arithmetic never mixes an int with a float infinity: Python would
-# convert the int to a float, which overflows from 2**1024 up.  So a sum is
-# infinite when an operand end is, and a product with an infinity is one.
-
-
-def _emul(a: float | int, b: float | int) -> float | int:
-    # 0 * inf = 0: correct for interval corner products.
-    if a == 0 or b == 0:
-        return 0
-    if isinstance(a, float) or isinstance(b, float):
-        return _POS_INF if (a > 0) == (b > 0) else _NEG_INF
-    return a * b
-
-
 def interval_add(a: Interval, b: Interval) -> Interval:
-    return Interval(
+    return _made(
         None if a.lo is None or b.lo is None else a.lo + b.lo,
         None if a.hi is None or b.hi is None else a.hi + b.hi,
+        a,
+        b,
     )
 
 
 def interval_sub(a: Interval, b: Interval) -> Interval:
-    return Interval(
+    return _made(
         None if a.lo is None or b.hi is None else a.lo - b.hi,
         None if a.hi is None or b.lo is None else a.hi - b.lo,
+        a,
+        b,
     )
 
 
 def interval_mul(a: Interval, b: Interval) -> Interval:
-    corners = [
-        _emul(x, y)
-        for x in (_lo(a.lo), _hi(a.hi))
-        for y in (_lo(b.lo), _hi(b.hi))
-    ]
-    return Interval(_as_bound(min(corners)), _as_bound(max(corners)))
+    alo, ahi, blo, bhi = a.lo, a.hi, b.lo, b.hi
+    if alo is not None and ahi is not None and blo is not None and bhi is not None:
+        corners = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+        return _made(min(corners), max(corners), a, b)
+    # A corner with an infinite factor is 0 if the other factor is 0, and
+    # otherwise infinite with the sign of the product.
+    finite: list[int] = []
+    below = above = False
+    for x, x_inf in ((alo, -1), (ahi, 1)):
+        for y, y_inf in ((blo, -1), (bhi, 1)):
+            if x == 0 or y == 0:
+                finite.append(0)
+            elif x is None or y is None:
+                sign = (x_inf if x is None else 1 if x > 0 else -1) * (y_inf if y is None else 1 if y > 0 else -1)
+                below, above = below or sign < 0, above or sign > 0
+            else:
+                finite.append(x * y)
+    # Some corner is finite or of each sign: all four infinite with one
+    # sign would need both ends of a factor infinite with one sign.
+    return _made(None if below else min(finite), None if above else max(finite), a, b)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -128,11 +156,19 @@ class AbstractState:
     """Bottom (``env is None``) or a total interval environment.
 
     ``noops`` holds the keys of the transfers known to leave the state
-    unchanged; it is not part of the value.
+    unchanged, and ``_bounded`` the positions ``bounded`` computed; neither
+    is part of the value.
     """
 
     env: tuple[tuple[str, Interval], ...] | None
     noops: set | None = field(default=None, compare=False, hash=False, repr=False)
+    _bounded: tuple[int, ...] | None = field(default=None, compare=False, hash=False, repr=False)
+
+    def bounded(self) -> tuple[int, ...]:
+        """The positions in ``env`` of the variables with a finite bound."""
+        if self._bounded is None:
+            self._bounded = tuple(i for i, (_, iv) in enumerate(self.env) if iv.lo is not None or iv.hi is not None)
+        return self._bounded
 
     @staticmethod
     def top(variables) -> AbstractState:
@@ -164,18 +200,18 @@ BOTTOM = AbstractState(None)
 
 
 def eval_interval(expr: Expr, env: dict[str, Interval]) -> Interval:
-    match expr:
-        case Const(value):
-            return Interval(value, value)
-        case Var(name):
-            return env.get(name, TOP_INTERVAL)
-        case BinOp(op, left, right):
-            li, ri = eval_interval(left, env), eval_interval(right, env)
-            if op == "+":
-                return interval_add(li, ri)
-            if op == "-":
-                return interval_sub(li, ri)
-            return interval_mul(li, ri)
+    cls = expr.__class__
+    if cls is Var:
+        return env.get(expr.name, TOP_INTERVAL)
+    if cls is Const:
+        return Interval(expr.value, expr.value)
+    if cls is BinOp:
+        li, ri = eval_interval(expr.left, env), eval_interval(expr.right, env)
+        if expr.op == "+":
+            return interval_add(li, ri)
+        if expr.op == "-":
+            return interval_sub(li, ri)
+        return interval_mul(li, ri)
     raise lang.LangError(f"unknown expression {expr!r}")
 
 
@@ -187,6 +223,19 @@ def _unchanged(a: AbstractState, key) -> AbstractState:
     return a
 
 
+def _replaced(env: tuple[tuple[str, Interval], ...], changes: dict[str, Interval]) -> AbstractState:
+    """``env`` with the entries of ``changes`` put in, in sorted place; the
+    other entries are the same objects."""
+    out = list(env)
+    for x, iv in changes.items():
+        i = bisect_left(out, (x,))
+        if i < len(out) and out[i][0] == x:
+            out[i] = (x, iv)
+        else:
+            out.insert(i, (x, iv))
+    return AbstractState(tuple(out))
+
+
 def a_assign(var: str, expr: Expr, a: AbstractState) -> AbstractState:
     if a.is_bottom:
         return BOTTOM
@@ -195,30 +244,48 @@ def a_assign(var: str, expr: Expr, a: AbstractState) -> AbstractState:
         return a
     env = a.as_dict()
     value = eval_interval(expr, env)
-    if env.get(var) == value:
+    old = env.get(var)
+    if old is value or old == value:
         return _unchanged(a, key)
-    env[var] = value
-    return AbstractState.of(env)
+    return _replaced(a.env, {var: value})
+
+
+def _below(iv: Interval, hi: int | None) -> Interval | None:
+    """``iv`` met with ``[-oo, hi]``; ``hi`` None is no bound."""
+    if hi is None or (iv.hi is not None and iv.hi <= hi):
+        return iv
+    if iv.lo is not None and iv.lo > hi:
+        return None
+    return Interval(iv.lo, hi)
+
+
+def _above(iv: Interval, lo: int | None) -> Interval | None:
+    """``iv`` met with ``[lo, +oo]``; ``lo`` None is no bound."""
+    if lo is None or (iv.lo is not None and iv.lo >= lo):
+        return iv
+    if iv.hi is not None and iv.hi < lo:
+        return None
+    return Interval(lo, iv.hi)
+
+
+def _plus(bound: int | None, shift: int) -> int | None:
+    return None if bound is None else bound + shift
 
 
 def _cmp_targets(op: str, li: Interval, ri: Interval) -> tuple[Interval, Interval] | None:
     """Refined intervals for both operands assuming the comparison holds."""
-
-    def shrink(iv: Interval, lo: float | int, hi: float | int) -> Interval | None:
-        return iv.meet(Interval(_as_bound(max(lo, _NEG_INF)), _as_bound(min(hi, _POS_INF))))
-
     if op == "<":
-        lt = shrink(li, _NEG_INF, _hi(ri.hi) - 1)
-        rt = shrink(ri, _lo(li.lo) + 1, _POS_INF)
+        lt = _below(li, _plus(ri.hi, -1))
+        rt = _above(ri, _plus(li.lo, 1))
     elif op == "<=":
-        lt = shrink(li, _NEG_INF, _hi(ri.hi))
-        rt = shrink(ri, _lo(li.lo), _POS_INF)
+        lt = _below(li, ri.hi)
+        rt = _above(ri, li.lo)
     elif op == ">":
-        lt = shrink(li, _lo(ri.lo) + 1, _POS_INF)
-        rt = shrink(ri, _NEG_INF, _hi(li.hi) - 1)
+        lt = _above(li, _plus(ri.lo, 1))
+        rt = _below(ri, _plus(li.hi, -1))
     elif op == ">=":
-        lt = shrink(li, _lo(ri.lo), _POS_INF)
-        rt = shrink(ri, _NEG_INF, _hi(li.hi))
+        lt = _above(li, ri.lo)
+        rt = _below(ri, li.hi)
     elif op == "==":
         lt = li.meet(ri)
         rt = ri.meet(li)
@@ -248,31 +315,39 @@ def _trim(iv: Interval, value: int) -> Interval | None:
     return iv
 
 
-def _backward(expr: Expr, target: Interval, env: dict[str, Interval]) -> bool:
-    """One downward refinement pass; mutates env, False means infeasible."""
-    match expr:
-        case Const(value):
-            return target.contains(value)
-        case Var(name):
-            met = env.get(name, TOP_INTERVAL).meet(target)
-            if met is None:
-                return False
-            env[name] = met
-            return True
-        case BinOp(op, left, right):
-            li, ri = eval_interval(left, env), eval_interval(right, env)
-            if op == "+":
-                lt = interval_sub(target, ri).meet(li)
-                rt = interval_sub(target, li).meet(ri)
-            elif op == "-":
-                lt = interval_add(target, ri).meet(li)
-                rt = interval_sub(li, target).meet(ri)
-            else:
-                lt = _mul_refine(li, ri, target)
-                rt = _mul_refine(ri, li, target)
-            if lt is None or rt is None:
-                return False
-            return _backward(left, lt, env) and _backward(right, rt, env)
+def _backward(expr: Expr, target: Interval, env: dict[str, Interval], changes: dict[str, Interval]) -> bool:
+    """One downward refinement pass; False means infeasible.
+
+    A variable whose interval narrows is written to both ``env`` and
+    ``changes``; one that keeps its interval is written to neither.
+    """
+    cls = expr.__class__
+    if cls is Var:
+        name = expr.name
+        old = env.get(name)
+        met = (TOP_INTERVAL if old is None else old).meet(target)
+        if met is None:
+            return False
+        if met is not old:
+            env[name] = changes[name] = met
+        return True
+    if cls is Const:
+        return target.contains(expr.value)
+    if cls is BinOp:
+        left, right = expr.left, expr.right
+        li, ri = eval_interval(left, env), eval_interval(right, env)
+        if expr.op == "+":
+            lt = interval_sub(target, ri).meet(li)
+            rt = interval_sub(target, li).meet(ri)
+        elif expr.op == "-":
+            lt = interval_add(target, ri).meet(li)
+            rt = interval_sub(li, target).meet(ri)
+        else:
+            lt = _mul_refine(li, ri, target)
+            rt = _mul_refine(ri, li, target)
+        if lt is None or rt is None:
+            return False
+        return _backward(left, lt, env, changes) and _backward(right, rt, env, changes)
     raise lang.LangError(f"unknown expression {expr!r}")
 
 
@@ -283,16 +358,17 @@ def _mul_refine(side: Interval, other: Interval, target: Interval) -> Interval |
         if c == 0:
             return side if target.contains(0) else None
         # Integer division: a float quotient rounds past 2**53.
-        tl, th = _lo(target.lo), _hi(target.hi)
+        tl, th = target.lo, target.hi
         if c > 0:
-            lo = _NEG_INF if tl == _NEG_INF else -(-tl // c)
-            hi = _POS_INF if th == _POS_INF else th // c
+            lo = None if tl is None else -(-tl // c)
+            hi = None if th is None else th // c
         else:
-            lo = _NEG_INF if th == _POS_INF else -(-th // c)
-            hi = _POS_INF if tl == _NEG_INF else tl // c
-        if lo > hi:
+            lo = None if th is None else -(-th // c)
+            hi = None if tl is None else tl // c
+        if lo is not None and hi is not None and lo > hi:
             return None
-        return side.meet(Interval(_as_bound(lo), _as_bound(hi)))
+        low = _above(side, lo)
+        return None if low is None else _below(low, hi)
     return side
 
 
@@ -308,24 +384,31 @@ def a_guard(bexpr: BExpr, a: AbstractState) -> AbstractState:
     if targets is None:
         return BOTTOM
     lt, rt = targets
-    if not _backward(bexpr.left, lt, env) or not _backward(bexpr.right, rt, env):
+    changes: dict[str, Interval] = {}
+    if not _backward(bexpr.left, lt, env, changes) or not _backward(bexpr.right, rt, env, changes):
         return BOTTOM
-    items = tuple(sorted(env.items()))
-    if items == a.env:
+    if not changes:
         return _unchanged(a, bexpr)
-    return AbstractState(items)
+    return _replaced(a.env, changes)
 
 
 def _pointwise(op, a0: AbstractState, a1: AbstractState) -> AbstractState:
-    """``op`` on each variable's two intervals; bottom is the unit."""
+    """``op`` on each variable's two intervals; bottom is the unit.
+
+    An entry of ``a0`` whose interval is the result is kept as it is.
+    """
     if a0.is_bottom:
         return a1
     if a1.is_bottom:
         return a0
-    e0, e1 = a0.as_dict(), a1.as_dict()
-    return AbstractState.of(
-        {x: op(e0.get(x, TOP_INTERVAL), e1.get(x, TOP_INTERVAL)) for x in set(e0) | set(e1)}
-    )
+    pairs0, e1 = {entry[0]: entry for entry in a0.env}, a1.as_dict()
+    out = []
+    for x in sorted(pairs0.keys() | e1.keys()):
+        entry = pairs0.get(x)
+        i0 = TOP_INTERVAL if entry is None else entry[1]
+        iv = op(i0, e1.get(x, TOP_INTERVAL))
+        out.append(entry if entry is not None and iv is i0 else (x, iv))
+    return AbstractState(tuple(out))
 
 
 def a_join(a0: AbstractState, a1: AbstractState) -> AbstractState:
@@ -388,23 +471,14 @@ def _analyze_loop(guard: BExpr, body: Command, a: AbstractState) -> AbstractStat
 
 
 class BottomState(ValueError):
-    """constr() was asked for the unreachable state."""
+    """The bounds of the unreachable state were asked for (``constr``, ``redsoundse.reduction``)."""
 
 
 def constr(a: AbstractState) -> list[tuple[str, str, int]]:
     """The state as bounds ``(x, op, c)``, each meaning ``x op c`` (finite bounds only)."""
     if a.is_bottom:
         raise BottomState("no constraints for bottom")
-    out: list[tuple[str, str, int]] = []
-    for x, iv in a.env:
-        if iv.is_singleton():
-            out.append((x, "==", iv.lo))
-            continue
-        if iv.lo is not None:
-            out.append((x, ">=", iv.lo))
-        if iv.hi is not None:
-            out.append((x, "<=", iv.hi))
-    return out
+    return [(x, op, c) for x, iv in a.env for op, c in bounds(iv)]
 
 
 def state_holds(a: AbstractState, store: lang.Store) -> bool:

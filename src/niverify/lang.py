@@ -13,7 +13,7 @@ tested against: it is deterministic and total over declared variables.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 ARITH_OPS = ("+", "-", "*")
 CMP_OPS = ("<", "<=", "==", "!=", ">", ">=")
@@ -130,13 +130,61 @@ class While:
         return f"while ({self.guard}) {{ {self.body} }}"
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True, eq=False, repr=False)
 class Seq:
+    """``first; second``.
+
+    A sequence nests on its ``second`` side once per statement, so its
+    hash, equality, ``repr`` and ``str`` walk that spine without recursing.
+    They give what the dataclass methods give: the hash is that of
+    ``(first, second)``, kept once computed, from the innermost node out.
+    """
+
     first: Command
     second: Command
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+
+    def _spine(self) -> tuple[list[Command], Command]:
+        """The ``first`` of each node along the spine, and the last ``second``."""
+        firsts: list[Command] = []
+        node: Command = self
+        while node.__class__ is Seq:
+            firsts.append(node.first)
+            node = node.second
+        return firsts, node
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            spine: list[Seq] = []
+            node: Command = self
+            while node.__class__ is Seq and node._hash is None:
+                spine.append(node)
+                node = node.second
+            for seq in reversed(spine):
+                seq._hash = hash((seq.first, seq.second))
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Seq:
+            return NotImplemented
+        a, b = self, other
+        while a.__class__ is Seq and b.__class__ is Seq:
+            if a is b:
+                return True
+            if a._hash is not None and b._hash is not None and a._hash != b._hash:
+                return False
+            if a.first != b.first:
+                return False
+            a, b = a.second, b.second
+        return a == b
+
+    def __repr__(self) -> str:
+        firsts, last = self._spine()
+        return "".join(f"Seq(first={first!r}, second=" for first in firsts) + repr(last) + ")" * len(firsts)
 
     def __str__(self) -> str:
-        return f"{self.first}; {self.second}"
+        firsts, last = self._spine()
+        return "; ".join(map(str, firsts + [last]))
 
 
 Command = Skip | Assign | If | While | Seq

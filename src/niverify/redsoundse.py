@@ -6,7 +6,10 @@ survives only if both sides allow it (path may-satisfiable and guarded
 abstract state non-bottom).  The reduction operator injects the abstract
 constraints into the symbolic path, substituting each program variable by
 its current symbolic expression; it runs at branch points and at
-loop-summarization steps.
+loop-summarization steps.  A reduction asserts again only the variables
+whose term or interval changed since the reduction that returned its path
+or a near prefix; the others' conjuncts are already on the path (see
+``reduction``).
 
 With no domain (``astate`` None) the product step is plain SoundSE's step,
 so this is the one single-trace step of the package.
@@ -16,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from niverify.absint import AbstractState, a_assign, a_guard, analyze, constr
+from niverify.absint import AbstractState, BottomState, a_assign, a_guard, analyze, bounds
 from niverify.lang import Assign, BExpr, Command, Expr, If, Program, SKIP, Seq, Skip, While
 from niverify.solver import Solver
 from niverify.soundse import explore, focus, modif, plug
 from niverify.symcore import (
+    PAnd,
     PreciseStore,
     SConst,
     SymbolFactory,
@@ -42,6 +46,34 @@ class ProductState:
     precise: bool
 
 
+# How many conjunctions back from the path it is given ``reduction`` looks
+# for an earlier reduction's record: a step conjoins one or two guards to
+# the path it reduced last before it reduces again.
+RECORD_REACH = 4
+
+
+def _record(path: SymPath) -> tuple | None:
+    """The record of the nearest reduction that returned ``path`` or a near prefix."""
+    node = path
+    for _ in range(RECORD_REACH):
+        if node.__class__ is not PAnd:
+            return None
+        if node._reduced is not None:
+            return node._reduced
+        node = node.left
+    return None
+
+
+def _unmatched(positions, terms: list, env: tuple, seen_terms: tuple, seen_env: tuple) -> list[int]:
+    """The positions whose term or env entry is not the object recorded there.
+
+    An env entry is a (name, interval) pair, and the transfers keep the
+    pair of a variable whose interval they leave alone, so a recorded pair
+    means a recorded interval.
+    """
+    return [i for i in positions if terms[i] is not seen_terms[i] or env[i] is not seen_env[i]]
+
+
 def reduction(kappa: PreciseStore, astate: AbstractState) -> PreciseStore:
     """Strengthen the path with the abstract constraints; same concretization.
 
@@ -50,15 +82,55 @@ def reduction(kappa: PreciseStore, astate: AbstractState) -> PreciseStore:
     variable's current symbolic expression; variables the store leaves out
     are not reduced.  Conjuncts already present are not repeated, keeping
     paths small and runs deterministic.
+
+    Only what changed is asserted again.  The returned path, when it is a
+    conjunction (so never ``TRUE`` or ``FALSE``), records the interval env
+    and the term of each bounded variable, by position in the env, and
+    keeps the newer entry of the record this call found, so that the two
+    traces of a relational step each find their own.  A later call looks
+    for a record on its path or a near prefix, and skips each variable
+    whose term object and env entry (hence interval object) are the ones
+    recorded at its position.  That is exact: a path only grows by
+    conjunction, so the conjuncts of a recorded pair are leaves of the
+    prefix that holds the record, hence of the path, and asking for them
+    again would add nothing; or the path is already ``false``.
     """
-    rho = kappa.store()
-    path = kappa.path
-    for x, op, bound in constr(astate):
-        if x in rho:
-            conjunct = pcmp(op, rho[x], SConst(bound))
+    env = astate.env
+    if env is None:
+        raise BottomState("no constraints for bottom")
+    rho, path = kappa.store(), kappa.path
+    positions = astate.bounded()
+    if not positions:
+        return PreciseStore(kappa.rho, path)
+    terms = [None] * len(env)
+    for i in positions:
+        terms[i] = rho.get(env[i][0])
+    record = _record(path)
+    if record is not None:
+        env0, terms0, env1, terms1 = record
+        # The older entry first: in a relational step each trace's own
+        # entry is the older one, so it leaves the fewest positions.
+        if terms1 is not None and len(terms1) == len(terms):
+            positions = _unmatched(positions, terms, env, terms1, env1)
+        if len(terms0) == len(terms):
+            positions = _unmatched(positions, terms, env, terms0, env0)
+    for i in positions:
+        term = terms[i]
+        if term is None:
+            continue
+        for op, bound in bounds(env[i][1]):
+            conjunct = pcmp(op, term, SConst(bound))
             if not has_conjunct(path, conjunct):
                 path = pand(path, conjunct)
+    if path.__class__ is PAnd:
+        path._reduced = (env, tuple(terms)) + ((None, None) if record is None else record[:2])
     return PreciseStore(kappa.rho, path)
+
+
+def forget_reduction(path: SymPath) -> None:
+    """Drop the record ``reduction`` left on ``path``, if any."""
+    if path.__class__ is PAnd:
+        path._reduced = None
 
 
 # None-aware transfer functions: with no domain (None) they do nothing.

@@ -26,6 +26,15 @@ there too.  A branch on a guard both traces share never tries the two
 mixed sign pairs: their path is false, so no interval or solver work is
 spent on them.
 
+The reduction pays for what a step changed.  Each reduced path records
+the terms and interval entries it was reduced with, and the next
+reduction along it asserts again only the variables whose term or
+interval object differs (``redsoundse.reduction``); since a path only
+grows by conjunction, the skipped conjuncts are already on it.  The two
+calls of ``_reduce2`` find each trace's entry in the same record.  A
+record serves the successors of the state whose path holds it, so the
+step drops it once that state is expanded, and drops a final's at once.
+
 A program expression is evaluated for both traces in one walk over the
 pair store (``rel_eval_expr``, ``rel_eval_bool``).  Where every variable
 it reads holds one object for both sides, it builds one term, or one
@@ -243,8 +252,21 @@ def _signed(path: SymPath, guard: tuple[SymPath, SymPath], s0: bool, s1: bool) -
 
 def srse_step(state: RelState, engine: RelEngine) -> list[RelState]:
     if isinstance(state.control, Diverged):
-        return _diverged_step(state, engine)
-    return _unified_step(state, engine)
+        out = _diverged_step(state, engine)
+    else:
+        out = _unified_step(state, engine)
+    # A reduction record serves the successors of the state whose path
+    # holds it: drop it once the state is expanded, unless a successor
+    # keeps the path, and drop a final's at once, as nothing extends it.
+    path = state.kappa2.path
+    kept = False
+    for nxt in out:
+        kept = kept or nxt.kappa2.path is path
+        if nxt.final:
+            redsoundse.forget_reduction(nxt.kappa2.path)
+    if not kept:
+        redsoundse.forget_reduction(path)
+    return out
 
 
 # The four ways two traces can take a branch, trace 0's choice first.

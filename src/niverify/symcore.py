@@ -162,12 +162,15 @@ class SBinOp:
     left: SymExpr
     right: SymExpr
     _hash: int = field(init=False, repr=False, compare=False)
-    # The term's polynomial, kept by ``_expr_poly`` if an operand is an operation.
+    # The term's polynomial and symbols, kept by ``_expr_poly`` and
+    # ``symbols_of_expr`` if an operand is an operation.
     _poly: Poly | None = field(init=False, repr=False, compare=False)
+    _symbols: frozenset[SymValue] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._hash = hash((self.op, self.left, self.right))
         self._poly = None
+        self._symbols = None
 
     def __hash__(self) -> int:
         return self._hash
@@ -323,36 +326,43 @@ def _node_poly(op: str, lp: Poly, rp: Poly) -> Poly:
 
 
 def _expr_poly(expr: SymExpr) -> Poly:
-    """The polynomial of a term, which callers must not mutate.
-
-    An operation with an operation operand keeps its polynomial once
-    built, from its operands' ones, so a term one node deeper than a
-    normalized one costs one step.  An operation over two leaves is cheap
-    to rebuild and keeps nothing, so shallow terms hold no extra dict.
-    The walk stops at kept polynomials, and nothing recurses on the
-    term's depth.
-    """
+    """The polynomial of a term, which callers must not mutate (see ``_kept``)."""
     if expr.__class__ is not SBinOp:
         return _leaf_poly(expr)
     if not _nested(expr):
         return _node_poly(expr.op, _leaf_poly(expr.left), _leaf_poly(expr.right))
-    stack = [expr]
-    while stack:
-        node = stack[-1]
-        if node._poly is not None:
-            stack.pop()
-            continue
-        pending = [t for t in (node.right, node.left) if t.__class__ is SBinOp and t._poly is None and _nested(t)]
-        if pending:
-            stack += pending
-            continue
-        stack.pop()
-        node._poly = _node_poly(node.op, _expr_poly(node.left), _expr_poly(node.right))
-    return expr._poly
+    return _kept(expr, "_poly", _expr_poly, _node_poly)
 
 
 def _nested(term: SBinOp) -> bool:
     return term.left.__class__ is SBinOp or term.right.__class__ is SBinOp
+
+
+def _kept(expr: SBinOp, slot: str, value: Callable[[SymExpr], object], node: Callable) -> object:
+    """A value of a nested operation, kept in its ``slot`` once built.
+
+    ``node(op, l, r)`` builds it from its operands' ``value``s.  An
+    operation with an operation operand keeps it, so a term one node
+    deeper than one already asked about costs one step; an operation over
+    two leaves is cheap to redo and keeps nothing, so shallow terms hold
+    no extra object.  The walk stops at kept values, and nothing recurses
+    on the term's depth.
+    """
+    stack = [expr]
+    while stack:
+        term = stack[-1]
+        if getattr(term, slot) is not None:
+            stack.pop()
+            continue
+        pending = [
+            t for t in (term.right, term.left) if t.__class__ is SBinOp and getattr(t, slot) is None and _nested(t)
+        ]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        setattr(term, slot, node(term.op, value(term.left), value(term.right)))
+    return getattr(expr, slot)
 
 
 def rows_of_cmp(op: str, left: SymExpr, right: SymExpr) -> list[Clause]:
@@ -461,7 +471,7 @@ class PCmp:
 
     @property
     def symbols(self) -> frozenset[SymValue]:
-        return frozenset(symbols_of_expr(self.left) | symbols_of_expr(self.right))
+        return symbols_of_expr(self.left) | symbols_of_expr(self.right)
 
     def __str__(self) -> str:
         return f"{self.left} {self.op} {self.right}"
@@ -477,6 +487,8 @@ class PAnd:
     _hash: int = field(init=False, repr=False)
     _index: _ConjunctIndex | None = field(init=False, repr=False)
     _normal: NormalForm | None = field(init=False, repr=False)
+    # What ``redsoundse.reduction`` asserted on this node, if it returned it.
+    _reduced: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         left, right = self.left, self.right
@@ -487,6 +499,7 @@ class PAnd:
         self._hash = hash((left, right))
         self._index = None
         self._normal = None
+        self._reduced = None
 
     @property
     def clause_counts(self) -> tuple[int | None, int | None]:
@@ -552,6 +565,11 @@ def pcmp(op: str, left: SymExpr, right: SymExpr) -> SymPath:
 
 
 def pand(left: SymPath, right: SymPath) -> SymPath:
+    if left.__class__ is PAnd and right.__class__ is PCmp:
+        # Neither is true or false, and a comparison is not the negation
+        # of a conjunction: the common case of a growing path, decided
+        # without building either negation.
+        return PAnd(left, right)
     if left == TRUE:
         return right
     if right == TRUE:
@@ -842,19 +860,25 @@ def eval_path(path: SymPath, valuation: Valuation) -> bool:
     return True
 
 
-def symbols_of_expr(expr: SymExpr) -> set[SymValue]:
-    out: set[SymValue] = set()
-    stack = [expr]
-    while stack:
-        item = stack.pop()
-        cls = item.__class__
-        if cls is SBinOp:
-            stack += (item.right, item.left)
-        elif cls is SVal:
-            out.add(item.sym)
-        elif cls is not SConst:
-            raise lang.LangError(f"unknown symbolic expression {item!r}")
-    return out
+def symbols_of_expr(expr: SymExpr) -> frozenset[SymValue]:
+    """The symbols of a term; a nested operation keeps its set (see ``_kept``)."""
+    if expr.__class__ is not SBinOp:
+        return _leaf_symbols(expr)
+    if not _nested(expr):
+        return _union(expr.op, _leaf_symbols(expr.left), _leaf_symbols(expr.right))
+    return _kept(expr, "_symbols", symbols_of_expr, _union)
+
+
+def _leaf_symbols(term: SymExpr) -> frozenset[SymValue]:
+    if term.__class__ is SVal:
+        return frozenset((term.sym,))
+    if term.__class__ is SConst:
+        return frozenset()
+    raise lang.LangError(f"unknown symbolic expression {term!r}")
+
+
+def _union(op: str, left: frozenset[SymValue], right: frozenset[SymValue]) -> frozenset[SymValue]:
+    return left | right
 
 
 def in_gamma_m(rho: SymStore, store: Store, valuation: Valuation) -> bool:

@@ -11,11 +11,13 @@ soundness-coverage tests assert.
 
 from __future__ import annotations
 
+import hashlib
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 
-from niverify import lang
-from niverify.absint import AbstractState, state_holds
+from niverify import driver, lang
+from niverify.absint import BOTTOM, TOP_INTERVAL, AbstractState, Interval, state_holds
 from niverify.lang import (
     Assign,
     BinOp,
@@ -74,6 +76,29 @@ def run_capped(cmd, store, fuel, cap=MAGNITUDE_CAP):
         if any(abs(v) > cap for v in current.values()):
             return None
     return Final.of(current) if isinstance(cmd, Skip) else None
+
+
+@contextmanager
+def recorded_final_paths():
+    """Collect ``str`` of each final relational path ``driver.srse_explore``
+    returns while the block runs, in order; yields the list it fills."""
+    lines: list[str] = []
+    original = driver.srse_explore
+
+    def recorded(*args, **kwargs):
+        finals = original(*args, **kwargs)
+        lines.extend(str(kappa2.path) for kappa2, _ in finals)
+        return finals
+
+    driver.srse_explore = recorded
+    try:
+        yield lines
+    finally:
+        driver.srse_explore = original
+
+
+def paths_digest(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -357,3 +382,189 @@ def check_relational_coverage(program, mu0, mu1, engine, rho2_0, fuel) -> bool:
         return False
     assert in_gamma_k2(walk.kappa2, res0.as_store(), res1.as_store(), walk.valuation)
     return True
+
+
+# ---------------------------------------------------------------------------
+# Reference interval transfers
+# ---------------------------------------------------------------------------
+#
+# The interval primitives as they were written on float endpoints, with
+# -inf and +inf for None, before ``absint`` computed on ``int | None``
+# endpoints directly.  The property tests hold the rewritten primitives to
+# these formulas.
+
+_NEG_INF = float("-inf")
+_POS_INF = float("inf")
+
+
+def _lo(bound):
+    return _NEG_INF if bound is None else bound
+
+
+def _hi(bound):
+    return _POS_INF if bound is None else bound
+
+
+def _as_bound(value):
+    return None if value in (_NEG_INF, _POS_INF) else int(value)
+
+
+def ref_meet(a: Interval, b: Interval) -> Interval | None:
+    lo = max(_lo(a.lo), _lo(b.lo))
+    hi = min(_hi(a.hi), _hi(b.hi))
+    if lo > hi:
+        return None
+    return Interval(_as_bound(lo), _as_bound(hi))
+
+
+def ref_hull(a: Interval, b: Interval) -> Interval:
+    return Interval(_as_bound(min(_lo(a.lo), _lo(b.lo))), _as_bound(max(_hi(a.hi), _hi(b.hi))))
+
+
+def ref_widen(a: Interval, b: Interval) -> Interval:
+    lo = a.lo if (a.lo is not None and _lo(b.lo) >= a.lo) else None
+    hi = a.hi if (a.hi is not None and _hi(b.hi) <= a.hi) else None
+    return Interval(lo, hi)
+
+
+def ref_leq(a: Interval, b: Interval) -> bool:
+    return _lo(b.lo) <= _lo(a.lo) and _hi(a.hi) <= _hi(b.hi)
+
+
+def _emul(a, b):
+    # 0 * inf = 0: correct for interval corner products.
+    if a == 0 or b == 0:
+        return 0
+    if isinstance(a, float) or isinstance(b, float):
+        return _POS_INF if (a > 0) == (b > 0) else _NEG_INF
+    return a * b
+
+
+def ref_add(a: Interval, b: Interval) -> Interval:
+    return Interval(
+        None if a.lo is None or b.lo is None else a.lo + b.lo,
+        None if a.hi is None or b.hi is None else a.hi + b.hi,
+    )
+
+
+def ref_sub(a: Interval, b: Interval) -> Interval:
+    return Interval(
+        None if a.lo is None or b.hi is None else a.lo - b.hi,
+        None if a.hi is None or b.lo is None else a.hi - b.lo,
+    )
+
+
+def ref_mul(a: Interval, b: Interval) -> Interval:
+    corners = [_emul(x, y) for x in (_lo(a.lo), _hi(a.hi)) for y in (_lo(b.lo), _hi(b.hi))]
+    return Interval(_as_bound(min(corners)), _as_bound(max(corners)))
+
+
+def ref_eval_interval(expr, env: dict) -> Interval:
+    match expr:
+        case Const(value):
+            return Interval(value, value)
+        case Var(name):
+            return env.get(name, TOP_INTERVAL)
+        case BinOp(op, left, right):
+            li, ri = ref_eval_interval(left, env), ref_eval_interval(right, env)
+            return {"+": ref_add, "-": ref_sub, "*": ref_mul}[op](li, ri)
+    raise lang.LangError(f"unknown expression {expr!r}")
+
+
+def _ref_trim(iv: Interval, value: int) -> Interval | None:
+    if iv.is_singleton() and iv.lo == value:
+        return None
+    if iv.lo == value:
+        return Interval(value + 1, iv.hi)
+    if iv.hi == value:
+        return Interval(iv.lo, value - 1)
+    return iv
+
+
+def ref_cmp_targets(op: str, li: Interval, ri: Interval):
+    def shrink(iv, lo, hi):
+        return ref_meet(iv, Interval(_as_bound(max(lo, _NEG_INF)), _as_bound(min(hi, _POS_INF))))
+
+    if op == "<":
+        lt, rt = shrink(li, _NEG_INF, _hi(ri.hi) - 1), shrink(ri, _lo(li.lo) + 1, _POS_INF)
+    elif op == "<=":
+        lt, rt = shrink(li, _NEG_INF, _hi(ri.hi)), shrink(ri, _lo(li.lo), _POS_INF)
+    elif op == ">":
+        lt, rt = shrink(li, _lo(ri.lo) + 1, _POS_INF), shrink(ri, _NEG_INF, _hi(li.hi) - 1)
+    elif op == ">=":
+        lt, rt = shrink(li, _lo(ri.lo), _POS_INF), shrink(ri, _NEG_INF, _hi(li.hi))
+    elif op == "==":
+        lt, rt = ref_meet(li, ri), ref_meet(ri, li)
+    else:
+        lt, rt = li, ri
+        if ri.is_singleton():
+            lt = _ref_trim(li, ri.lo)
+        if lt is not None and li.is_singleton():
+            rt = _ref_trim(ri, li.lo)
+        if lt is not None and rt is not None and lt.is_singleton() and lt == rt:
+            return None
+    if lt is None or rt is None:
+        return None
+    return lt, rt
+
+
+def _ref_mul_refine(side: Interval, other: Interval, target: Interval) -> Interval | None:
+    if other.is_singleton():
+        c = other.lo
+        if c == 0:
+            return side if target.contains(0) else None
+        tl, th = _lo(target.lo), _hi(target.hi)
+        if c > 0:
+            lo = _NEG_INF if tl == _NEG_INF else -(-tl // c)
+            hi = _POS_INF if th == _POS_INF else th // c
+        else:
+            lo = _NEG_INF if th == _POS_INF else -(-th // c)
+            hi = _POS_INF if tl == _NEG_INF else tl // c
+        if lo > hi:
+            return None
+        return ref_meet(side, Interval(_as_bound(lo), _as_bound(hi)))
+    return side
+
+
+def ref_backward(expr, target: Interval, env: dict) -> bool:
+    match expr:
+        case Const(value):
+            return target.contains(value)
+        case Var(name):
+            met = ref_meet(env.get(name, TOP_INTERVAL), target)
+            if met is None:
+                return False
+            env[name] = met
+            return True
+        case BinOp(op, left, right):
+            li, ri = ref_eval_interval(left, env), ref_eval_interval(right, env)
+            if op == "+":
+                lt, rt = ref_meet(ref_sub(target, ri), li), ref_meet(ref_sub(target, li), ri)
+            elif op == "-":
+                lt, rt = ref_meet(ref_add(target, ri), li), ref_meet(ref_sub(li, target), ri)
+            else:
+                lt, rt = _ref_mul_refine(li, ri, target), _ref_mul_refine(ri, li, target)
+            if lt is None or rt is None:
+                return False
+            return ref_backward(left, lt, env) and ref_backward(right, rt, env)
+    raise lang.LangError(f"unknown expression {expr!r}")
+
+
+def ref_a_guard(bexpr, a: AbstractState) -> AbstractState:
+    if a.is_bottom:
+        return BOTTOM
+    env = a.as_dict()
+    targets = ref_cmp_targets(bexpr.op, ref_eval_interval(bexpr.left, env), ref_eval_interval(bexpr.right, env))
+    if targets is None:
+        return BOTTOM
+    if not ref_backward(bexpr.left, targets[0], env) or not ref_backward(bexpr.right, targets[1], env):
+        return BOTTOM
+    return AbstractState.of(env)
+
+
+def ref_a_assign(var: str, expr, a: AbstractState) -> AbstractState:
+    if a.is_bottom:
+        return BOTTOM
+    env = a.as_dict()
+    env[var] = ref_eval_interval(expr, env)
+    return AbstractState.of(env)

@@ -3,7 +3,9 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from niverify import absint
 from niverify.absint import (
     BOTTOM,
     AbstractState,
@@ -31,6 +33,7 @@ from niverify.lang import (
     parse_program,
 )
 
+import helpers
 from helpers import random_cmp, random_command, random_expr, run_capped
 
 
@@ -240,3 +243,106 @@ def test_remembered_transfers_are_not_part_of_the_value():
     assert a == b and hash(a) == hash(b)
     assert repr(a) == repr(b)
     assert {a: 1}[b] == 1
+
+
+# --- the int-endpoint primitives against the float-endpoint formulas --------
+
+# Small ints, the edges of float precision, and ends past float range.
+_ENDS = st.one_of(
+    st.none(),
+    st.integers(-4, 4),
+    st.sampled_from([2**53, 2**53 + 1, -(2**53), -(2**53) - 1, 2**1024, -(2**1024), 2**1024 + 1]),
+)
+
+
+@st.composite
+def intervals(draw) -> Interval:
+    lo, hi = draw(_ENDS), draw(_ENDS)
+    if lo is not None and hi is not None and lo > hi:
+        lo, hi = hi, lo
+    return Interval(lo, hi)
+
+
+def _exprs(variables=("a", "b", "c")):
+    consts = st.builds(Const, st.one_of(st.integers(-3, 3), st.sampled_from([2**53, -(2**1024)])))
+    leaves = st.one_of(consts, st.builds(Var, st.sampled_from(variables)))
+    return st.recursive(leaves, lambda inner: st.builds(BinOp, st.sampled_from("+-*"), inner, inner), max_leaves=5)
+
+
+@st.composite
+def states(draw, variables=("a", "b", "c")) -> AbstractState:
+    return AbstractState.of({x: draw(intervals()) for x in variables})
+
+
+def _no_float(iv):
+    return iv is None or all(end is None or type(end) is int for end in (iv.lo, iv.hi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(intervals(), intervals())
+def test_interval_primitives_equal_the_float_endpoint_formulas(a, b):
+    for name, ref in (
+        ("meet", helpers.ref_meet),
+        ("hull", helpers.ref_hull),
+        ("widen", helpers.ref_widen),
+        ("add", helpers.ref_add),
+        ("sub", helpers.ref_sub),
+        ("mul", helpers.ref_mul),
+    ):
+        got = getattr(Interval, name)(a, b) if name in ("meet", "hull", "widen") else getattr(absint, f"interval_{name}")(a, b)
+        assert got == ref(a, b), name
+        assert _no_float(got), name
+        # An operand that is the result is returned itself.
+        if got == a:
+            assert got is a, name
+        elif got == b:
+            assert got is b, name
+    assert a.leq(b) == helpers.ref_leq(a, b)
+    for op in ("<", "<=", ">", ">=", "==", "!="):
+        got = absint._cmp_targets(op, a, b)
+        assert got == helpers.ref_cmp_targets(op, a, b), op
+        if got is not None:
+            assert (got[0] is a) == (got[0] == a) and (got[1] is b) == (got[1] == b), op
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs(), intervals(), states())
+def test_backward_and_eval_equal_the_float_endpoint_formulas(expr, target, a):
+    env, want_env = a.as_dict(), a.as_dict()
+    assert absint.eval_interval(expr, env) == helpers.ref_eval_interval(expr, env)
+    changes = {}
+    feasible = absint._backward(expr, target, env, changes)
+    assert feasible == helpers.ref_backward(expr, target, want_env)
+    if feasible:
+        assert env == want_env
+        assert all(_no_float(iv) for iv in env.values())
+        # Exactly the narrowed variables are recorded as changed.
+        assert changes == {x: iv for x, iv in env.items() if iv is not a.as_dict()[x]}
+        assert all(iv != a.as_dict()[x] for x, iv in changes.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(states(), states())
+def test_join_and_widen_keep_the_entries_they_leave_alone(a, b):
+    for got, op in ((a_join(a, b), helpers.ref_hull), (a_widen(a, b), helpers.ref_widen)):
+        assert got == AbstractState.of({x: op(iv, b.get(x)) for x, iv in a.env})
+        for entry, before in zip(got.env, a.env):
+            assert (entry is before) == (entry[1] == before[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["<", "<=", ">", ">=", "==", "!="]), _exprs(), _exprs(), st.sampled_from("abcd"), states())
+def test_guard_and_assign_equal_the_float_endpoint_formulas(op, left, right, var, a):
+    for got, want in (
+        (a_guard(Cmp(op, left, right), AbstractState(a.env)), helpers.ref_a_guard(Cmp(op, left, right), a)),
+        (a_assign(var, left, AbstractState(a.env)), helpers.ref_a_assign(var, left, a)),
+    ):
+        assert got == want
+        if not got.is_bottom:
+            assert [x for x, _ in got.env] == sorted(x for x, _ in got.env)
+            # An entry whose interval did not change is the same object.
+            old = dict(a.env)
+            for entry in got.env:
+                before = [pair for pair in a.env if pair[0] == entry[0]]
+                if before and entry[1] == old[entry[0]]:
+                    assert entry is before[0]

@@ -36,7 +36,15 @@ from niverify.relational import Pair, modif_dep
 from niverify.solver import Solver
 from niverify.symcore import PreciseStore, SConst, SVal, SymbolFactory, TRUE, pand, pcmp
 
-from helpers import BOUNDARY_CONSTANTS, VAR_POOL, random_program, run_capped, shared
+from helpers import (
+    BOUNDARY_CONSTANTS,
+    VAR_POOL,
+    paths_digest,
+    random_program,
+    recorded_final_paths,
+    run_capped,
+    shared,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -564,6 +572,28 @@ def test_stress_programs_explore_the_same_states_and_queries(monkeypatch, name, 
     """The exploration of the stress programs is pinned: a speed change must
     not add or drop a state, a solver question or a classified path."""
     assert _exploration_counts(monkeypatch, run) == expected
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("wide-9", "d33c05fb6bf54cc2b1a177a0aad0729d754850211904906c610ce3457beb9a9d"),
+        ("prog_b loop, bound 150", "73c72a7108d9a849c7a989262e1631d3e3d7bbbe5602ae03b4a800ea7d852fe5"),
+        ("corpus", "a16f36b4d338522d748c4a3b1da7c812782df2370ab8ea5ac9ef4438001a05bf"),
+    ],
+)
+def test_stress_programs_end_on_the_same_final_paths(name, digest):
+    """The final relational paths of the stress programs are pinned by the
+    sha256 of their text: a speed change must not add, drop or reorder a
+    conjunct of any of them."""
+    runs = {
+        "wide-9": lambda: verify_ni(parse_program(_wide_branches(9)), AnalysisConfig()),
+        "prog_b loop, bound 150": lambda: verify_ni(parse_program(_PROG_B_LOOP), AnalysisConfig(bound=150)),
+        "corpus": lambda: run_corpus(CORPUS),
+    }
+    with recorded_final_paths() as lines:
+        runs[name]()
+    assert paths_digest(lines) == digest
 
 
 def test_cli_limit_flags_say_their_defaults(capsys):

@@ -141,6 +141,41 @@ def test_walks_over_long_sequences_do_not_recurse():
     assert assigned_vars(cmd) == {"h", "y"}
 
 
+def test_long_sequences_hash_compare_and_print_without_recursing():
+    body = parse_program("low y; high h; " + "h := h + 1; " * 20_000 + "y := y + 1;").body
+
+    def built(last_step: int):
+        cmd = Assign("y", BinOp("+", Var("y"), Const(last_step)))
+        for _ in range(20_000):
+            cmd = Seq(Assign("h", BinOp("+", Var("h"), Const(1))), cmd)
+        return cmd
+
+    again = built(1)
+    assert hash(body) == hash(again) and body == again and not body != again
+    assert body != built(2)
+    assert str(body) == "; ".join(["h := (h + 1)"] * 20_000 + ["y := (y + 1)"])
+    step = "Seq(first=Assign(var='h', expr=BinOp(op='+', left=Var(name='h'), right=Const(value=1))), second="
+    last = "Assign(var='y', expr=BinOp(op='+', left=Var(name='y'), right=Const(value=1)))"
+    assert repr(body) == step * 20_000 + last + ")" * 20_000
+
+
+def test_sequence_hash_is_the_hash_of_its_fields():
+    """Kept sequence hashes are the dataclass formula at every node, so a
+    set or dict of commands orders as before."""
+    body = parse_program(
+        "low y; high h; if (h > 0) { h := h + 1; y := 2; } else { skip; } "
+        "while (y < 3) { y := y + 1; h := h * 2; } y := y - h;"
+    ).body
+    stack = [body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Seq):
+            assert hash(node) == hash((node.first, node.second))
+            stack += (node.first, node.second)
+        elif isinstance(node, (If, While)):
+            stack += (node.then_branch, node.else_branch) if isinstance(node, If) else (node.body,)
+
+
 def test_step_is_deterministic():
     rng = random.Random(7)
     for _ in range(50):

@@ -1,6 +1,8 @@
 import random
 
-from niverify.absint import AbstractState, Interval, state_holds
+from niverify import redsoundse
+from niverify.absint import AbstractState, Interval, a_guard, state_holds
+from niverify.driver import MATRIX, AnalysisConfig, config_for, verify_ni
 from niverify.lang import Cmp, Const, If, SKIP, Var, parse_program
 from niverify.redsoundse import ProductState, product_explore, product_step, reduction
 from niverify.solver import Solver, Unsat
@@ -19,7 +21,7 @@ from niverify.symcore import (
     pnot,
 )
 
-from helpers import random_program, random_store, check_single_coverage, se_explore
+from helpers import random_program, random_store, check_single_coverage, recorded_final_paths, se_explore
 
 
 def env(**kwargs) -> AbstractState:
@@ -36,6 +38,80 @@ def test_reduction_appends_substituted_constraints():
     assert kappa2.path == pand(
         pcmp("==", SVal(i1), SConst(10)), pcmp(">=", SVal(priv1), SConst(2))
     )
+
+
+def _unrecorded(path):
+    """An equal path built anew, so it holds no reduction record."""
+    out = TRUE
+    for leaf in conjuncts(path):
+        out = pand(out, leaf)
+    return out
+
+
+def test_reduction_of_an_extension_asks_only_for_what_changed(monkeypatch):
+    factory = SymbolFactory()
+    x, y, z = (SVal(factory.initial(v)) for v in "xyz")
+    a = env(x=(0, 5), y=(1, None), z=(None, 3))
+    first = reduction(PreciseStore.of({"x": x, "y": y, "z": z}, pcmp("<", x, y)), a)
+    # The guard narrows y alone; z gets a new term; x keeps both.
+    a2 = a_guard(Cmp("<=", Var("y"), Const(9)), a)
+    assert a2.env[0] is a.env[0] and a2.env[2] is a.env[2]
+    rho2 = {"x": x, "y": y, "z": SVal(factory.fresh("z"))}
+    path2 = pand(first.path, pcmp("!=", x, z))
+    asked = []
+    plain_pcmp = redsoundse.pcmp
+
+    def counted(op, left, right):
+        asked.append((op, left))
+        return plain_pcmp(op, left, right)
+
+    monkeypatch.setattr(redsoundse, "pcmp", counted)
+    got = reduction(PreciseStore.of(rho2, path2), a2)
+    assert asked == [(">=", y), ("<=", y), ("<=", rho2["z"])]
+    monkeypatch.setattr(redsoundse, "pcmp", plain_pcmp)
+    assert got.path == reduction(PreciseStore.of(rho2, _unrecorded(path2)), a2).path
+
+
+def test_reduction_records_live_on_conjunctions_only():
+    factory = SymbolFactory()
+    x = SVal(factory.initial("x"))
+    a = env(x=(0, None))
+    bound = pcmp(">=", x, SConst(0))
+    assert reduction(PreciseStore.of({"x": x}, TRUE), a).path == bound
+    assert reduction(PreciseStore.of({"x": x}, pnot(TRUE)), a).path == pnot(TRUE)
+    # A bound the path contradicts makes it false, which keeps no record.
+    assert reduction(PreciseStore.of({"x": x}, pcmp("<", x, SConst(0))), a).path == pnot(TRUE)
+    longer = reduction(PreciseStore.of({"x": x}, pand(pcmp("<", x, SConst(5)), pcmp("!=", x, SConst(2)))), a)
+    assert longer.path.right == bound and redsoundse._record(longer.path) is not None
+    redsoundse.forget_reduction(longer.path)
+    assert redsoundse._record(longer.path) is None
+
+
+def test_delta_reduction_gives_the_paths_of_full_reduction(monkeypatch):
+    """The configs with a domain explore the same final paths whether a
+    reduction skips what its path's record covers or asserts every bound."""
+    programs = [random_program(random.Random(f"cmp:{i}"), 3, 3) for i in range(40)]
+    programs.append(parse_program("low x, y; high h; while (x < 6) { if (h > x) { y := y + x; } x := x + 1; }"))
+    configs = [config_for(e, s, AnalysisConfig(), path_cap=1024) for e, s in MATRIX if s == "redsoundse"]
+    runs, asked = {}, {True: 0, False: 0}
+    plain_pcmp = redsoundse.pcmp
+
+    def counted(op, left, right):
+        asked[recorded] += 1
+        return plain_pcmp(op, left, right)
+
+    monkeypatch.setattr(redsoundse, "pcmp", counted)
+    for recorded in (True, False):
+        if not recorded:
+            monkeypatch.setattr(redsoundse, "_record", lambda path: None)
+        with recorded_final_paths() as lines:
+            for program in programs:
+                for config in configs:
+                    lines.append(str(verify_ni(program, config)))
+        runs[recorded] = lines
+    assert runs[True] == runs[False]
+    assert len(runs[True]) > 250
+    assert asked[True] < asked[False] * 0.8
 
 
 def test_reduction_with_top_is_identity():

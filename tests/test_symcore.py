@@ -248,6 +248,34 @@ def test_each_new_term_node_costs_one_polynomial_step(monkeypatch):
         assert _expr_poly(term) == fold(again, symcore._leaf_poly, plain_node_poly)
 
 
+def test_each_new_term_node_costs_one_symbol_set_step(monkeypatch):
+    """The symbols of t_1 ... t_n (t_k = t_{k-1} * 2 + h - h) cost O(n) set
+    unions; a nested node keeps its set, a node over two leaves does not,
+    and the kept sets change no hash, equality or repr."""
+    factory = SymbolFactory()
+    x, h = SVal(factory.initial("x")), SVal(factory.initial("h"))
+    terms = [x]
+    for _ in range(400):
+        terms.append(sbinop("-", sbinop("+", sbinop("*", terms[-1], SConst(2)), h), h))
+    fresh = [_rebuilt(t) for t in terms]
+    plain_union = symcore._union
+    steps = []
+
+    def counted(op, left, right):
+        steps.append(op)
+        return plain_union(op, left, right)
+
+    monkeypatch.setattr(symcore, "_union", counted)
+    for term in terms[1:]:
+        assert symbols_of_expr(term) == {x.sym, h.sym}
+    assert len(steps) == 3 * 400
+    assert terms[1].left.left._symbols is None and terms[2].left.left._symbols is not None
+    assert pcmp("<", terms[400], SConst(0)).symbols == {x.sym, h.sym}
+    assert repr(terms[20]) == repr(fresh[20])
+    for term, again in zip(terms, fresh):
+        assert term == again and hash(term) == hash(again)
+
+
 def _rebuilt(term):
     """An equal copy of a term that shares no operation node with it."""
     return fold(term, lambda leaf: leaf, SBinOp)

@@ -18,20 +18,27 @@ compare the files:
 prints every cell that differs, flags the cells that timed out on one side
 only, and gives the ``--only ... --cpu-limit 0`` command that re-runs their
 programs with no limit.  It exits 0 when no cell differs except by such a
-timeout and neither side has an ``ERROR`` cell.  The script is not a test
-module; pytest does not collect it.
+timeout and neither side has an ``ERROR`` cell.
+
+With ``--paths`` each finished cell also stores ``paths``, the sha256 of
+the ``str`` of every final relational path the cell's exploration returned,
+in order (``driver.srse_explore`` is wrapped while the cell runs).
+``--compare`` reports a cell whose paths differ apart from one whose
+verdict JSON differs, and either kind makes it exit 1.  The script is not a
+test module; pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import signal
 import sys
 import time
 
-from helpers import random_program
+from helpers import paths_digest, random_program, recorded_final_paths
 from niverify.driver import MATRIX, AnalysisConfig, config_for, verdict_to_json, verify_ni
 
 
@@ -46,12 +53,16 @@ def _expire(signum, frame):
     raise CellTimeout
 
 
-def check_cell(program, config: AnalysisConfig, cpu_limit: float) -> dict:
+def check_cell(program, config: AnalysisConfig, cpu_limit: float, paths: bool = False) -> dict:
     try:
         try:
             if cpu_limit > 0:
                 signal.setitimer(signal.ITIMER_PROF, cpu_limit)
-            return verdict_to_json(verify_ni(program, config))
+            with recorded_final_paths() if paths else contextlib.nullcontext() as lines:
+                cell = verdict_to_json(verify_ni(program, config))
+            if paths:
+                cell["paths"] = paths_digest(lines)
+            return cell
         finally:
             signal.setitimer(signal.ITIMER_PROF, 0)
     except CellTimeout:
@@ -62,7 +73,11 @@ def check_cell(program, config: AnalysisConfig, cpu_limit: float) -> dict:
 
 
 def compare(path_a: str, path_b: str) -> int:
-    """Print the cells of two snapshots that differ; 1 if any differs beyond a one-sided timeout or crashed."""
+    """Print the cells of two snapshots that differ; 1 if any differs beyond a
+    one-sided timeout, in its verdict JSON or in its paths, or crashed.
+
+    Paths are compared only where both cells carry a ``paths`` digest.
+    """
     sides = []
     for path in (path_a, path_b):
         with open(path) as f:
@@ -70,14 +85,17 @@ def compare(path_a: str, path_b: str) -> int:
     a, b = sides
     missing = {"verdict": "MISSING"}
     rerun: list[str] = []
-    differ = 0
+    differ = paths_differ = 0
     for key in list(a) + [key for key in b if key not in a]:
-        cell_a, cell_b = a.get(key, missing), b.get(key, missing)
-        if cell_a == cell_b:
-            continue
+        cell_a, cell_b = dict(a.get(key, missing)), dict(b.get(key, missing))
+        digests = (cell_a.pop("paths", None), cell_b.pop("paths", None))
         verdicts = (cell_a["verdict"], cell_b["verdict"])
-        one_sided = verdicts.count("TIMEOUT") == 1 and "MISSING" not in verdicts
-        if one_sided:
+        if cell_a == cell_b:
+            if None in digests or digests[0] == digests[1]:
+                continue
+            paths_differ += 1
+            note = "same verdict JSON, paths differ"
+        elif verdicts.count("TIMEOUT") == 1 and "MISSING" not in verdicts:
             rerun.append(key[0].split(":")[1])
             note = "timeout on one side only"
         else:
@@ -85,11 +103,14 @@ def compare(path_a: str, path_b: str) -> int:
             note = "differs" if verdicts[0] != verdicts[1] else "same verdict, details differ"
         print(f"{key[0]} {key[1]}: {verdicts[0]} | {verdicts[1]} ({note})")
     errors = sum(cell["verdict"] == "ERROR" for side in sides for cell in side.values())
-    print(f"{len(a)} | {len(b)} cells, {differ} differ, {len(rerun)} time out on one side only, {errors} ERROR")
+    print(
+        f"{len(a)} | {len(b)} cells, {differ} differ, {len(rerun)} time out on one side only, "
+        f"{errors} ERROR, {paths_differ} differ only in paths"
+    )
     if rerun:
         numbers = " ".join(dict.fromkeys(rerun))
         print(f"re-run on both sides: PYTHONPATH=src python tests/verdict_snapshot.py --only {numbers} --cpu-limit 0 --out FILE")
-    return 1 if differ or errors else 0
+    return 1 if differ or paths_differ or errors else 0
 
 
 def main() -> int:
@@ -98,6 +119,7 @@ def main() -> int:
     parser.add_argument("--only", type=int, nargs="*", help="check only these program numbers")
     parser.add_argument("--cpu-limit", type=float, default=1.0, help="CPU seconds per cell; 0 for none")
     parser.add_argument("--out", help="where to write the snapshot")
+    parser.add_argument("--paths", action="store_true", help="also store a digest of each cell's final relational paths")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two snapshots instead")
     args = parser.parse_args()
     if args.compare:
@@ -114,7 +136,7 @@ def main() -> int:
         for engine, single in MATRIX:
             config = config_for(engine, single, AnalysisConfig())
             cell = {"program": f"cmp:{i}", "config": config.label()}
-            cell.update(check_cell(program, config, args.cpu_limit))
+            cell.update(check_cell(program, config, args.cpu_limit, args.paths))
             cells.append(cell)
     with open(args.out, "w") as out:
         json.dump(cells, out, indent=1, sort_keys=True)
