@@ -45,27 +45,53 @@ class ParseError(LangError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True, unsafe_hash=True)
+# An expression or comparison node computes its hash once, with the formula
+# a frozen dataclass uses, since the interval domain looks transfers up by
+# their expression.
+
+
+@dataclass(slots=True)
 class Const:
     value: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._hash = hash((self.value,))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True)
 class Var:
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._hash = hash((self.name,))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True)
 class BinOp:
     op: str
     left: Expr
     right: Expr
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._hash = hash((self.op, self.left, self.right))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
@@ -74,16 +100,29 @@ class BinOp:
 Expr = Const | Var | BinOp
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True)
 class Cmp:
     """A single comparison; the condition grammar has no connectives."""
 
     op: str
     left: Expr
     right: Expr
+    _hash: int = field(init=False, repr=False, compare=False)
+    _negation: Cmp | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._hash = hash((self.op, self.left, self.right))
+        self._negation = None
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def negate(self) -> Cmp:
-        return Cmp(NEGATED_CMP[self.op], self.left, self.right)
+        """The negated comparison, built once: its negation is this one."""
+        if self._negation is None:
+            self._negation = Cmp(NEGATED_CMP[self.op], self.left, self.right)
+            self._negation._negation = self
+        return self._negation
 
     def __str__(self) -> str:
         return f"{self.left} {self.op} {self.right}"

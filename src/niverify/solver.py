@@ -25,7 +25,11 @@ from the first of:
    model repaired when exactly one linear new conjunct fails: one symbol
    moves to that conjunct's boundary, as a simplex pivot moves a variable
    to a violated bound (Dutertre and de Moura, CAV 2006), and the result
-   must satisfy the prefix's rows and every new conjunct;
+   must satisfy the prefix's rows and every new conjunct.  Every model
+   the procedure keeps binds every symbol of its path, so a symbol the
+   prefix's model does not bind occurs in no prefix conjunct: moving it
+   keeps every prefix row true, and the result is checked against the
+   new conjuncts only;
 4. FM on the rows the new conjuncts reach through shared symbols, over
    the tightest rows the path caches (constraint independence, as in
    KLEE).
@@ -48,6 +52,7 @@ import math
 import subprocess
 from dataclasses import dataclass
 
+from niverify.lang import apply_cmp
 from niverify.symcore import (
     Blowup,
     Clause,
@@ -55,8 +60,10 @@ from niverify.symcore import (
     NormalForm,
     PAnd,
     PCmp,
+    Poly,
     PTrue,
     Row,
+    SBinOp,
     SConst,
     SVal,
     SymExpr,
@@ -64,9 +71,12 @@ from niverify.symcore import (
     SymValue,
     TRUE,
     Valuation,
+    _expr_poly,
+    _nested,
     conjuncts,
     dnf,
     eval_path,
+    eval_sym,
     fold,
     normal_form,
     normalize_row,
@@ -446,29 +456,35 @@ def _extended(model: Valuation, leaves: list[SymPath], base: SymPath) -> Valuati
         model = {**model, **dict.fromkeys(missing, 0)}
     failed = None
     for leaf in leaves:
-        if not eval_path(leaf, model):
+        if not _holds(leaf, model):
             if failed is not None:
                 return None
             failed = leaf
-    return model if failed is None else _repaired(model, failed, leaves, base)
+    return model if failed is None else _repaired(model, failed, leaves, base, missing)
 
 
-def _repaired(model: Valuation, leaf: SymPath, leaves: list[SymPath], base: SymPath) -> Valuation | None:
+def _repaired(
+    model: Valuation, leaf: SymPath, leaves: list[SymPath], base: SymPath, fresh: set[SymValue]
+) -> Valuation | None:
     """``model`` with one symbol of the failed linear ``leaf`` moved to the leaf's boundary.
 
     For each symbol of the leaf in turn, and for ``!=`` on either side,
     the symbol takes the value nearest its own at which the leaf holds.
     The first candidate that satisfies every row and disjunct of
-    ``base``'s normal form and every leaf is a model of the whole path.  A
-    symbol the model does not bind, or a nonlinear leaf, gives up and
-    leaves the path to FM.
+    ``base``'s normal form and every leaf is a model of the whole path.
+    A symbol of ``fresh`` is one ``base``'s model does not bind, so it
+    occurs in no conjunct of ``base`` (every model the solver keeps binds
+    every symbol of its path): moving it keeps every row and disjunct of
+    ``base`` true, so its candidates are checked against the leaves only,
+    and ``base``'s normal form is built only when a symbol of ``base``
+    moves.  A nonlinear leaf gives up and leaves the path to FM.
     """
     if not isinstance(leaf, PCmp):
         return None
     clauses = rows_of_cmp(leaf.op, leaf.left, leaf.right)
     if any(len(m) != 1 for clause in clauses for coeffs, _ in clause for m in coeffs):
         return None
-    normal = normal_form(base)
+    normal = None
     for mono in sorted(clauses[0][0][0]):
         for clause in clauses:
             # The rows of one clause bound the shift d of the symbol: each
@@ -485,21 +501,44 @@ def _repaired(model: Valuation, leaf: SymPath, leaves: list[SymPath], base: SymP
                 continue
             candidate = dict(model)
             candidate[mono[0]] += lo if lo is not None and lo > 0 else hi
+            if mono[0] not in fresh and normal is None:
+                normal = normal_form(base)
             try:
                 if (
-                    all(_row_holds(row, candidate) for row in normal.rows.values())
-                    and all(eval_path(other, candidate) for other, _ in normal.disjuncts)
-                    and all(eval_path(other, candidate) for other in leaves)
-                ):
+                    mono[0] in fresh
+                    or (
+                        all(_row_holds(row, candidate) for row in normal.rows.values())
+                        and all(_holds(other, candidate) for other, _ in normal.disjuncts)
+                    )
+                ) and all(_holds(other, candidate) for other in leaves):
                     return candidate
             except KeyError:  # a symbol of the prefix the model does not bind
                 return None
     return None
 
 
+def _value(poly: Poly, valuation: Valuation) -> int:
+    return sum(c * math.prod(valuation[s] for s in m) for m, c in poly.items())
+
+
 def _row_holds(row: Row, valuation: Valuation) -> bool:
     coeffs, const = row
-    return sum(c * math.prod(valuation[s] for s in m) for m, c in coeffs.items()) + const <= 0
+    return _value(coeffs, valuation) + const <= 0
+
+
+def _holds(leaf: SymPath, valuation: Valuation) -> bool:
+    """``eval_path`` of one leaf, where a side that nests operations is
+    evaluated through its kept polynomial: a term one level deeper than
+    one already evaluated costs one polynomial step, not a walk of the
+    whole term.  Over integer ``+ - *`` the two values are equal."""
+    if leaf.__class__ is not PCmp:
+        return eval_path(leaf, valuation)
+    left, right = leaf.left, leaf.right
+    return apply_cmp(
+        leaf.op,
+        _value(_expr_poly(left), valuation) if left.__class__ is SBinOp and _nested(left) else eval_sym(left, valuation),
+        _value(_expr_poly(right), valuation) if right.__class__ is SBinOp and _nested(right) else eval_sym(right, valuation),
+    )
 
 
 def _component(

@@ -16,7 +16,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from niverify import driver, lang
+from niverify import driver, lang, solver
 from niverify.absint import BOTTOM, TOP_INTERVAL, AbstractState, Interval, state_holds
 from niverify.lang import (
     Assign,
@@ -99,6 +99,57 @@ def recorded_final_paths():
 
 def paths_digest(lines: list[str]) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@contextmanager
+def recorded_decisions():
+    """Collect ``(path, answer)`` for each path a ``Solver`` decides while
+    the block runs (each new entry of its ``_known``), in decision order;
+    yields the list it fills."""
+    decided: list = []
+    original = Solver._decide
+
+    def recorded(self, path):
+        new = path not in self._known
+        answer = original(self, path)
+        if new:
+            decided.append((path, answer))
+        return answer
+
+    Solver._decide = recorded
+    try:
+        yield decided
+    finally:
+        Solver._decide = original
+
+
+@contextmanager
+def repairs_checking_every_row():
+    """``solver._repaired`` told that no symbol is fresh while the block
+    runs, so every repair candidate is checked against the prefix's whole
+    normal form too."""
+    original = solver._repaired
+
+    def every_row(model, leaf, leaves, base, fresh):
+        return original(model, leaf, leaves, base, set())
+
+    solver._repaired = every_row
+    try:
+        yield
+    finally:
+        solver._repaired = original
+
+
+def decisions_digest(decided) -> str:
+    """The sha256 of the answers of ``recorded_decisions``, one line each:
+    the kind, the sorted model of a Sat and the reason of an Unknown."""
+    lines = []
+    for _, answer in decided:
+        if isinstance(answer, dict):
+            lines.append("sat " + " ".join(f"{sym}={value}" for sym, value in sorted(answer.items())))
+        else:
+            lines.append(f"{type(answer).__name__.lower()} {getattr(answer, 'reason', '')}".rstrip())
+    return paths_digest(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from niverify import cli, driver, lang, relational
+from niverify import cli, driver, lang, relational, symcore
 from niverify.driver import (
     Alarm,
     AnalysisConfig,
@@ -41,7 +41,9 @@ from helpers import (
     VAR_POOL,
     paths_digest,
     random_program,
+    recorded_decisions,
     recorded_final_paths,
+    repairs_checking_every_row,
     run_capped,
     shared,
 )
@@ -586,14 +588,50 @@ def test_stress_programs_end_on_the_same_final_paths(name, digest):
     """The final relational paths of the stress programs are pinned by the
     sha256 of their text: a speed change must not add, drop or reorder a
     conjunct of any of them."""
-    runs = {
-        "wide-9": lambda: verify_ni(parse_program(_wide_branches(9)), AnalysisConfig()),
-        "prog_b loop, bound 150": lambda: verify_ni(parse_program(_PROG_B_LOOP), AnalysisConfig(bound=150)),
-        "corpus": lambda: run_corpus(CORPUS),
-    }
     with recorded_final_paths() as lines:
-        runs[name]()
+        _STRESS_RUNS[name]()
     assert paths_digest(lines) == digest
+
+
+_STRESS_RUNS = {
+    "wide-9": lambda: verify_ni(parse_program(_wide_branches(9)), AnalysisConfig()),
+    "prog_b loop, bound 150": lambda: verify_ni(parse_program(_PROG_B_LOOP), AnalysisConfig(bound=150)),
+    "corpus": lambda: run_corpus(CORPUS),
+}
+
+
+@pytest.mark.parametrize("name", list(_STRESS_RUNS))
+def test_stress_programs_get_the_same_models_from_fresh_symbol_repairs(name):
+    """A repair that moves a symbol the prefix's model does not bind checks
+    only the new conjuncts.  The stress programs' solvers decide the same
+    paths in the same order to the same answers, models included, as when
+    every repair candidate is also checked against the prefix's normal
+    form; and every model binds exactly the symbols of its path."""
+    with recorded_decisions() as shortcut:
+        _STRESS_RUNS[name]()
+    with repairs_checking_every_row(), recorded_decisions() as every_row:
+        _STRESS_RUNS[name]()
+    assert shortcut == every_row
+    assert any(isinstance(answer, dict) for _, answer in shortcut)
+    for path, answer in shortcut:
+        if isinstance(answer, dict):
+            assert set(answer) == path.symbols, path
+
+
+def test_wide_branches_check_builds_no_normal_form(monkeypatch):
+    """Every repair on wide-9 moves the fresh low symbol of a new guard, so
+    no path's normal form is built (511 were, one per repair, when every
+    repair read the prefix's rows)."""
+    built = []
+    plain_init = symcore.NormalForm.__init__
+
+    def counted(self):
+        built.append(self)
+        plain_init(self)
+
+    monkeypatch.setattr(symcore.NormalForm, "__init__", counted)
+    assert isinstance(_STRESS_RUNS["wide-9"](), Secure)
+    assert built == []
 
 
 def test_cli_limit_flags_say_their_defaults(capsys):
@@ -668,6 +706,36 @@ def test_verdict_snapshot_compare_flags_one_sided_timeouts(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "cmp:3 dep: Secure | Inconclusive (differs)" in out
     assert "cmp:4 dep: TIMEOUT | MISSING (differs)" in out
+
+
+def test_verdict_snapshot_compare_flags_cells_whose_models_differ(tmp_path, capsys):
+    from verdict_snapshot import check_cell, compare
+
+    program = random_program(random.Random("cmp:11"), 3, 3)  # 40 solver decisions
+    config = config_for("redsoundrse", "redsoundse", AnalysisConfig())
+    first = check_cell(program, config, 0, paths=True, models=True)
+    assert first == check_cell(program, config, 0, paths=True, models=True)
+    assert first["models"] != paths_digest([])
+
+    def cell(i, verdict, **rest):
+        return {"program": f"cmp:{i}", "config": "dep", "verdict": verdict, **rest}
+
+    a = [cell(1, "Secure", paths="p", models="m"), cell(2, "Secure", paths="p", models="m"), cell(3, "Secure", paths="p")]
+    b = [cell(1, "Secure", paths="p", models="m"), cell(2, "Secure", paths="p", models="n"), cell(3, "Secure", paths="p", models="n")]
+    for name, cells in (("a.json", a), ("b.json", b)):
+        (tmp_path / name).write_text(json.dumps(cells))
+    assert compare(str(tmp_path / "a.json"), str(tmp_path / "b.json")) == 1
+    out = capsys.readouterr().out
+    assert "cmp:2 dep: Secure | Secure (same verdict JSON and paths, models differ)" in out
+    assert "cmp:1" not in out and "cmp:3" not in out  # a cell without a digest is not compared
+    assert "0 differ only in paths, 1 differ only in models" in out
+
+    b[1] = cell(2, "Secure", paths="q", models="n")
+    (tmp_path / "b.json").write_text(json.dumps(b))
+    assert compare(str(tmp_path / "a.json"), str(tmp_path / "b.json")) == 1
+    out = capsys.readouterr().out
+    assert "cmp:2 dep: Secure | Secure (same verdict JSON, paths differ)" in out
+    assert "1 differ only in paths, 0 differ only in models" in out
 
 
 def test_verdict_snapshot_exits_1_on_a_crashed_cell(tmp_path, monkeypatch, capsys):

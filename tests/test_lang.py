@@ -176,6 +176,21 @@ def test_sequence_hash_is_the_hash_of_its_fields():
             stack += (node.then_branch, node.else_branch) if isinstance(node, If) else (node.body,)
 
 
+def test_expressions_keep_their_hash_and_guards_their_negation():
+    """A lookup keyed by an expression or a guard hashes it in O(1), with
+    the dataclass formula, and a guard's negation is built once."""
+    expr = Var("x")
+    for i in range(20_000):  # the generated hash would recurse this deep
+        expr = BinOp("+", expr, Const(i))
+    assert hash(expr) == hash(("+", expr.left, expr.right))
+    guard = Cmp("<", expr, Const(0))
+    assert hash(guard) == hash(("<", expr, Const(0)))
+    assert guard.negate() is guard.negate() and guard.negate().negate() is guard
+    assert guard.negate() == Cmp(">=", expr, Const(0))
+    shallow = Cmp("==", Var("x"), Const(1))
+    assert repr(shallow.negate()) == "Cmp(op='!=', left=Var(name='x'), right=Const(value=1))"
+
+
 def test_step_is_deterministic():
     rng = random.Random(7)
     for _ in range(50):

@@ -29,7 +29,10 @@ from niverify.symcore import (
     eval_path,
     pand,
     pcmp,
+    pnot,
 )
+
+from helpers import recorded_decisions, repairs_checking_every_row
 
 SHELL = [sys.executable, "-m", "niverify.smtshell"]
 
@@ -374,8 +377,8 @@ def test_repaired_models_change_no_answer(monkeypatch):
     repaired = []
     original = solver_module._repaired
 
-    def checked(model, leaf, leaves, base):
-        out = original(model, leaf, leaves, base)
+    def checked(model, leaf, leaves, base, fresh):
+        out = original(model, leaf, leaves, base, fresh)
         if out is not None:
             repaired.append(out)
             assert eval_path(base, out) and all(eval_path(other, out) for other in leaves), base
@@ -386,3 +389,70 @@ def test_repaired_models_change_no_answer(monkeypatch):
     monkeypatch.setattr(solver_module, "_repaired", lambda *args: None)
     assert _answers(chains) == with_repair
     assert len(repaired) > 100
+
+
+def test_fresh_symbol_repairs_decide_every_path_alike(monkeypatch):
+    """A repair that moves a symbol the prefix's model does not bind checks
+    only the new conjuncts.  Over 2000 growing paths, every path is decided
+    in the same order to the same answer, the same models included, as when
+    every candidate is also checked against the prefix's normal form; and
+    every model binds exactly the symbols of its path."""
+    chains = _growing_paths(48)
+    original = solver_module._repaired
+    moved_fresh = []
+
+    def counted(model, leaf, leaves, base, fresh):
+        out = original(model, leaf, leaves, base, fresh)
+        if out is not None and any(out[s] != model[s] for s in fresh):
+            moved_fresh.append(out)
+        return out
+
+    monkeypatch.setattr(solver_module, "_repaired", counted)
+    with recorded_decisions() as shortcut:
+        _answers(chains)
+    with repairs_checking_every_row(), recorded_decisions() as every_row:
+        _answers(chains)
+    assert shortcut == every_row
+    assert len(moved_fresh) > 100
+    for path, answer in shortcut:
+        if isinstance(answer, dict):
+            assert set(answer) == path.symbols, path
+
+
+def test_each_model_check_on_a_deeper_term_costs_one_polynomial_step(monkeypatch):
+    """``x := x * 2 + h - h`` in a loop: checking a model on t_1 ... t_400
+    evaluates each nested side through its kept polynomial, so the work
+    per check does not grow with depth: 3 polynomial steps per new level,
+    and no walk of a nested term."""
+    from niverify import symcore
+
+    factory = SymbolFactory()
+    x, h = SVal(factory.initial("x")), SVal(factory.initial("h"))
+    model = {x.sym: 3, h.sym: 5}
+    terms = [x]
+    for _ in range(400):
+        terms.append(symcore.sbinop("-", symcore.sbinop("+", symcore.sbinop("*", terms[-1], SConst(2)), h), h))
+    plain_node_poly = symcore._node_poly
+    steps, walked = [], []
+
+    def counted(op, lp, rp):
+        steps.append(op)
+        return plain_node_poly(op, lp, rp)
+
+    def walked_term(term, valuation):
+        walked.append(term)
+        return symcore.eval_sym(term, valuation)
+
+    monkeypatch.setattr(symcore, "_node_poly", counted)
+    monkeypatch.setattr(solver_module, "eval_sym", walked_term)
+    per_level = []
+    for k, term in enumerate(terms[1:], 1):
+        leaf = pcmp("==", term, SBinOp("*", SConst(2**k), x))
+        before = len(steps)
+        assert solver_module._extended(model, [leaf], TRUE) == model
+        assert solver_module._extended(model, [pnot(leaf)], TRUE) is None
+        per_level.append(len(steps) - before)
+    # Three for the new level, one for the failed leaf's rows, whose right
+    # side is an operation over two leaves and keeps no polynomial.
+    assert per_level == [4] * 400
+    assert all(not isinstance(term, SBinOp) or not symcore._nested(term) for term in walked)

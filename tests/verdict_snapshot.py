@@ -24,8 +24,15 @@ With ``--paths`` each finished cell also stores ``paths``, the sha256 of
 the ``str`` of every final relational path the cell's exploration returned,
 in order (``driver.srse_explore`` is wrapped while the cell runs).
 ``--compare`` reports a cell whose paths differ apart from one whose
-verdict JSON differs, and either kind makes it exit 1.  The script is not a
-test module; pytest does not collect it.
+verdict JSON differs, and either kind makes it exit 1.
+
+With ``--models`` each finished cell also stores ``models``, the sha256 of
+the answers the solver decided, in decision order: the kind, the sorted
+model of a Sat and the reason of an Unknown, one line per newly decided
+path (``Solver._decide`` is wrapped while the cell runs).  ``--compare``
+reports a cell whose models differ apart from one whose verdict JSON or
+paths differ, and it too makes it exit 1.  The script is not a test
+module; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import signal
 import sys
 import time
 
-from helpers import paths_digest, random_program, recorded_final_paths
+from helpers import decisions_digest, paths_digest, random_program, recorded_decisions, recorded_final_paths
 from niverify.driver import MATRIX, AnalysisConfig, config_for, verdict_to_json, verify_ni
 
 
@@ -53,15 +60,20 @@ def _expire(signum, frame):
     raise CellTimeout
 
 
-def check_cell(program, config: AnalysisConfig, cpu_limit: float, paths: bool = False) -> dict:
+def check_cell(program, config: AnalysisConfig, cpu_limit: float, paths: bool = False, models: bool = False) -> dict:
     try:
         try:
             if cpu_limit > 0:
                 signal.setitimer(signal.ITIMER_PROF, cpu_limit)
-            with recorded_final_paths() if paths else contextlib.nullcontext() as lines:
+            with (
+                recorded_final_paths() if paths else contextlib.nullcontext() as lines,
+                recorded_decisions() if models else contextlib.nullcontext() as decided,
+            ):
                 cell = verdict_to_json(verify_ni(program, config))
             if paths:
                 cell["paths"] = paths_digest(lines)
+            if models:
+                cell["models"] = decisions_digest(decided)
             return cell
         finally:
             signal.setitimer(signal.ITIMER_PROF, 0)
@@ -74,9 +86,10 @@ def check_cell(program, config: AnalysisConfig, cpu_limit: float, paths: bool = 
 
 def compare(path_a: str, path_b: str) -> int:
     """Print the cells of two snapshots that differ; 1 if any differs beyond a
-    one-sided timeout, in its verdict JSON or in its paths, or crashed.
+    one-sided timeout, in its verdict JSON, its paths or its models, or
+    crashed.
 
-    Paths are compared only where both cells carry a ``paths`` digest.
+    Paths and models are compared only where both cells carry their digest.
     """
     sides = []
     for path in (path_a, path_b):
@@ -85,16 +98,24 @@ def compare(path_a: str, path_b: str) -> int:
     a, b = sides
     missing = {"verdict": "MISSING"}
     rerun: list[str] = []
-    differ = paths_differ = 0
+    differ = paths_differ = models_differ = 0
     for key in list(a) + [key for key in b if key not in a]:
         cell_a, cell_b = dict(a.get(key, missing)), dict(b.get(key, missing))
-        digests = (cell_a.pop("paths", None), cell_b.pop("paths", None))
+        unequal = set()
+        for field in ("paths", "models"):
+            digests = (cell_a.pop(field, None), cell_b.pop(field, None))
+            if None not in digests and digests[0] != digests[1]:
+                unequal.add(field)
         verdicts = (cell_a["verdict"], cell_b["verdict"])
         if cell_a == cell_b:
-            if None in digests or digests[0] == digests[1]:
+            if not unequal:
                 continue
-            paths_differ += 1
-            note = "same verdict JSON, paths differ"
+            if "paths" in unequal:
+                paths_differ += 1
+                note = "same verdict JSON, paths differ"
+            else:
+                models_differ += 1
+                note = "same verdict JSON and paths, models differ"
         elif verdicts.count("TIMEOUT") == 1 and "MISSING" not in verdicts:
             rerun.append(key[0].split(":")[1])
             note = "timeout on one side only"
@@ -105,12 +126,12 @@ def compare(path_a: str, path_b: str) -> int:
     errors = sum(cell["verdict"] == "ERROR" for side in sides for cell in side.values())
     print(
         f"{len(a)} | {len(b)} cells, {differ} differ, {len(rerun)} time out on one side only, "
-        f"{errors} ERROR, {paths_differ} differ only in paths"
+        f"{errors} ERROR, {paths_differ} differ only in paths, {models_differ} differ only in models"
     )
     if rerun:
         numbers = " ".join(dict.fromkeys(rerun))
         print(f"re-run on both sides: PYTHONPATH=src python tests/verdict_snapshot.py --only {numbers} --cpu-limit 0 --out FILE")
-    return 1 if differ or paths_differ or errors else 0
+    return 1 if differ or paths_differ or models_differ or errors else 0
 
 
 def main() -> int:
@@ -120,6 +141,7 @@ def main() -> int:
     parser.add_argument("--cpu-limit", type=float, default=1.0, help="CPU seconds per cell; 0 for none")
     parser.add_argument("--out", help="where to write the snapshot")
     parser.add_argument("--paths", action="store_true", help="also store a digest of each cell's final relational paths")
+    parser.add_argument("--models", action="store_true", help="also store a digest of the solver's decided answers")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two snapshots instead")
     args = parser.parse_args()
     if args.compare:
@@ -136,7 +158,7 @@ def main() -> int:
         for engine, single in MATRIX:
             config = config_for(engine, single, AnalysisConfig())
             cell = {"program": f"cmp:{i}", "config": config.label()}
-            cell.update(check_cell(program, config, args.cpu_limit, args.paths))
+            cell.update(check_cell(program, config, args.cpu_limit, args.paths, args.models))
             cells.append(cell)
     with open(args.out, "w") as out:
         json.dump(cells, out, indent=1, sort_keys=True)
