@@ -9,7 +9,8 @@ its current symbolic expression; it runs at branch points and at
 loop-summarization steps.  A reduction asserts again only the variables
 whose term or interval changed since the reduction that returned its path
 or a near prefix; the others' conjuncts are already on the path (see
-``reduction``).
+``reduction``).  The relational engine reduces each trace with the same
+function, reading that trace's side of its pair store in place.
 
 With no domain (``astate`` None) the product step is plain SoundSE's step,
 so this is the one single-trace step of the package.
@@ -74,7 +75,7 @@ def _unmatched(positions, terms: list, env: tuple, seen_terms: tuple, seen_env: 
     return [i for i in positions if terms[i] is not seen_terms[i] or env[i] is not seen_env[i]]
 
 
-def reduction(kappa: PreciseStore, astate: AbstractState) -> PreciseStore:
+def reduction(kappa: PreciseStore, astate: AbstractState, side: int | None = None, unshared: bool = False) -> PreciseStore:
     """Strengthen the path with the abstract constraints; same concretization.
 
     Each bound ``x op c`` the state asserts on a variable the store binds
@@ -82,6 +83,11 @@ def reduction(kappa: PreciseStore, astate: AbstractState) -> PreciseStore:
     variable's current symbolic expression; variables the store leaves out
     are not reduced.  Conjuncts already present are not repeated, keeping
     paths small and runs deterministic.
+
+    A relational store (of ``relational.Pair``s) is read in place: with
+    ``side`` 0 or 1 a variable's expression is that side of its pair, and
+    with ``unshared`` a variable whose two sides are equal is left out, as
+    a variable the store does not bind is.  No projected store is built.
 
     Only what changed is asserted again.  The returned path, when it is a
     conjunction (so never ``TRUE`` or ``FALSE``), records the interval env
@@ -103,8 +109,14 @@ def reduction(kappa: PreciseStore, astate: AbstractState) -> PreciseStore:
     if not positions:
         return PreciseStore(kappa.rho, path)
     terms = [None] * len(env)
-    for i in positions:
-        terms[i] = rho.get(env[i][0])
+    if side is None:
+        for i in positions:
+            terms[i] = rho.get(env[i][0])
+    else:
+        for i in positions:
+            pair = rho.get(env[i][0])
+            if pair is not None and not (unshared and pair.shared):
+                terms[i] = pair.right if side else pair.left
     record = _record(path)
     if record is not None:
         env0, terms0, env1, terms1 = record

@@ -19,21 +19,33 @@ holds until the traces split at a condition; from there each refines its
 own state, and the identity does not come back at the join.  The transfer
 functions are pure and mint no symbols, so sharing changes no result.
 While it holds, the reduction of trace 1 skips the shared variables, whose
-conjuncts trace 0 has just added.  A transfer that changes nothing returns
-its input state (see ``absint``), so the identity also holds after a mixed
-branch whose guards leave the intervals alone, and the skip is exact
-there too.  A branch on a guard both traces share never tries the two
-mixed sign pairs: their path is false, so no interval or solver work is
-spent on them.
+conjuncts trace 0 has just added, and when every bounded variable is
+shared it is not called at all, as it would return its path unchanged.
+A transfer that changes nothing returns its input state (see ``absint``),
+so the identity also holds after a mixed branch whose guards leave the
+intervals alone, and the skip is exact there too.  A branch on a guard
+both traces share never tries the two mixed sign pairs: their path is
+false, so no interval or solver work is spent on them.
 
 The reduction pays for what a step changed.  Each reduced path records
 the terms and interval entries it was reduced with, and the next
 reduction along it asserts again only the variables whose term or
 interval object differs (``redsoundse.reduction``); since a path only
-grows by conjunction, the skipped conjuncts are already on it.  The two
-calls of ``_reduce2`` find each trace's entry in the same record.  A
-record serves the successors of the state whose path holds it, so the
-step drops it once that state is expanded, and drops a final's at once.
+grows by conjunction, the skipped conjuncts are already on it.  The
+calls of ``_reduce2`` read each trace's side of the pair store in place,
+with no projected store, and find each trace's entry in the same record.
+Skipping trace 1's call leaves trace 0's record on the path, which is
+exact too: every entry a record holds was asserted on a prefix, and a
+conjunct asserted again is dropped (``has_conjunct``).  A record serves
+the successors of the state whose path holds it, so the step drops it
+once that state is expanded, and drops a final's at once.
+
+A fork pays for its guard once per run.  The engine keeps, for each
+program guard, the pairs it last read and the two leaves it built from
+them (``RelEngine.guards``), and ``rel_eval_bool`` gives the same leaves
+back while every pair it reads is the same object.  A comparison leaf
+keeps its negation and rows once computed (see ``symcore``), so the
+forks that reuse a guard's leaves build neither again.
 
 A program expression is evaluated for both traces in one walk over the
 pair store (``rel_eval_expr``, ``rel_eval_bool``).  Where every variable
@@ -52,7 +64,7 @@ product (driver) keeps provably-agreeing ones shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from niverify.absint import AbstractState, analyze
@@ -101,6 +113,10 @@ class Pair:
 
 RelSymStore = dict[str, Pair]
 
+# Per program guard: the variables it reads, the pairs it read last and
+# the two leaves it built from them.
+GuardMemo = dict[BExpr, tuple[tuple[str, ...], tuple[Pair, ...], tuple[SymPath, SymPath]]]
+
 
 def proj_expr(i: int, expr: Pair) -> SymExpr:
     return expr.left if i == 0 else expr.right
@@ -142,8 +158,26 @@ def rel_eval_expr(expr: Expr, rho2: RelSymStore) -> Pair:
     raise lang.LangError(f"unknown expression {expr!r}")
 
 
-def rel_eval_bool(bexpr: BExpr, rho2: RelSymStore) -> tuple[SymPath, SymPath]:
-    """Both traces' guards; one object when both operands are shared by identity."""
+def rel_eval_bool(bexpr: BExpr, rho2: RelSymStore, memo: GuardMemo | None = None) -> tuple[SymPath, SymPath]:
+    """Both traces' guards; one object when both operands are shared by identity.
+
+    With a ``memo`` (``RelEngine.guards``), a guard that reads the very
+    pair objects it read last time gets the leaves it got then: they are
+    built from the same inputs, so they equal fresh ones, and they keep
+    their negation and rows.  The memo holds those pairs, so an
+    object it compares with ``is`` cannot be freed and its id reused.
+    """
+    if memo is not None:
+        kept = memo.get(bexpr)
+        if kept is None:
+            names = tuple(lang.used_vars(bexpr))
+        else:
+            names, pairs, leaves = kept
+            if all(rho2[x] is pair for x, pair in zip(names, pairs)):
+                return leaves
+        leaves = rel_eval_bool(bexpr, rho2)
+        memo[bexpr] = (names, tuple(rho2[x] for x in names), leaves)
+        return leaves
     lp, rp = rel_eval_expr(bexpr.left, rho2), rel_eval_expr(bexpr.right, rho2)
     g0 = pcmp(bexpr.op, lp.left, rp.left)
     if lp.left is lp.right and rp.left is rp.right:
@@ -223,7 +257,8 @@ class RelEngine:
     """Everything a relational step needs besides the state itself.
 
     ``use_intervals`` only picks the start state of ``srse_explore``; the
-    steps read the domain off the state.
+    steps read the domain off the state.  ``guards`` is the run's memo of
+    guard leaves (see ``rel_eval_bool``); it lives and dies with the engine.
     """
 
     solver: Solver
@@ -231,6 +266,7 @@ class RelEngine:
     bound: int
     use_intervals: bool
     havoc: HavocFn | None = None
+    guards: GuardMemo = field(default_factory=dict)
 
     def havoc_store(self, rho2, loop, path, a0, a1) -> RelSymStore:
         if self.havoc is None:
@@ -313,9 +349,9 @@ def _unified_step(state: RelState, engine: RelEngine) -> list[RelState]:
             kappa2 = PreciseStore.of(store, path)
             out.append(RelState(plug(SKIP, rest), kappa2, a0, a1, state.precise))
         case If(bguard, then_branch, else_branch):
-            fork(bguard, rel_eval_bool(bguard, rho2), SIGNS, then_branch, else_branch)
+            fork(bguard, rel_eval_bool(bguard, rho2, engine.guards), SIGNS, then_branch, else_branch)
         case While(bguard, body, unrolled):
-            beta = rel_eval_bool(bguard, rho2)
+            beta = rel_eval_bool(bguard, rho2, engine.guards)
             again = Seq(body, While(bguard, body, unrolled + 1))
             if unrolled < engine.bound:
                 fork(bguard, beta, SIGNS[:3], again, SKIP)
@@ -323,7 +359,7 @@ def _unified_step(state: RelState, engine: RelEngine) -> list[RelState]:
                 # Budget spent and some trace could still iterate:
                 # summarize the rest of the loop on both sides.
                 rho2h = engine.havoc_store(rho2, redex, path, state.a0, state.a1)
-                path2 = _signed(path, rel_eval_bool(bguard, rho2h), False, False)
+                path2 = _signed(path, rel_eval_bool(bguard, rho2h, engine.guards), False, False)
                 a0, a1 = state.a0, state.a1
                 if a0 is not None:
                     a0 = analyze(redex, a0)
@@ -339,21 +375,30 @@ def _unified_step(state: RelState, engine: RelEngine) -> list[RelState]:
 
 
 def _reduce2(kappa2: PreciseStore, a0: AbstractState | None, a1: AbstractState | None) -> PreciseStore:
-    """Reduction over both projections of a relational store; none without a domain.
+    """Reduction of each side of a relational store; none without a domain.
 
     With one interval state for both traces, a shared variable's conjunct
     for trace 1 is the one trace 0 has just added, so trace 1 reduces only
-    the variables whose sides differ.  ``reduction`` is looked up on its
-    module at call time, so a wrapper installed there (as the benchmark's
-    tracer does) sees these calls too.
+    the variables whose sides differ, if any is bounded.  ``reduction`` is
+    looked up on its module at call time, so a wrapper installed there (as
+    the benchmark's tracer does) sees these calls too.
     """
     if a0 is None:
         return kappa2
-    rho2 = kappa2.store()
-    path = redsoundse.reduction(PreciseStore.of(proj(0, rho2), kappa2.path), a0).path
-    rho1 = {x: e.right for x, e in rho2.items() if not (a1 is a0 and e.shared)}
-    path = redsoundse.reduction(PreciseStore.of(rho1, path), a1).path
-    return PreciseStore(kappa2.rho, path)
+    kappa2 = redsoundse.reduction(kappa2, a0, 0)
+    if a1 is a0 and not _bounds_unshared(kappa2.rho, a0):
+        return kappa2
+    return redsoundse.reduction(kappa2, a1, 1, unshared=a1 is a0)
+
+
+def _bounds_unshared(rho2: RelSymStore, astate: AbstractState) -> bool:
+    """Whether ``astate`` bounds a variable whose two sides differ."""
+    env = astate.env
+    for i in astate.bounded():
+        pair = rho2.get(env[i][0])
+        if pair is not None and not pair.shared:
+            return True
+    return False
 
 
 def _diverged_step(state: RelState, engine: RelEngine) -> list[RelState]:

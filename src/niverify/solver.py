@@ -73,6 +73,7 @@ from niverify.symcore import (
     Valuation,
     _expr_poly,
     _nested,
+    cmp_rows,
     conjuncts,
     dnf,
     eval_path,
@@ -83,7 +84,6 @@ from niverify.symcore import (
     pand,
     pcmp,
     render,
-    rows_of_cmp,
 )
 
 # Budgets for the internal procedure besides ``symcore.MAX_CLAUSES``;
@@ -481,7 +481,7 @@ def _repaired(
     """
     if not isinstance(leaf, PCmp):
         return None
-    clauses = rows_of_cmp(leaf.op, leaf.left, leaf.right)
+    clauses = cmp_rows(leaf)
     if any(len(m) != 1 for clause in clauses for coeffs, _ in clause for m in coeffs):
         return None
     normal = None

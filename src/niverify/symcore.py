@@ -17,8 +17,13 @@ its hash, size and DNF clause counts from construction, and, on first
 use, an index of its conjuncts and its normal form, the linear rows the
 solver reads (the tightest row per coefficient vector).  The last two are
 built from the nearest prefix that has them, so asking them of a path one
-conjunct longer costs about one conjunct.  They hang off the nodes of one
-run; no table outlives it.
+conjunct longer costs about one conjunct; a second extension of a prefix
+layers its index over the prefix's instead of copying it.  A comparison
+leaf likewise keeps its negation (linked back) and its rows once asked
+for them, and the relational engine hands a fork the leaves it
+built for the same guard from the same pairs (``relational.RelEngine``'s
+per-run guard memo), so a guard's rows are built once per run.  All of it
+hangs off the nodes of one run, or off its engine; no table outlives it.
 
 Value types.  The records an exploration builds for every state (terms,
 paths, stores, interval states, commands, relational and product states)
@@ -456,11 +461,18 @@ class PCmp:
     left: SymExpr
     right: SymExpr
     _hash: int = field(init=False, repr=False, compare=False)
+    # Kept once computed: the negation (``pnot``, linked back) and the
+    # rows (``cmp_rows``), so a leaf the relational engine reuses for a
+    # guard pays for each once per run.
+    _negation: PCmp | None = field(init=False, repr=False, compare=False)
+    _rows: list[Clause] | None = field(init=False, repr=False, compare=False)
 
     size = 1
 
     def __post_init__(self) -> None:
         self._hash = hash((self.op, self.left, self.right))
+        self._negation = None
+        self._rows = None
 
     def __hash__(self) -> int:
         return self._hash
@@ -584,14 +596,25 @@ def pand(left: SymPath, right: SymPath) -> SymPath:
 
 
 def pnot(path: SymPath) -> SymPath:
+    if path.__class__ is PCmp:
+        # Built once: the negation's negation is this comparison.
+        if path._negation is None:
+            path._negation = PCmp(NEGATED_CMP[path.op], path.left, path.right)
+            path._negation._negation = path
+        return path._negation
     match path:
         case PTrue():
             return FALSE
-        case PCmp(op, left, right):
-            return PCmp(NEGATED_CMP[op], left, right)
         case PNot(operand):
             return operand
     return PNot(path)
+
+
+def cmp_rows(leaf: PCmp) -> list[Clause]:
+    """``rows_of_cmp`` of a comparison, kept on it; callers must not mutate it."""
+    if leaf._rows is None:
+        leaf._rows = rows_of_cmp(leaf.op, leaf.left, leaf.right)
+    return leaf._rows
 
 
 def conjuncts(path: SymPath) -> Iterator[SymPath]:
@@ -629,20 +652,47 @@ def render(
     return "".join(out)
 
 
+# How many layers an index stacks before an extension flattens them.
+MAX_INDEX_LAYERS = 8
+
+
 class _ConjunctIndex:
     """First positions of the conjuncts along one chain of left-nested conjunctions.
 
     Every node of the chain is a prefix of the last one to extend it
-    (``tip``), so one dict answers for all of them: a node holds the
+    (``tip``), so one index answers for all of them: a node holds the
     conjuncts whose first position is at most its size.  Only the tip
-    extends the dict in place; extending an earlier node copies its prefix.
+    extends the index in place.  Extending an earlier node starts a layer
+    over its index: ``first`` holds the positions past ``base_size``, the
+    size of the node extended, and ``base`` answers for the rest, so a
+    branch copies nothing.  An extension that would stack more than
+    ``MAX_INDEX_LAYERS`` layers copies the node's conjuncts into one dict
+    instead, so a lookup reads at most that many.
     """
 
-    __slots__ = ("first", "tip")
+    __slots__ = ("first", "tip", "base", "base_size", "layers")
 
-    def __init__(self, first: dict[SymPath, int], tip: SymPath) -> None:
+    def __init__(self, first: dict[SymPath, int], base: _ConjunctIndex | None, base_size: int) -> None:
         self.first = first
-        self.tip = tip
+        self.tip: SymPath | None = None
+        self.base = base
+        self.base_size = base_size
+        self.layers = 1 if base is None else base.layers + 1
+
+
+def _flattened(node: PAnd) -> dict[SymPath, int]:
+    """The first positions of ``node``'s conjuncts, from its layered index."""
+    layers = []
+    index, size = node._index, node.size
+    while index is not None:
+        layers.append((index, size))
+        index, size = index.base, index.base_size
+    first: dict[SymPath, int] = {}
+    for index, size in reversed(layers):
+        for conjunct, position in index.first.items():
+            if position <= size:
+                first.setdefault(conjunct, position)
+    return first
 
 
 def _conjunct_index(path: PAnd) -> _ConjunctIndex:
@@ -654,12 +704,13 @@ def _conjunct_index(path: PAnd) -> _ConjunctIndex:
         pending.append(node)
         node = node.left
     if not isinstance(node, PAnd):
-        index = _ConjunctIndex({node: 1}, node)
+        index = _ConjunctIndex({node: 1}, None, 0)
     elif node._index.tip is node:
         index = node._index
+    elif node._index.layers < MAX_INDEX_LAYERS:
+        index = _ConjunctIndex({}, node._index, node.size)
     else:
-        first = {c: p for c, p in node._index.first.items() if p <= node.size}
-        index = _ConjunctIndex(first, node)
+        index = _ConjunctIndex(_flattened(node), None, 0)
     for link in reversed(pending):
         position = link.left.size
         for leaf in conjuncts(link.right):
@@ -674,8 +725,14 @@ def has_conjunct(path: SymPath, conjunct: SymPath) -> bool:
     """Whether ``conjunct`` is one of the leaves of ``path``."""
     if not isinstance(path, PAnd):
         return path == conjunct
-    position = _conjunct_index(path).first.get(conjunct)
-    return position is not None and position <= path.size
+    index, size = _conjunct_index(path), path.size
+    while True:
+        position = index.first.get(conjunct)
+        if position is not None and position <= size:
+            return True
+        if index.base is None:
+            return False
+        index, size = index.base, index.base_size
 
 
 def _leaf_dnf(leaf: SymPath, positive: bool) -> list[Clause]:
@@ -684,8 +741,8 @@ def _leaf_dnf(leaf: SymPath, positive: bool) -> list[Clause]:
             return [[]] if positive else []
         case PNot(operand):
             return dnf(operand, not positive)
-        case PCmp(op, left, right):
-            return rows_of_cmp(op if positive else NEGATED_CMP[op], left, right)
+        case PCmp():
+            return cmp_rows(leaf if positive else pnot(leaf))
     raise ValueError(f"unknown path {leaf!r}")
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from niverify import cli, driver, lang, relational, symcore
+from niverify import cli, driver, lang, redsoundse, relational, symcore
 from niverify.driver import (
     Alarm,
     AnalysisConfig,
@@ -634,6 +634,55 @@ def test_wide_branches_check_builds_no_normal_form(monkeypatch):
     assert built == []
 
 
+def test_wide_branches_check_reduces_once_per_fork_and_reads_each_guard_once(monkeypatch):
+    """On wide-9 both traces keep one interval state and every bounded
+    variable is shared, so trace 1's reduction is never called (the two
+    traces made 2044 calls), and each of the nine guards gets its rows
+    once per run (511 times, once per repair, when every fork built new
+    guard leaves)."""
+    calls = dict.fromkeys(("reduction", "rows_of_cmp"), 0)
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(redsoundse, "reduction", counted("reduction", redsoundse.reduction))
+    monkeypatch.setattr(symcore, "rows_of_cmp", counted("rows_of_cmp", symcore.rows_of_cmp))
+    assert isinstance(_STRESS_RUNS["wide-9"](), Secure)
+    assert calls == {"reduction": 1022, "rows_of_cmp": 9}
+
+
+@pytest.mark.parametrize("name", list(_STRESS_RUNS))
+def test_kept_comparison_values_equal_fresh_ones(monkeypatch, name):
+    """The rows and negation a comparison keeps are shared by every path
+    that reuses it, so nothing may change them: after each stress run,
+    every kept row list equals a fresh recomputation, and a negation
+    links back to its comparison."""
+    built = []
+    plain_init = symcore.PCmp.__post_init__
+
+    def collected(self):
+        built.append(self)
+        plain_init(self)
+
+    monkeypatch.setattr(symcore.PCmp, "__post_init__", collected)
+    _STRESS_RUNS[name]()
+    monkeypatch.setattr(symcore.PCmp, "__post_init__", plain_init)
+    kept = dict.fromkeys(("rows", "negation"), 0)
+    for leaf in built:
+        if leaf._rows is not None:
+            kept["rows"] += 1
+            assert leaf._rows == symcore.rows_of_cmp(leaf.op, leaf.left, leaf.right), leaf
+        if leaf._negation is not None:
+            kept["negation"] += 1
+            assert leaf._negation == symcore.PCmp(lang.NEGATED_CMP[leaf.op], leaf.left, leaf.right)
+            assert symcore.pnot(symcore.pnot(leaf)) is leaf
+    assert all(kept.values()), kept
+
+
 def test_cli_limit_flags_say_their_defaults(capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["check", "--help"])
@@ -869,3 +918,33 @@ def test_long_straight_line_programs_reach_a_verdict(monkeypatch):
             assert verify_ni(program, config_for(e, s, AnalysisConfig())) == Secure()
     assert verify_ni(parse_program(_straight_line(20_000, True)), AnalysisConfig(engine="dep")) == Secure()
     assert verify_ni(parse_program(_straight_line(3000, True)), AnalysisConfig(path_cap=8192)) == Secure()
+
+
+def test_bench_pairs_summary_applies_the_gain_rule():
+    from bench_pairs import render, summarize
+
+    def record(pair, side, p50, rate):
+        metrics = {"verdict_ms_p50": {"value": p50, "unit": "ms"}, "verdicts_per_s": {"value": rate, "unit": "1/s"}}
+        return {"workload": "w", "pair": pair, "seed": 100 + pair, "side": side, "result": {"metrics": metrics}}
+
+    # The change is faster in nine of ten pairs (tied in pair 9), and its
+    # rate is higher in only five.
+    parent = [100, 101, 99, 102, 98, 100, 103, 97, 100, 90]
+    change = [90, 91, 89, 92, 88, 90, 93, 87, 90, 90]
+    records = [record(i, "parent", p, 10.0) for i, p in enumerate(parent)]
+    records += [record(i, "change", c, 10.0 + (1 if i % 2 else -1)) for i, c in enumerate(change)]
+    records.append(record(10, "parent", 50, 20.0))  # a pair whose change run is missing
+    metrics = [{"name": "verdict_ms_p50", "better": "lower"}, {"name": "verdicts_per_s", "better": "higher"}]
+    p50, rate = summarize(records, metrics)
+    assert p50["pairs"] == 10 and p50["won"] == 9 and p50["gain"]
+    assert p50["parent"][1] == 100 and p50["change"][1] == 90
+    assert p50["parent"][0] < 100 < p50["parent"][2]
+    assert rate["won"] == 5 and not rate["gain"]
+    # Medians 10 apart against a parent spread wider than that: no gain.
+    spread = [record(i, "parent", 100 + (30 if i % 2 else -30), 1.0) for i in range(10)]
+    spread += [record(i, "change", 90 + (30 if i % 2 else -30), 1.0) for i in range(10)]
+    (wide,) = summarize(spread, metrics[:1])
+    assert wide["won"] == 10 and not wide["gain"]
+    text = render([p50, wide])
+    assert "won 9/10, gain holds" in text and "won 10/10, gain does not hold" in text
+    assert "(-10.0%)" in text

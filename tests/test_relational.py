@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from niverify import redsoundse
+from niverify import redsoundse, relational
 from niverify.absint import AbstractState, Interval
-from niverify.driver import AnalysisConfig, Secure, initial_rel_store, make_rel_engine, verify_ni
+from niverify.driver import MATRIX, AnalysisConfig, Secure, config_for, initial_rel_store, make_rel_engine, verify_ni
 from niverify.lang import Cmp, Const, If, Program, SKIP, Var, parse_program, used_vars
 from niverify.redsoundse import product_explore
 from niverify.relational import (
@@ -42,7 +42,15 @@ from niverify.symcore import (
     sym_eval_expr,
 )
 
-from helpers import check_relational_coverage, random_cmp, random_expr, random_program, random_store, shared
+from helpers import (
+    check_relational_coverage,
+    random_cmp,
+    random_expr,
+    random_program,
+    random_store,
+    recorded_final_paths,
+    shared,
+)
 
 
 @pytest.fixture
@@ -429,3 +437,59 @@ def test_one_walk_evaluation_matches_the_projections():
         if all(rho2[v].left is rho2[v].right for v in used_vars(bexpr)):
             assert g0 is g1
     assert both_shared > 100
+
+
+def test_a_guard_reading_the_same_pairs_gets_the_same_leaves():
+    """The engine's guard memo returns the leaves it built last only when
+    every pair the guard reads is the very object it read then; equal
+    pairs that are other objects rebuild equal leaves."""
+    factory = SymbolFactory()
+    x, h0, h1 = SVal(factory.initial("x")), SVal(factory.fresh("h")), SVal(factory.fresh("h"))
+    guard = Cmp("<", Var("x"), Var("h"))
+    rho2 = {"x": shared(x), "h": Pair(h0, h1)}
+    memo = {}
+    first = rel_eval_bool(guard, rho2, memo)
+    assert first == rel_eval_bool(guard, rho2) and first[0] is not first[1]
+    assert rel_eval_bool(guard, dict(rho2), memo) is first
+    equal = {"x": shared(x), "h": Pair(h0, h1)}
+    assert equal == rho2
+    rebuilt = rel_eval_bool(guard, equal, memo)
+    assert rebuilt == first and rebuilt is not first
+    assert rebuilt[0] is not first[0] and rebuilt[1] is not first[1]
+    # The memo now holds the new pairs: the old store rebuilds once more.
+    assert rel_eval_bool(guard, equal, memo) is rebuilt
+    assert rel_eval_bool(guard, rho2, memo) is not rebuilt
+    # A guard on shared pairs keeps one leaf for both traces.
+    low = Cmp(">", Var("x"), Const(0))
+    leaves = rel_eval_bool(low, rho2, memo)
+    assert leaves[0] is leaves[1]
+    assert rel_eval_bool(low, {"x": rho2["x"]}, memo) is leaves
+
+
+def test_skipping_trace_1_reductions_that_add_nothing_keeps_every_final_path(monkeypatch):
+    """With one interval state for both traces and every bounded variable
+    shared, trace 1's reduction is not called.  The configs with a domain
+    explore the same final paths with that skip patched off, where every
+    such call is made, and the skip saves calls."""
+    programs = [random_program(random.Random(f"cmp:{i}"), 3, 3) for i in range(40)]
+    programs.append(parse_program("low x, y; high h; while (x < 6) { if (h > x) { y := y + x; } x := x + 1; }"))
+    configs = [config_for(e, s, AnalysisConfig(), path_cap=1024) for e, s in MATRIX if s == "redsoundse"]
+    runs, calls = {}, {True: 0, False: 0}
+    plain_reduction = redsoundse.reduction
+
+    def counted(*args, **kwargs):
+        calls[skipping] += 1
+        return plain_reduction(*args, **kwargs)
+
+    monkeypatch.setattr(redsoundse, "reduction", counted)
+    for skipping in (True, False):
+        if not skipping:
+            monkeypatch.setattr(relational, "_bounds_unshared", lambda rho2, astate: True)
+        with recorded_final_paths() as lines:
+            for program in programs:
+                for config in configs:
+                    lines.append(str(verify_ni(program, config)))
+        runs[skipping] = lines
+    assert runs[True] == runs[False]
+    assert len(runs[True]) > 250
+    assert calls[True] < calls[False]

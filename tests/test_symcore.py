@@ -297,6 +297,53 @@ def test_has_conjunct_sees_exactly_the_leaves_of_each_prefix():
     assert has_conjunct(other, leaves[0]) and not has_conjunct(other, leaves[4])
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_has_conjunct_sees_the_leaves_of_extensions_layered_deep(rng):
+    """Extensions of non-tip nodes, of extensions of them and so on, past
+    ``MAX_INDEX_LAYERS`` deep, each answer exactly for their own leaves,
+    whichever node is asked first."""
+    _, leaves, _ = _chain(12)
+    nodes = [leaves[0]]
+    # A ladder: each rung's side branch is asked first and takes the tip,
+    # so the next rung extends a non-tip node and stacks a layer.
+    for _ in range(2 * symcore.MAX_INDEX_LAYERS + 1):
+        side = pand(nodes[-1], rng.choice(leaves))
+        has_conjunct(side, rng.choice(leaves))
+        nodes += [side, pand(nodes[-1], rng.choice(leaves))]
+        has_conjunct(nodes[-1], rng.choice(leaves))
+    for _ in range(60):
+        node = rng.choice(nodes[-6:]) if rng.random() < 0.7 else rng.choice(nodes)
+        for _ in range(rng.randint(1, 3)):
+            node = pand(node, rng.choice(leaves))
+            nodes.append(node)
+        if rng.random() < 0.5:
+            asked = rng.choice(nodes)
+            has_conjunct(asked, rng.choice(leaves))
+    for node in rng.sample(nodes, len(nodes)):
+        present = set(conjuncts(node))
+        for leaf in leaves:
+            assert has_conjunct(node, leaf) == (leaf in present)
+    layers = [node._index.layers for node in nodes if isinstance(node, symcore.PAnd) and node._index is not None]
+    assert max(layers) == symcore.MAX_INDEX_LAYERS
+
+
+def test_extending_a_non_tip_node_copies_no_prefix():
+    """A second extension of a node deep in an indexed chain gets a layer
+    of its own leaves over the chain's index, not a copy of the prefix."""
+    path, leaves, _ = _chain(2000)
+    assert has_conjunct(path, leaves[1999])
+    middle = path
+    while middle.size > 1500:
+        middle = middle.left
+    other = pand(pand(middle, pnot(leaves[1800])), leaves[1600])
+    assert has_conjunct(other, pnot(leaves[1800])) and has_conjunct(other, leaves[3])
+    assert not has_conjunct(other, leaves[1800]) and not has_conjunct(other, leaves[1700])
+    index = other._index
+    assert index.base is path._index and index.base_size == 1500
+    assert len(index.first) == 2
+
+
 # --- the exactness invariant ------------------------------------------------
 #
 # Set and dict iteration order decides FM's elimination order, and with it
