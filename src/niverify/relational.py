@@ -40,12 +40,13 @@ conjunct asserted again is dropped (``has_conjunct``).  A record serves
 the successors of the state whose path holds it, so the step drops it
 once that state is expanded, and drops a final's at once.
 
-A fork pays for its guard once per run.  The engine keeps, for each
-program guard, the pairs it last read and the two leaves it built from
-them (``RelEngine.guards``), and ``rel_eval_bool`` gives the same leaves
-back while every pair it reads is the same object.  A comparison leaf
-keeps its negation and rows once computed (see ``symcore``), so the
-forks that reuse a guard's leaves build neither again.
+A fork pays for its guard once per run.  The engine hash-conses guard
+leaves in one table per run (``RelEngine.leaves``): ``rel_eval_bool``
+builds each leaf and gives back the table's object equal to it, so
+every equal guard leaf of a run is one object, and a comparison leaf
+keeps its rows once computed (see ``symcore``).  The forks that read a
+guard again find its rows built.  Equal leaves being one object, the
+signed guards of a fork compare by identity alone.
 
 A program expression is evaluated for both traces in one walk over the
 pair store (``rel_eval_expr``, ``rel_eval_bool``).  Where every variable
@@ -113,10 +114,6 @@ class Pair:
 
 RelSymStore = dict[str, Pair]
 
-# Per program guard: the variables it reads, the pairs it read last and
-# the two leaves it built from them.
-GuardMemo = dict[BExpr, tuple[tuple[str, ...], tuple[Pair, ...], tuple[SymPath, SymPath]]]
-
 
 def proj_expr(i: int, expr: Pair) -> SymExpr:
     return expr.left if i == 0 else expr.right
@@ -158,31 +155,22 @@ def rel_eval_expr(expr: Expr, rho2: RelSymStore) -> Pair:
     raise lang.LangError(f"unknown expression {expr!r}")
 
 
-def rel_eval_bool(bexpr: BExpr, rho2: RelSymStore, memo: GuardMemo | None = None) -> tuple[SymPath, SymPath]:
+def rel_eval_bool(
+    bexpr: BExpr, rho2: RelSymStore, leaves: dict[SymPath, SymPath] | None = None
+) -> tuple[SymPath, SymPath]:
     """Both traces' guards; one object when both operands are shared by identity.
 
-    With a ``memo`` (``RelEngine.guards``), a guard that reads the very
-    pair objects it read last time gets the leaves it got then: they are
-    built from the same inputs, so they equal fresh ones, and they keep
-    their negation and rows.  The memo holds those pairs, so an
-    object it compares with ``is`` cannot be freed and its id reused.
+    With a table (``RelEngine.leaves``), each leaf is the table's object
+    equal to it, which keeps the rows computed for it on an earlier fork.
     """
-    if memo is not None:
-        kept = memo.get(bexpr)
-        if kept is None:
-            names = tuple(lang.used_vars(bexpr))
-        else:
-            names, pairs, leaves = kept
-            if all(rho2[x] is pair for x, pair in zip(names, pairs)):
-                return leaves
-        leaves = rel_eval_bool(bexpr, rho2)
-        memo[bexpr] = (names, tuple(rho2[x] for x in names), leaves)
-        return leaves
     lp, rp = rel_eval_expr(bexpr.left, rho2), rel_eval_expr(bexpr.right, rho2)
     g0 = pcmp(bexpr.op, lp.left, rp.left)
+    if leaves is not None:
+        g0 = leaves.setdefault(g0, g0)
     if lp.left is lp.right and rp.left is rp.right:
         return g0, g0
-    return g0, pcmp(bexpr.op, lp.right, rp.right)
+    g1 = pcmp(bexpr.op, lp.right, rp.right)
+    return g0, g1 if leaves is None else leaves.setdefault(g1, g1)
 
 
 def modif_dep(
@@ -257,7 +245,7 @@ class RelEngine:
     """Everything a relational step needs besides the state itself.
 
     ``use_intervals`` only picks the start state of ``srse_explore``; the
-    steps read the domain off the state.  ``guards`` is the run's memo of
+    steps read the domain off the state.  ``leaves`` is the run's table of
     guard leaves (see ``rel_eval_bool``); it lives and dies with the engine.
     """
 
@@ -266,7 +254,7 @@ class RelEngine:
     bound: int
     use_intervals: bool
     havoc: HavocFn | None = None
-    guards: GuardMemo = field(default_factory=dict)
+    leaves: dict[SymPath, SymPath] = field(default_factory=dict)
 
     def havoc_store(self, rho2, loop, path, a0, a1) -> RelSymStore:
         if self.havoc is None:
@@ -275,15 +263,16 @@ class RelEngine:
 
 
 def _signed(path: SymPath, guard: tuple[SymPath, SymPath], s0: bool, s1: bool) -> SymPath:
+    """``path`` and the guards signed; the guards come from the engine's
+    table, so they are equal only when they are one object."""
     g0, g1 = guard
-    if s0 != s1 and (g0 is g1 or g0 == g1):
+    if s0 != s1 and g0 is g1:
         return FALSE  # one guard for both traces: they cannot split on it
     b0 = g0 if s0 else pnot(g0)
-    b1 = b0 if g1 is g0 else g1 if s1 else pnot(g1)
     path = pand(path, b0)
-    if b1 is not b0 and b1 != b0:
-        path = pand(path, b1)
-    return path
+    if g1 is g0:
+        return path
+    return pand(path, g1 if s1 else pnot(g1))
 
 
 def srse_step(state: RelState, engine: RelEngine) -> list[RelState]:
@@ -349,9 +338,9 @@ def _unified_step(state: RelState, engine: RelEngine) -> list[RelState]:
             kappa2 = PreciseStore.of(store, path)
             out.append(RelState(plug(SKIP, rest), kappa2, a0, a1, state.precise))
         case If(bguard, then_branch, else_branch):
-            fork(bguard, rel_eval_bool(bguard, rho2, engine.guards), SIGNS, then_branch, else_branch)
+            fork(bguard, rel_eval_bool(bguard, rho2, engine.leaves), SIGNS, then_branch, else_branch)
         case While(bguard, body, unrolled):
-            beta = rel_eval_bool(bguard, rho2, engine.guards)
+            beta = rel_eval_bool(bguard, rho2, engine.leaves)
             again = Seq(body, While(bguard, body, unrolled + 1))
             if unrolled < engine.bound:
                 fork(bguard, beta, SIGNS[:3], again, SKIP)
@@ -359,7 +348,7 @@ def _unified_step(state: RelState, engine: RelEngine) -> list[RelState]:
                 # Budget spent and some trace could still iterate:
                 # summarize the rest of the loop on both sides.
                 rho2h = engine.havoc_store(rho2, redex, path, state.a0, state.a1)
-                path2 = _signed(path, rel_eval_bool(bguard, rho2h, engine.guards), False, False)
+                path2 = _signed(path, rel_eval_bool(bguard, rho2h, engine.leaves), False, False)
                 a0, a1 = state.a0, state.a1
                 if a0 is not None:
                     a0 = analyze(redex, a0)

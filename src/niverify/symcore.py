@@ -19,11 +19,12 @@ solver reads (the tightest row per coefficient vector).  The last two are
 built from the nearest prefix that has them, so asking them of a path one
 conjunct longer costs about one conjunct; a second extension of a prefix
 layers its index over the prefix's instead of copying it.  A comparison
-leaf likewise keeps its negation (linked back) and its rows once asked
-for them, and the relational engine hands a fork the leaves it
-built for the same guard from the same pairs (``relational.RelEngine``'s
-per-run guard memo), so a guard's rows are built once per run.  All of it
-hangs off the nodes of one run, or off its engine; no table outlives it.
+leaf likewise keeps its rows once asked for them, and the relational
+engine hash-conses guard leaves in one table per run
+(``relational.RelEngine.leaves``), so every equal guard leaf of a run is
+one object and its rows are built once per run.  A negation is built
+fresh each time.  All of it hangs off the nodes of one run, or off its
+engine; no table outlives it.
 
 Value types.  The records an exploration builds for every state (terms,
 paths, stores, interval states, commands, relational and product states)
@@ -461,17 +462,14 @@ class PCmp:
     left: SymExpr
     right: SymExpr
     _hash: int = field(init=False, repr=False, compare=False)
-    # Kept once computed: the negation (``pnot``, linked back) and the
-    # rows (``cmp_rows``), so a leaf the relational engine reuses for a
-    # guard pays for each once per run.
-    _negation: PCmp | None = field(init=False, repr=False, compare=False)
+    # The rows (``cmp_rows``), kept once computed, so a leaf the
+    # relational engine reuses for a guard pays for them once per run.
     _rows: list[Clause] | None = field(init=False, repr=False, compare=False)
 
     size = 1
 
     def __post_init__(self) -> None:
         self._hash = hash((self.op, self.left, self.right))
-        self._negation = None
         self._rows = None
 
     def __hash__(self) -> int:
@@ -597,11 +595,7 @@ def pand(left: SymPath, right: SymPath) -> SymPath:
 
 def pnot(path: SymPath) -> SymPath:
     if path.__class__ is PCmp:
-        # Built once: the negation's negation is this comparison.
-        if path._negation is None:
-            path._negation = PCmp(NEGATED_CMP[path.op], path.left, path.right)
-            path._negation._negation = path
-        return path._negation
+        return PCmp(NEGATED_CMP[path.op], path.left, path.right)
     match path:
         case PTrue():
             return FALSE

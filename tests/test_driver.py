@@ -657,30 +657,35 @@ def test_wide_branches_check_reduces_once_per_fork_and_reads_each_guard_once(mon
 
 @pytest.mark.parametrize("name", list(_STRESS_RUNS))
 def test_kept_comparison_values_equal_fresh_ones(monkeypatch, name):
-    """The rows and negation a comparison keeps are shared by every path
-    that reuses it, so nothing may change them: after each stress run,
-    every kept row list equals a fresh recomputation, and a negation
-    links back to its comparison."""
-    built = []
+    """The rows a comparison keeps are shared by every path that reuses
+    it, so nothing may change them: after each stress run, every kept row
+    list equals a fresh recomputation, and every entry of the engine's
+    leaf table maps to itself."""
+    built, engines = [], []
     plain_init = symcore.PCmp.__post_init__
+    plain_engine = driver.make_rel_engine
 
     def collected(self):
         built.append(self)
         plain_init(self)
 
+    def kept_engine(*args):
+        engines.append(plain_engine(*args))
+        return engines[-1]
+
     monkeypatch.setattr(symcore.PCmp, "__post_init__", collected)
+    monkeypatch.setattr(driver, "make_rel_engine", kept_engine)
     _STRESS_RUNS[name]()
     monkeypatch.setattr(symcore.PCmp, "__post_init__", plain_init)
-    kept = dict.fromkeys(("rows", "negation"), 0)
+    kept = 0
     for leaf in built:
         if leaf._rows is not None:
-            kept["rows"] += 1
+            kept += 1
             assert leaf._rows == symcore.rows_of_cmp(leaf.op, leaf.left, leaf.right), leaf
-        if leaf._negation is not None:
-            kept["negation"] += 1
-            assert leaf._negation == symcore.PCmp(lang.NEGATED_CMP[leaf.op], leaf.left, leaf.right)
-            assert symcore.pnot(symcore.pnot(leaf)) is leaf
-    assert all(kept.values()), kept
+    assert kept
+    assert [engine.leaves for engine in engines] and all(engine.leaves for engine in engines)
+    for engine in engines:
+        assert all(key is leaf for key, leaf in engine.leaves.items())
 
 
 def test_cli_limit_flags_say_their_defaults(capsys):

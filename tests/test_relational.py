@@ -439,31 +439,38 @@ def test_one_walk_evaluation_matches_the_projections():
     assert both_shared > 100
 
 
-def test_a_guard_reading_the_same_pairs_gets_the_same_leaves():
-    """The engine's guard memo returns the leaves it built last only when
-    every pair the guard reads is the very object it read then; equal
-    pairs that are other objects rebuild equal leaves."""
+def test_equal_guard_leaves_are_one_object_per_run():
+    """The engine's leaf table gives equal guards one object, whatever pair
+    objects they were read from; a changed pair gives a different leaf."""
     factory = SymbolFactory()
     x, h0, h1 = SVal(factory.initial("x")), SVal(factory.fresh("h")), SVal(factory.fresh("h"))
     guard = Cmp("<", Var("x"), Var("h"))
     rho2 = {"x": shared(x), "h": Pair(h0, h1)}
-    memo = {}
-    first = rel_eval_bool(guard, rho2, memo)
+    leaves = {}
+    first = rel_eval_bool(guard, rho2, leaves)
     assert first == rel_eval_bool(guard, rho2) and first[0] is not first[1]
-    assert rel_eval_bool(guard, dict(rho2), memo) is first
     equal = {"x": shared(x), "h": Pair(h0, h1)}
-    assert equal == rho2
-    rebuilt = rel_eval_bool(guard, equal, memo)
-    assert rebuilt == first and rebuilt is not first
-    assert rebuilt[0] is not first[0] and rebuilt[1] is not first[1]
-    # The memo now holds the new pairs: the old store rebuilds once more.
-    assert rel_eval_bool(guard, equal, memo) is rebuilt
-    assert rel_eval_bool(guard, rho2, memo) is not rebuilt
+    again = rel_eval_bool(guard, equal, leaves)
+    assert again[0] is first[0] and again[1] is first[1]
+    changed = rel_eval_bool(guard, {"x": shared(x), "h": Pair(h0, SVal(factory.fresh("h")))}, leaves)
+    assert changed[0] is first[0] and changed[1] != first[1]
     # A guard on shared pairs keeps one leaf for both traces.
-    low = Cmp(">", Var("x"), Const(0))
-    leaves = rel_eval_bool(low, rho2, memo)
-    assert leaves[0] is leaves[1]
-    assert rel_eval_bool(low, {"x": rho2["x"]}, memo) is leaves
+    low = rel_eval_bool(Cmp(">", Var("x"), Const(0)), {"x": shared(x)}, leaves)
+    assert low[0] is low[1]
+    assert len(leaves) == 4 and all(key is leaf for key, leaf in leaves.items())
+
+
+def test_two_runs_share_no_guard_leaf():
+    """The leaf table lives and dies with its engine: two runs of one
+    program build equal leaves, none of them the same object."""
+    program = parse_program("low l; high h; if (h > l) { l := l + 1; } while (l < h) { l := l + 2; }")
+    config = AnalysisConfig()
+    engines = [make_rel_engine(program, config, Solver()) for _ in range(2)]
+    for engine in engines:
+        srse_explore(program, initial_rel_store(program, engine.factory), engine, config.path_cap)
+    first, second = (engine.leaves for engine in engines)
+    assert first and first.keys() == second.keys()
+    assert not {id(leaf) for leaf in first.values()} & {id(leaf) for leaf in second.values()}
 
 
 def test_skipping_trace_1_reductions_that_add_nothing_keeps_every_final_path(monkeypatch):
