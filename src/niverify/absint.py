@@ -200,19 +200,19 @@ BOTTOM = AbstractState(None)
 
 
 def eval_interval(expr: Expr, env: dict[str, Interval]) -> Interval:
-    cls = expr.__class__
-    if cls is Var:
-        return env.get(expr.name, TOP_INTERVAL)
-    if cls is Const:
-        return Interval(expr.value, expr.value)
-    if cls is BinOp:
-        li, ri = eval_interval(expr.left, env), eval_interval(expr.right, env)
-        if expr.op == "+":
-            return interval_add(li, ri)
-        if expr.op == "-":
-            return interval_sub(li, ri)
-        return interval_mul(li, ri)
-    raise lang.LangError(f"unknown expression {expr!r}")
+    return lang.fold(expr, _point, lambda name: env.get(name, TOP_INTERVAL), _interval_op)
+
+
+def _point(value: int) -> Interval:
+    return Interval(value, value)
+
+
+def _interval_op(op: str, li: Interval, ri: Interval) -> Interval:
+    if op == "+":
+        return interval_add(li, ri)
+    if op == "-":
+        return interval_sub(li, ri)
+    return interval_mul(li, ri)
 
 
 def _unchanged(a: AbstractState, key) -> AbstractState:
@@ -319,36 +319,43 @@ def _backward(expr: Expr, target: Interval, env: dict[str, Interval], changes: d
     """One downward refinement pass; False means infeasible.
 
     A variable whose interval narrows is written to both ``env`` and
-    ``changes``; one that keeps its interval is written to neither.
+    ``changes``; one that keeps its interval is written to neither.  An
+    operation's two targets are computed before either operand is
+    refined, and the left operand is refined first.
     """
-    cls = expr.__class__
-    if cls is Var:
-        name = expr.name
-        old = env.get(name)
-        met = (TOP_INTERVAL if old is None else old).meet(target)
-        if met is None:
-            return False
-        if met is not old:
-            env[name] = changes[name] = met
-        return True
-    if cls is Const:
-        return target.contains(expr.value)
-    if cls is BinOp:
-        left, right = expr.left, expr.right
-        li, ri = eval_interval(left, env), eval_interval(right, env)
-        if expr.op == "+":
-            lt = interval_sub(target, ri).meet(li)
-            rt = interval_sub(target, li).meet(ri)
-        elif expr.op == "-":
-            lt = interval_add(target, ri).meet(li)
-            rt = interval_sub(li, target).meet(ri)
+    stack = [(expr, target)]
+    while stack:
+        expr, target = stack.pop()
+        cls = expr.__class__
+        if cls is Var:
+            name = expr.name
+            old = env.get(name)
+            met = (TOP_INTERVAL if old is None else old).meet(target)
+            if met is None:
+                return False
+            if met is not old:
+                env[name] = changes[name] = met
+        elif cls is Const:
+            if not target.contains(expr.value):
+                return False
+        elif cls is BinOp:
+            left, right = expr.left, expr.right
+            li, ri = eval_interval(left, env), eval_interval(right, env)
+            if expr.op == "+":
+                lt = interval_sub(target, ri).meet(li)
+                rt = interval_sub(target, li).meet(ri)
+            elif expr.op == "-":
+                lt = interval_add(target, ri).meet(li)
+                rt = interval_sub(li, target).meet(ri)
+            else:
+                lt = _mul_refine(li, ri, target)
+                rt = _mul_refine(ri, li, target)
+            if lt is None or rt is None:
+                return False
+            stack += ((right, rt), (left, lt))
         else:
-            lt = _mul_refine(li, ri, target)
-            rt = _mul_refine(ri, li, target)
-        if lt is None or rt is None:
-            return False
-        return _backward(left, lt, env, changes) and _backward(right, rt, env, changes)
-    raise lang.LangError(f"unknown expression {expr!r}")
+            raise lang.LangError(f"unknown expression {expr!r}")
+    return True
 
 
 def _mul_refine(side: Interval, other: Interval, target: Interval) -> Interval | None:
@@ -430,6 +437,11 @@ def a_leq(a0: AbstractState, a1: AbstractState) -> bool:
 
 def analyze(cmd: Command, a: AbstractState) -> AbstractState:
     """Sound abstract post-state of running ``cmd`` to completion."""
+    # A sequence runs down its right spine in this loop, so a long
+    # straight-line program costs no recursion depth.
+    while cmd.__class__ is Seq:
+        a = analyze(cmd.first, a)
+        cmd = cmd.second
     if a.is_bottom:
         return BOTTOM
     match cmd:
@@ -437,8 +449,6 @@ def analyze(cmd: Command, a: AbstractState) -> AbstractState:
             return a
         case Assign(var, expr):
             return a_assign(var, expr, a)
-        case Seq(first, second):
-            return analyze(second, analyze(first, a))
         case If(guard, then_branch, else_branch):
             return a_join(
                 analyze(then_branch, a_guard(guard, a)),

@@ -13,6 +13,7 @@ tested against: it is deterministic and total over declared variables.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 ARITH_OPS = ("+", "-", "*")
@@ -93,11 +94,58 @@ class BinOp:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other: object) -> bool:
+        """The dataclass equality, walked without recursion."""
+        if other.__class__ is not BinOp:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or a._hash != b._hash:
+                return False
+            if a.__class__ is not BinOp:
+                if a != b:
+                    return False
+            elif a.op != b.op:
+                return False
+            else:
+                pairs += ((a.right, b.right), (a.left, b.left))
+        return True
+
     def __str__(self) -> str:
-        return f"({self.left} {self.op} {self.right})"
+        return fold(self, str, str, lambda op, left, right: f"({left} {op} {right})")
 
 
 Expr = Const | Var | BinOp
+
+
+# Expressions can nest thousands deep (a long sum), so no walk over an
+# expression recurses on its depth.
+
+
+def fold(expr: Expr, const: Callable, var: Callable, node: Callable):
+    """``const(value)`` at each constant, ``var(name)`` at each variable and
+    ``node(op, l, r)`` at each operation over its operands' results, left
+    operand first, bottom up and without recursion."""
+    out: list = []
+    stack: list = [expr]
+    while stack:
+        item = stack.pop()
+        cls = item.__class__
+        if cls is BinOp:
+            stack += (item.op, item.right, item.left)
+        elif cls is str:
+            right = out.pop()
+            out[-1] = node(item, out[-1], right)
+        elif cls is Var:
+            out.append(var(item.name))
+        elif cls is Const:
+            out.append(const(item.value))
+        else:
+            raise LangError(f"unknown expression {item!r}")
+    return out[0]
 
 
 @dataclass(slots=True)
@@ -560,14 +608,7 @@ def apply_cmp(op: str, left: int, right: int) -> bool:
 
 
 def eval_expr(expr: Expr, store: Store) -> int:
-    match expr:
-        case Const(value):
-            return value
-        case Var(name):
-            return store[name]
-        case BinOp(op, left, right):
-            return apply_op(op, eval_expr(left, store), eval_expr(right, store))
-    raise LangError(f"unknown expression {expr!r}")
+    return fold(expr, int, store.__getitem__, apply_op)
 
 
 def eval_bool(bexpr: BExpr, store: Store) -> bool:

@@ -140,19 +140,19 @@ def pairing(rho0: SymStore, rho1: SymStore, path: SymPath, solver: Solver) -> Re
 def rel_eval_expr(expr: Expr, rho2: RelSymStore) -> Pair:
     """Both traces' terms in one walk; an operation on operands whose sides
     are one object builds one term, which is then both sides."""
-    match expr:
-        case lang.Const(value):
-            term = SConst(value)
-            return Pair(term, term)
-        case lang.Var(name):
-            return rho2[name]
-        case lang.BinOp(op, left, right):
-            lp, rp = rel_eval_expr(left, rho2), rel_eval_expr(right, rho2)
-            if lp.left is lp.right and rp.left is rp.right:
-                term = sbinop(op, lp.left, rp.left)
-                return Pair(term, term)
-            return Pair(sbinop(op, lp.left, rp.left), sbinop(op, lp.right, rp.right))
-    raise lang.LangError(f"unknown expression {expr!r}")
+    return lang.fold(expr, _const_pair, rho2.__getitem__, _binop_pair)
+
+
+def _const_pair(value: int) -> Pair:
+    term = SConst(value)
+    return Pair(term, term)
+
+
+def _binop_pair(op: str, lp: Pair, rp: Pair) -> Pair:
+    if lp.left is lp.right and rp.left is rp.right:
+        term = sbinop(op, lp.left, rp.left)
+        return Pair(term, term)
+    return Pair(sbinop(op, lp.left, rp.left), sbinop(op, lp.right, rp.right))
 
 
 def rel_eval_bool(

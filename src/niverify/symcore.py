@@ -857,14 +857,7 @@ def initial_sym_store(program: lang.Program, factory: SymbolFactory) -> SymStore
 
 def sym_eval_expr(expr: Expr, rho: SymStore) -> SymExpr:
     """Substitute variables by their store image, folding constants."""
-    match expr:
-        case lang.Const(value):
-            return SConst(value)
-        case lang.Var(name):
-            return rho[name]
-        case lang.BinOp(op, left, right):
-            return sbinop(op, sym_eval_expr(left, rho), sym_eval_expr(right, rho))
-    raise lang.LangError(f"unknown expression {expr!r}")
+    return lang.fold(expr, SConst, rho.__getitem__, sbinop)
 
 
 def sym_eval_bool(bexpr: BExpr, rho: SymStore) -> SymPath:

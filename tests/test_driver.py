@@ -925,12 +925,40 @@ def test_long_straight_line_programs_reach_a_verdict(monkeypatch):
     assert verify_ni(parse_program(_straight_line(3000, True)), AnalysisConfig(path_cap=8192)) == Secure()
 
 
+def _check_codes(tmp_path, capsys, source: str, *flags: str) -> list[int]:
+    """``ni check``'s exit code under each ``MATRIX`` config."""
+    program = tmp_path / "program.imp"
+    program.write_text(source)
+    codes = []
+    for e, s in MATRIX:
+        codes.append(cli.main(["check", str(program), "--engine", e, "--single-engine", s or "soundse", *flags]))
+        assert capsys.readouterr().err == ""
+    return codes
+
+
+def test_long_loop_bodies_reach_a_verdict(tmp_path, capsys):
+    """The interval analysis walks a loop body down its sequence; a body of
+    1000 statements used to raise RecursionError (exit 3)."""
+    source = "low l; high h; while (l < 3) { " + "h := h + 1; " * 3000 + "l := l + 1; }"
+    assert _check_codes(tmp_path, capsys, source, "--bound", "0") == [0, 2, 2, 0, 0]
+
+
+def test_deep_expressions_reach_a_replayed_refutation(tmp_path, capsys):
+    """Every walk over a program expression loops; a sum of 990 operands
+    used to raise RecursionError (exit 3), as did comparing two equal deep
+    sums (the second assignment looks the first up among the no-op
+    transfers).  Every relational config refutes, after replay."""
+    total = " + ".join(["h"] * 2000)
+    source = f"low l; high h; l := {total}; l := {total};"
+    assert _check_codes(tmp_path, capsys, source) == [2, 1, 1, 1, 1]
+
+
 def test_bench_pairs_summary_applies_the_gain_rule():
     from bench_pairs import render, summarize
 
-    def record(pair, side, p50, rate):
+    def record(pair, side, p50, rate, workload="w"):
         metrics = {"verdict_ms_p50": {"value": p50, "unit": "ms"}, "verdicts_per_s": {"value": rate, "unit": "1/s"}}
-        return {"workload": "w", "pair": pair, "seed": 100 + pair, "side": side, "result": {"metrics": metrics}}
+        return {"workload": workload, "pair": pair, "seed": 100 + pair, "side": side, "result": {"metrics": metrics}}
 
     # The change is faster in nine of ten pairs (tied in pair 9), and its
     # rate is higher in only five.
@@ -939,12 +967,15 @@ def test_bench_pairs_summary_applies_the_gain_rule():
     records = [record(i, "parent", p, 10.0) for i, p in enumerate(parent)]
     records += [record(i, "change", c, 10.0 + (1 if i % 2 else -1)) for i, c in enumerate(change)]
     records.append(record(10, "parent", 50, 20.0))  # a pair whose change run is missing
-    metrics = [{"name": "verdict_ms_p50", "better": "lower"}, {"name": "verdicts_per_s", "better": "higher"}]
+    metrics = [
+        {"name": "verdict_ms_p50", "better": "lower", "bound": 0.25},
+        {"name": "verdicts_per_s", "better": "higher", "bound": 0.25},
+    ]
     p50, rate = summarize(records, metrics)
-    assert p50["pairs"] == 10 and p50["won"] == 9 and p50["gain"]
+    assert p50["pairs"] == 10 and p50["won"] == 9 and p50["gain"] and p50["held"]
     assert p50["parent"][1] == 100 and p50["change"][1] == 90
     assert p50["parent"][0] < 100 < p50["parent"][2]
-    assert rate["won"] == 5 and not rate["gain"]
+    assert rate["won"] == 5 and not rate["gain"] and rate["held"]
     # Medians 10 apart against a parent spread wider than that: no gain.
     spread = [record(i, "parent", 100 + (30 if i % 2 else -30), 1.0) for i in range(10)]
     spread += [record(i, "change", 90 + (30 if i % 2 else -30), 1.0) for i in range(10)]
@@ -952,4 +983,22 @@ def test_bench_pairs_summary_applies_the_gain_rule():
     assert wide["won"] == 10 and not wide["gain"]
     text = render([p50, wide])
     assert "won 9/10, gain holds" in text and "won 10/10, gain does not hold" in text
-    assert "(-10.0%)" in text
+    assert "(-10.0%)" in text and "within its 25% bound" in text
+    # One file, two workloads with the same pair numbers: each is summarized
+    # on its own runs.  On "slow" the change is 30 % slower, past the bound,
+    # and its rate 20 % lower, within it.
+    slow = [record(i, "parent", 10, 5.0, "slow") for i in range(4)]
+    slow += [record(i, "change", 13, 4.0, "slow") for i in range(4)]
+    fast = [record(i, side, 1, 50.0, "fast") for i in range(4) for side in ("change", "parent")]
+    rows = summarize(slow + fast, metrics)
+    assert [(row["workload"], row["metric"]) for row in rows] == [
+        ("slow", "verdict_ms_p50"),
+        ("slow", "verdicts_per_s"),
+        ("fast", "verdict_ms_p50"),
+        ("fast", "verdicts_per_s"),
+    ]
+    assert [row["pairs"] for row in rows] == [4] * 4
+    assert [row["held"] for row in rows] == [False, True, True, True]
+    assert rows[0]["parent"][1] == 10 and rows[0]["change"][1] == 13 and rows[2]["change"][1] == 1
+    text = render(rows)
+    assert "slow verdict_ms_p50 (lower is better): parent 10 " in text and "PAST its 25% bound" in text

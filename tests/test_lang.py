@@ -191,6 +191,24 @@ def test_expressions_keep_their_hash_and_guards_their_negation():
     assert repr(shallow.negate()) == "Cmp(op='!=', left=Var(name='x'), right=Const(value=1))"
 
 
+def test_walks_over_deep_expressions_do_not_recurse():
+    """Evaluating, printing and comparing an expression walk it without
+    recursing, in the order the recursive definitions gave."""
+    left, right = Var("x"), Var("x")
+    for i in range(20_000):
+        left = BinOp("+" if i % 2 else "-", left, Const(i))
+        right = BinOp("+" if i % 2 else "-", Const(i), right)
+    assert eval_expr(left, {"x": 3}) == 3 + 10_000 and eval_expr(right, {"x": 3}) == 20_003
+    assert str(left) == "(" * 20_000 + "x" + "".join(f" {'+' if i % 2 else '-'} {i})" for i in range(20_000))
+    twin = Var("x")
+    for i in range(20_000):
+        twin = BinOp("+" if i % 2 else "-", twin, Const(i))
+    assert left == twin and not left != twin and left != right
+    assert Cmp("<", left, Const(0)) == Cmp("<", twin, Const(0))
+    assert twin != BinOp("-", twin.left, Const(19_999))  # differs only at the root's op
+    assert eval_expr(BinOp("*", BinOp("-", Var("a"), Const(2)), Var("b")), {"a": 5, "b": 4}) == 12
+
+
 def test_step_is_deterministic():
     rng = random.Random(7)
     for _ in range(50):
