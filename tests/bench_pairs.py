@@ -10,13 +10,16 @@ runs, so no run reuses bytecode another compiled.  Each run's last output
 line (the benchmark's JSON object) is appended to ``--out`` as one JSON line
 with its side, pair and seed, as soon as the run ends.
 
-For each end-to-end metric of the change's ``BENCHMARK.json`` the summary
-gives each side's median and quartiles, the pairs the change won (ties count
-for neither side) and whether a gain may be claimed: the change won at least
-nine tenths of the pairs, and the medians differ, in the better direction,
-by more than the parent's interquartile range.  ``--summarize FILE`` prints
-the summary of a file written earlier instead of running anything.  The
-script is not a test module; pytest does not collect it.
+For each workload in the file and each end-to-end metric of the change's
+``BENCHMARK.json`` the summary gives each side's median and quartiles, the
+pairs the change won (ties count for neither side), whether a gain may be
+claimed (the change won at least nine tenths of the pairs, and the medians
+differ, in the better direction, by more than the parent's interquartile
+range), and whether the change holds the metric (its median is worse than
+the parent's by no more than the metric's ``bound``, a fraction of the
+parent's median).  ``--summarize FILE`` prints the summary of a file
+written earlier instead of running anything.  The script is not a test
+module; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -57,35 +60,41 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(records: list[dict], metrics: list[dict]) -> list[dict]:
-    """One row per metric of ``metrics`` (``name`` and ``better``) that both sides report.
+    """One row per workload and metric of ``metrics`` (``name``, ``better``
+    and ``bound``) that both sides report.
 
     ``records`` are the JSON lines this script writes; a pair counts once
-    both its runs are there.
+    both its runs of the workload are there.
     """
-    runs: dict[int, dict[str, dict]] = {}
+    runs: dict[str, dict[int, dict[str, dict]]] = {}
     for record in records:
-        runs.setdefault(record["pair"], {})[record["side"]] = record["result"]["metrics"]
-    pairs = [sides for _, sides in sorted(runs.items()) if all(side in sides for side in SIDES)]
+        by_pair = runs.setdefault(record["workload"], {})
+        by_pair.setdefault(record["pair"], {})[record["side"]] = record["result"]["metrics"]
     rows = []
-    for spec in metrics:
-        name, sign = spec["name"], (1 if spec["better"] == "higher" else -1)
-        values = {side: [pair[side][name]["value"] for pair in pairs if name in pair[side]] for side in SIDES}
-        if not pairs or len(values["parent"]) != len(pairs) or len(values["change"]) != len(pairs):
-            continue
-        won = sum(1 for p, c in zip(values["parent"], values["change"]) if sign * (c - p) > 0)
-        parent, change = quartiles(values["parent"]), quartiles(values["change"])
-        gap = sign * (change[1] - parent[1])
-        rows.append(
-            {
-                "metric": name,
-                "better": spec["better"],
-                "parent": parent,
-                "change": change,
-                "won": won,
-                "pairs": len(pairs),
-                "gain": won >= 0.9 * len(pairs) and gap > parent[2] - parent[0],
-            }
-        )
+    for workload, by_pair in runs.items():
+        pairs = [sides for _, sides in sorted(by_pair.items()) if all(side in sides for side in SIDES)]
+        for spec in metrics:
+            name, sign = spec["name"], (1 if spec["better"] == "higher" else -1)
+            values = {side: [pair[side][name]["value"] for pair in pairs if name in pair[side]] for side in SIDES}
+            if not pairs or len(values["parent"]) != len(pairs) or len(values["change"]) != len(pairs):
+                continue
+            won = sum(1 for p, c in zip(values["parent"], values["change"]) if sign * (c - p) > 0)
+            parent, change = quartiles(values["parent"]), quartiles(values["change"])
+            gap = sign * (change[1] - parent[1])
+            rows.append(
+                {
+                    "workload": workload,
+                    "metric": name,
+                    "better": spec["better"],
+                    "bound": spec["bound"],
+                    "parent": parent,
+                    "change": change,
+                    "won": won,
+                    "pairs": len(pairs),
+                    "gain": won >= 0.9 * len(pairs) and gap > parent[2] - parent[0],
+                    "held": -gap <= spec["bound"] * abs(parent[1]),
+                }
+            )
     return rows
 
 
@@ -95,9 +104,10 @@ def render(rows: list[dict]) -> str:
         (p1, p2, p3), (c1, c2, c3) = row["parent"], row["change"]
         ratio = f"{(c2 - p2) / p2:+.1%}" if p2 else "n/a"
         lines.append(
-            f"{row['metric']} ({row['better']} is better): parent {p2:.6g} [{p1:.6g}, {p3:.6g}] -> "
+            f"{row['workload']} {row['metric']} ({row['better']} is better): parent {p2:.6g} [{p1:.6g}, {p3:.6g}] -> "
             f"change {c2:.6g} [{c1:.6g}, {c3:.6g}] ({ratio}), won {row['won']}/{row['pairs']}, "
-            f"gain {'holds' if row['gain'] else 'does not hold'}"
+            f"gain {'holds' if row['gain'] else 'does not hold'}, "
+            f"{'within' if row['held'] else 'PAST'} its {row['bound']:.0%} bound"
         )
     return "\n".join(lines)
 
