@@ -129,6 +129,11 @@ def fold(expr: Expr, const: Callable, var: Callable, node: Callable):
     """``const(value)`` at each constant, ``var(name)`` at each variable and
     ``node(op, l, r)`` at each operation over its operands' results, left
     operand first, bottom up and without recursion."""
+    cls = expr.__class__
+    if cls is Var:
+        return var(expr.name)
+    if cls is Const:
+        return const(expr.value)
     out: list = []
     stack: list = [expr]
     while stack:
