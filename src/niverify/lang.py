@@ -105,13 +105,12 @@ class BinOp:
                 continue
             if a.__class__ is not b.__class__ or a._hash != b._hash:
                 return False
-            if a.__class__ is not BinOp:
-                if a != b:
+            if a.__class__ is BinOp:
+                if a.op != b.op:
                     return False
-            elif a.op != b.op:
-                return False
-            else:
                 pairs += ((a.right, b.right), (a.left, b.left))
+            elif a != b:
+                return False
         return True
 
     def __str__(self) -> str:
