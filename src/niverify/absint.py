@@ -200,12 +200,6 @@ BOTTOM = AbstractState(None)
 
 
 def eval_interval(expr: Expr, env: dict[str, Interval]) -> Interval:
-    # Most operands are leaves, answered here without a closure for fold.
-    cls = expr.__class__
-    if cls is Var:
-        return env.get(expr.name, TOP_INTERVAL)
-    if cls is Const:
-        return Interval(expr.value, expr.value)
     return lang.fold(expr, _point, lambda name: env.get(name, TOP_INTERVAL), _interval_op)
 
 
@@ -327,11 +321,11 @@ def _backward(expr: Expr, target: Interval, env: dict[str, Interval], changes: d
     A variable whose interval narrows is written to both ``env`` and
     ``changes``; one that keeps its interval is written to neither.  An
     operation's two targets are computed before either operand is
-    refined, and the left operand is refined first: the walk descends
-    left and keeps each right operand, with its target, on a stack.
+    refined, and the left operand is refined first.
     """
-    stack: list[tuple[Expr, Interval]] = []
-    while True:
+    stack = [(expr, target)]
+    while stack:
+        expr, target = stack.pop()
         cls = expr.__class__
         if cls is Var:
             name = expr.name
@@ -358,14 +352,10 @@ def _backward(expr: Expr, target: Interval, env: dict[str, Interval], changes: d
                 rt = _mul_refine(ri, li, target)
             if lt is None or rt is None:
                 return False
-            stack.append((right, rt))
-            expr, target = left, lt
-            continue
+            stack += ((right, rt), (left, lt))
         else:
             raise lang.LangError(f"unknown expression {expr!r}")
-        if not stack:
-            return True
-        expr, target = stack.pop()
+    return True
 
 
 def _mul_refine(side: Interval, other: Interval, target: Interval) -> Interval | None:
