@@ -481,14 +481,7 @@ def _analyze_loop(guard: BExpr, body: Command, a: AbstractState) -> AbstractStat
 
 
 class BottomState(ValueError):
-    """The bounds of the unreachable state were asked for (``constr``, ``redsoundse.reduction``)."""
-
-
-def constr(a: AbstractState) -> list[tuple[str, str, int]]:
-    """The state as bounds ``(x, op, c)``, each meaning ``x op c`` (finite bounds only)."""
-    if a.is_bottom:
-        raise BottomState("no constraints for bottom")
-    return [(x, op, c) for x, iv in a.env for op, c in bounds(iv)]
+    """The bounds of the unreachable state were asked for (``redsoundse.reduction``)."""
 
 
 def state_holds(a: AbstractState, store: lang.Store) -> bool:

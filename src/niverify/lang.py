@@ -16,7 +16,6 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-ARITH_OPS = ("+", "-", "*")
 CMP_OPS = ("<", "<=", "==", "!=", ">", ">=")
 
 # Negation stays inside the comparison language.
@@ -95,23 +94,9 @@ class BinOp:
         return self._hash
 
     def __eq__(self, other: object) -> bool:
-        """The dataclass equality, walked without recursion."""
         if other.__class__ is not BinOp:
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__ or a._hash != b._hash:
-                return False
-            if a.__class__ is BinOp:
-                if a.op != b.op:
-                    return False
-                pairs += ((a.right, b.right), (a.left, b.left))
-            elif a != b:
-                return False
-        return True
+        return same_tree(self, other)
 
     def __str__(self) -> str:
         return fold(self, str, str, lambda op, left, right: f"({left} {op} {right})")
@@ -122,6 +107,26 @@ Expr = Const | Var | BinOp
 
 # Expressions can nest thousands deep (a long sum), so no walk over an
 # expression recurses on its depth.
+
+
+def same_tree(a, b) -> bool:
+    """The dataclass equality of two operation nodes of one class (``BinOp``
+    or ``symcore.SBinOp``), hashes first, walked without recursion."""
+    node = a.__class__
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        if a is b:
+            continue
+        if a.__class__ is not b.__class__ or a._hash != b._hash:
+            return False
+        if a.__class__ is node:
+            if a.op != b.op:
+                return False
+            pairs += ((a.right, b.right), (a.left, b.left))
+        elif a != b:
+            return False
+    return True
 
 
 def fold(expr: Expr, const: Callable, var: Callable, node: Callable):
@@ -643,9 +648,9 @@ def concrete_step(state: tuple[Command, Store]) -> tuple[Command, Store]:
     raise LangError(f"unknown command {cmd!r}")
 
 
-def run_command(cmd: Command, store: Store, fuel: int) -> Final | OutOfFuel:
-    """Run a bare command to completion or give up after ``fuel`` small steps."""
-    current = dict(store)
+def run(program: Program, store: Store, fuel: int) -> Final | OutOfFuel:
+    """Run to completion or give up after ``fuel`` small steps."""
+    cmd, current = program.body, dict(store)
     for _ in range(fuel):
         if isinstance(cmd, Skip):
             return Final.of(current)
@@ -653,11 +658,6 @@ def run_command(cmd: Command, store: Store, fuel: int) -> Final | OutOfFuel:
     if isinstance(cmd, Skip):
         return Final.of(current)
     return OUT_OF_FUEL
-
-
-def run(program: Program, store: Store, fuel: int) -> Final | OutOfFuel:
-    """Run to completion or give up after ``fuel`` small steps."""
-    return run_command(program.body, store, fuel)
 
 
 def low_equal(store0: Store, store1: Store, low_vars: frozenset[str] | set[str]) -> bool:

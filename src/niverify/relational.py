@@ -85,9 +85,6 @@ from niverify.symcore import (
     SymPath,
     SymStore,
     TRUE,
-    Valuation,
-    eval_sym,
-    eval_path,
     pand,
     pcmp,
     pnot,
@@ -115,12 +112,8 @@ class Pair:
 RelSymStore = dict[str, Pair]
 
 
-def proj_expr(i: int, expr: Pair) -> SymExpr:
-    return expr.left if i == 0 else expr.right
-
-
 def proj(i: int, rho2: RelSymStore) -> SymStore:
-    return {x: proj_expr(i, e) for x, e in rho2.items()}
+    return {x: e.right if i else e.left for x, e in rho2.items()}
 
 
 def agree(e: Pair, path: SymPath, solver: Solver) -> bool:
@@ -155,22 +148,17 @@ def _binop_pair(op: str, lp: Pair, rp: Pair) -> Pair:
     return Pair(sbinop(op, lp.left, rp.left), sbinop(op, lp.right, rp.right))
 
 
-def rel_eval_bool(
-    bexpr: BExpr, rho2: RelSymStore, leaves: dict[SymPath, SymPath] | None = None
-) -> tuple[SymPath, SymPath]:
+def rel_eval_bool(bexpr: BExpr, rho2: RelSymStore, leaves: dict[SymPath, SymPath]) -> tuple[SymPath, SymPath]:
     """Both traces' guards; one object when both operands are shared by identity.
-
-    With a table (``RelEngine.leaves``), each leaf is the table's object
-    equal to it, which keeps the rows computed for it on an earlier fork.
-    """
+    Each leaf is the table's (``RelEngine.leaves``) object equal to it, which
+    keeps the rows computed for it on an earlier fork."""
     lp, rp = rel_eval_expr(bexpr.left, rho2), rel_eval_expr(bexpr.right, rho2)
     g0 = pcmp(bexpr.op, lp.left, rp.left)
-    if leaves is not None:
-        g0 = leaves.setdefault(g0, g0)
+    g0 = leaves.setdefault(g0, g0)
     if lp.left is lp.right and rp.left is rp.right:
         return g0, g0
     g1 = pcmp(bexpr.op, lp.right, rp.right)
-    return g0, g1 if leaves is None else leaves.setdefault(g1, g1)
+    return g0, leaves.setdefault(g1, g1)
 
 
 def modif_dep(
@@ -193,17 +181,6 @@ def modif_dep(
         else:
             out[x] = Pair(SVal(factory.fresh(x)), SVal(factory.fresh(x)))
     return out
-
-
-def in_gamma_k2(kappa2: PreciseStore, store0, store1, valuation: Valuation) -> bool:
-    """Concretization membership for a pair of stores (test oracle)."""
-    rho2 = kappa2.store()
-    for x, e in rho2.items():
-        if store0[x] != eval_sym(e.left, valuation):
-            return False
-        if store1[x] != eval_sym(e.right, valuation):
-            return False
-    return eval_path(kappa2.path, valuation)
 
 
 # ---------------------------------------------------------------------------

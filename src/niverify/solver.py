@@ -60,6 +60,7 @@ from niverify.symcore import (
     NormalForm,
     PAnd,
     PCmp,
+    PNot,
     Poly,
     PTrue,
     Row,
@@ -75,7 +76,6 @@ from niverify.symcore import (
     _nested,
     cmp_rows,
     conjuncts,
-    dnf,
     eval_path,
     eval_sym,
     fold,
@@ -310,11 +310,19 @@ def _smt_path(path: SymPath) -> str:
 
 
 def _is_nonlinear(path: SymPath) -> bool:
-    try:
-        clauses = dnf(path)
-    except Blowup:
-        return True
-    return any(len(m) > 1 for clause in clauses for coeffs, _ in clause for m in coeffs)
+    """Whether a comparison of the path, under conjunctions and negations,
+    has a product of symbols; no normal form is expanded."""
+    stack = [path]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is PAnd:
+            stack += (node.left, node.right)
+        elif node.__class__ is PNot:
+            stack.append(node.operand)
+        elif node.__class__ is PCmp:
+            if any(len(m) > 1 for clause in cmp_rows(node) for coeffs, _ in clause for m in coeffs):
+                return True
+    return False
 
 
 def emit_smtlib(path: SymPath, symbols: set[SymValue]) -> str:
@@ -714,6 +722,4 @@ class Solver:
 
     def prove_equal(self, e0: SymExpr, e1: SymExpr, path: SymPath) -> bool:
         """True only if ``path and e0 != e1`` is definitely unsatisfiable."""
-        if e0 == e1:
-            return True
         return self._refuted(pand(path, pcmp("!=", e0, e1)))

@@ -182,26 +182,9 @@ class SBinOp:
         return self._hash
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
         if other.__class__ is not SBinOp:
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__ or a._hash != b._hash:
-                return False
-            if a.__class__ is not SBinOp:
-                if a != b:
-                    return False
-            elif a.op != b.op:
-                return False
-            else:
-                pairs.append((a.right, b.right))
-                pairs.append((a.left, b.left))
-        return True
+        return lang.same_tree(self, other)
 
     def __str__(self) -> str:
         return fold(self, str, lambda op, left, right: f"({left} {op} {right})")
@@ -517,7 +500,7 @@ class PAnd:
 
     @property
     def symbols(self) -> frozenset[SymValue]:
-        return frozenset().union(*(leaf.symbols for leaf in conjuncts(self)))
+        return _path_symbols(self)
 
     def __hash__(self) -> int:
         return self._hash
@@ -535,6 +518,8 @@ class PAnd:
                     return False
                 pairs.append((a.right, b.right))
                 pairs.append((a.left, b.left))
+            elif a.__class__ is PNot and b.__class__ is PNot:
+                pairs.append((a.operand, b.operand))
             elif a != b:
                 return False
         return True
@@ -556,7 +541,7 @@ class PNot:
 
     @property
     def symbols(self) -> frozenset[SymValue]:
-        return self.operand.symbols
+        return _path_symbols(self)
 
     def __str__(self) -> str:
         return render(self)
@@ -566,6 +551,30 @@ SymPath = PTrue | PCmp | PAnd | PNot
 
 TRUE = PTrue()
 FALSE = PNot(TRUE)
+
+
+def _path_symbols(path: PAnd | PNot) -> frozenset[SymValue]:
+    """A conjunction's symbols are the union of its conjuncts', a negation's
+    its operand's; computed bottom up on a stack, without recursion.  An int
+    on the stack counts the sets to join: each conjunction's set is built as
+    ``frozenset().union`` of its conjuncts', as the recursive definition
+    built it, so it iterates in the same order."""
+    values: list[frozenset[SymValue]] = []
+    stack: list = [path]
+    while stack:
+        node = stack.pop()
+        while node.__class__ is PNot:
+            node = node.operand
+        if node.__class__ is PAnd:
+            leaves = list(conjuncts(node))
+            stack.append(len(leaves))
+            stack += reversed(leaves)
+        elif node.__class__ is int:
+            start = len(values) - node
+            values[start:] = [frozenset().union(*values[start:])]
+        else:
+            values.append(node.symbols)
+    return values[0]
 
 
 def pcmp(op: str, left: SymExpr, right: SymExpr) -> SymPath:
@@ -889,19 +898,34 @@ def eval_sym(expr: SymExpr, valuation: Valuation) -> int:
 
 
 def eval_path(path: SymPath, valuation: Valuation) -> bool:
-    for leaf in conjuncts(path):
-        match leaf:
-            case PTrue():
-                continue
-            case PCmp(op, left, right):
-                if not apply_cmp(op, eval_sym(left, valuation), eval_sym(right, valuation)):
-                    return False
-            case PNot(operand):
-                if eval_path(operand, valuation):
-                    return False
-            case _:
+    """Whether the path holds, its conjuncts checked left to right up to the
+    first that fails.  A negated operand opens a walk over its conjuncts on
+    a stack, so nested negations cost no recursion."""
+    walks = [conjuncts(path)]
+    while True:
+        holds = True
+        for leaf in walks[-1]:
+            cls = leaf.__class__
+            if cls is PCmp:
+                if not apply_cmp(leaf.op, eval_sym(leaf.left, valuation), eval_sym(leaf.right, valuation)):
+                    holds = False
+                    break
+            elif cls is PNot:
+                walks.append(conjuncts(leaf.operand))
+                holds = None
+                break
+            elif cls is not PTrue:
                 raise lang.LangError(f"unknown path {leaf!r}")
-    return True
+        if holds is None:
+            continue
+        # The innermost walk is done.  If its conjunction holds, the
+        # negation around it fails, and so does the walk holding that.
+        walks.pop()
+        if holds and walks:
+            walks.pop()
+            holds = False
+        if not walks:
+            return holds
 
 
 def symbols_of_expr(expr: SymExpr) -> frozenset[SymValue]:
@@ -925,11 +949,8 @@ def _union(op: str, left: frozenset[SymValue], right: frozenset[SymValue]) -> fr
     return left | right
 
 
-def in_gamma_m(rho: SymStore, store: Store, valuation: Valuation) -> bool:
-    """Membership in the symbolic-store concretization."""
-    return all(store[x] == eval_sym(e, valuation) for x, e in rho.items())
-
-
 def in_gamma_k(kappa: PreciseStore, store: Store, valuation: Valuation) -> bool:
     """Membership in the precise-store concretization (store match and path)."""
-    return in_gamma_m(kappa.store(), store, valuation) and eval_path(kappa.path, valuation)
+    if any(store[x] != eval_sym(e, valuation) for x, e in kappa.store().items()):
+        return False
+    return eval_path(kappa.path, valuation)

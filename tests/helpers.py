@@ -39,8 +39,7 @@ from niverify.relational import (
     srse_step,
     RelEngine,
     RelState,
-    in_gamma_k2,
-    proj_expr,
+    proj,
 )
 from niverify.solver import Solver
 from niverify.soundse import focus
@@ -67,7 +66,7 @@ class Diverges(Exception):
 
 
 def run_capped(cmd, store, fuel, cap=MAGNITUDE_CAP):
-    """run_command, but values above the cap count as divergence (None)."""
+    """``lang.run`` of a bare command, but values above the cap count as divergence (None)."""
     current = dict(store)
     for _ in range(fuel):
         if isinstance(cmd, Skip):
@@ -320,8 +319,8 @@ class RelWalk:
 def _rel_new_symbols(rho2, nu) -> set:
     out = set()
     for e in rho2.values():
-        for i in (0, 1):
-            out |= {s for s in symbols_of_expr(proj_expr(i, e)) if s not in nu}
+        for side in (e.left, e.right):
+            out |= {s for s in symbols_of_expr(side) if s not in nu}
     return out
 
 
@@ -350,8 +349,8 @@ def walk_relational_coverage(
             return RelWalk(state.kappa2, state.precise, nu)
         rho2 = state.kappa2.store()
         stores = (
-            {x: eval_sym(proj_expr(0, e), nu) for x, e in rho2.items()},
-            {x: eval_sym(proj_expr(1, e), nu) for x, e in rho2.items()},
+            {x: eval_sym(e, nu) for x, e in proj(0, rho2).items()},
+            {x: eval_sym(e, nu) for x, e in proj(1, rho2).items()},
         )
         if engine.use_intervals:
             assert state_holds(state.a0, stores[0]) and state_holds(state.a1, stores[1])
@@ -419,6 +418,14 @@ def check_single_coverage(program, mu0, k, solver, fuel, with_intervals=False) -
         return False
     assert in_gamma_k(walk.kappa, oracle.as_store(), walk.valuation)
     return True
+
+
+def in_gamma_k2(kappa2: PreciseStore, store0, store1, valuation) -> bool:
+    """Concretization membership for a pair of stores."""
+    for x, e in kappa2.store().items():
+        if store0[x] != eval_sym(e.left, valuation) or store1[x] != eval_sym(e.right, valuation):
+            return False
+    return eval_path(kappa2.path, valuation)
 
 
 def check_relational_coverage(program, mu0, mu1, engine, rho2_0, fuel) -> bool:

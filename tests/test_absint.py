@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from niverify import absint
 from niverify.absint import (
     BOTTOM,
+    TOP_INTERVAL,
     AbstractState,
     BottomState,
     Interval,
@@ -17,7 +18,7 @@ from niverify.absint import (
     a_leq,
     a_widen,
     analyze,
-    constr,
+    bounds,
     state_holds,
 )
 from niverify.lang import (
@@ -32,6 +33,8 @@ from niverify.lang import (
     eval_bool,
     parse_program,
 )
+from niverify.redsoundse import reduction
+from niverify.symcore import TRUE, PreciseStore
 
 import helpers
 from helpers import random_cmp, random_command, random_expr, run_capped
@@ -126,13 +129,16 @@ def test_analyze_trivial_shapes():
 
 
 def test_constr():
+    """A state's constraints are its intervals' finite ``bounds``, which the
+    reduction asserts; the unreachable state has none to give."""
     a = env(priv=(2, None), i=(10, 10))
-    assert constr(a) == [("i", "==", 10), ("priv", ">=", 2)]
-    assert constr(AbstractState.top({"x"})) == []
-    assert constr(env(x=(3, 3))) == [("x", "==", 3)]
-    assert constr(env(x=(None, 4))) == [("x", "<=", 4)]
+    assert [(x, op, c) for x, iv in a.env for op, c in bounds(iv)] == [("i", "==", 10), ("priv", ">=", 2)]
+    assert bounds(TOP_INTERVAL) == ()
+    assert bounds(Interval(3, 3)) == (("==", 3),)
+    assert bounds(Interval(None, 4)) == (("<=", 4),)
+    assert bounds(Interval(-1, 4)) == ((">=", -1), ("<=", 4))
     with pytest.raises(BottomState):
-        constr(BOTTOM)
+        reduction(PreciseStore.of({}, TRUE), BOTTOM)
 
 
 def _stores_in(a: AbstractState):

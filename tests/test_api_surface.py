@@ -1,0 +1,50 @@
+"""Every module-level name of ``src/niverify`` is used somewhere in ``src``.
+
+A function, class or constant that only tests reach is code the verifier
+carries for nothing, so it belongs in the tests.  The exceptions are the
+oracles that the acceptance tests import from the package.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "niverify"
+
+# Test oracles that tests/test_acceptance.py imports from the package.
+PINNED = {"state_holds", "product_explore", "initial_precise_store", "in_gamma_k"}
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            names |= {target.id for target in stmt.targets if isinstance(target, ast.Name)}
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names.add(stmt.target.id)
+    return names
+
+
+def _loaded(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_module_level_name_is_used_in_src():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    loaded = set().union(*map(_loaded, trees.values()))
+    unused = sorted(
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _defined(tree) - loaded - PINNED
+        if not name.startswith("__")  # __all__, __version__: read from outside
+    )
+    assert unused == []

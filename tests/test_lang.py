@@ -24,8 +24,10 @@ from niverify.lang import (
     low_equal,
     parse_program,
     run,
+    same_tree,
     used_vars,
 )
+from niverify.symcore import SBinOp, SConst, SVal, SymbolFactory
 
 from helpers import random_program, random_store, run_capped
 
@@ -207,6 +209,40 @@ def test_walks_over_deep_expressions_do_not_recurse():
     assert Cmp("<", left, Const(0)) == Cmp("<", twin, Const(0))
     assert twin != BinOp("-", twin.left, Const(19_999))  # differs only at the root's op
     assert eval_expr(BinOp("*", BinOp("-", Var("a"), Const(2)), Var("b")), {"a": 5, "b": 4}) == 12
+
+
+def test_same_tree_is_both_node_classes_equality():
+    """``BinOp`` and ``SBinOp`` compare through ``same_tree``: a 20 000-deep
+    tree equals its twin without recursing, a tree whose deepest leaf
+    differs does not, even with every hash on the way forced equal, and a
+    node never equals one of the other class."""
+    factory = SymbolFactory()
+    x, y = factory.fresh("x"), factory.fresh("y")
+
+    def chain(node, const, leaf):
+        tree = leaf
+        for i in range(20_000):
+            tree = node("+" if i % 2 else "*", tree, const(i))
+        return tree
+
+    for node, const, leaf, twin_leaf, other_leaf in (
+        (BinOp, Const, Var("x"), Var("x"), Var("y")),
+        (SBinOp, SConst, SVal(x), SVal(x), SVal(y)),
+    ):
+        tree, twin, odd = chain(node, const, leaf), chain(node, const, twin_leaf), chain(node, const, other_leaf)
+        assert tree == twin and not tree != twin and same_tree(tree, twin)
+        assert tree != odd and not same_tree(tree, odd)
+        a, b = tree, odd
+        while True:
+            b._hash = a._hash
+            if a.__class__ is not node:
+                break
+            a, b = a.left, b.left
+        assert tree != odd and not same_tree(tree, odd)
+    program = BinOp("+", Var("x"), Const(1))
+    term = SBinOp("+", SVal(x), SConst(1))
+    assert program.__eq__(term) is NotImplemented and term.__eq__(program) is NotImplemented
+    assert program != term and term != program
 
 
 def test_step_is_deterministic():

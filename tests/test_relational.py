@@ -15,11 +15,9 @@ from niverify.relational import (
     RelEngine,
     RelState,
     agree,
-    in_gamma_k2,
     modif_dep,
     pairing,
     proj,
-    proj_expr,
     rel_eval_bool,
     rel_eval_expr,
     srse_explore,
@@ -44,6 +42,7 @@ from niverify.symcore import (
 
 from helpers import (
     check_relational_coverage,
+    in_gamma_k2,
     random_cmp,
     random_expr,
     random_program,
@@ -79,7 +78,7 @@ def test_projections():
     rho2 = {"y": shared(SConst(5)), "priv": Pair(p0, p1)}
     assert proj(0, rho2) == {"y": SConst(5), "priv": p0}
     assert proj(1, rho2) == {"y": SConst(5), "priv": p1}
-    assert proj_expr(0, shared(SConst(3))) == proj_expr(1, shared(SConst(3))) == SConst(3)
+    assert proj(0, {"x": shared(SConst(3))}) == proj(1, {"x": shared(SConst(3))}) == {"x": SConst(3)}
 
 
 def test_shared_pair_prints_one_side_and_skips_the_solver():
@@ -106,7 +105,7 @@ def test_projection_commutes_with_update():
     for i in (0, 1):
         left = proj(i, updated)
         right = dict(proj(i, rho2))
-        right["x"] = proj_expr(i, updated["x"])
+        right["x"] = proj(i, {"x": updated["x"]})["x"]
         assert left == right
 
 
@@ -132,14 +131,14 @@ def test_pairing(solver):
 def test_rel_eval_bool():
     factory = SymbolFactory()
     p0, p1 = SVal(factory.fresh("priv")), SVal(factory.fresh("priv"))
-    guard = rel_eval_bool(Cmp(">", Var("priv"), Const(0)), {"priv": Pair(p0, p1)})
+    guard = rel_eval_bool(Cmp(">", Var("priv"), Const(0)), {"priv": Pair(p0, p1)}, {})
     assert guard == (pcmp(">", p0, SConst(0)), pcmp(">", p1, SConst(0)))
     assert guard[0] != guard[1]
 
     i = SVal(factory.initial("i"))
-    low_guard = rel_eval_bool(Cmp("<", Var("i"), Const(1)), {"i": shared(i)})
+    low_guard = rel_eval_bool(Cmp("<", Var("i"), Const(1)), {"i": shared(i)}, {})
     assert low_guard[0] == low_guard[1]
-    const_guard = rel_eval_bool(Cmp("<", Const(0), Const(1)), {"i": shared(i)})
+    const_guard = rel_eval_bool(Cmp("<", Const(0), Const(1)), {"i": shared(i)}, {})
     assert const_guard == (TRUE, TRUE)
 
 
@@ -153,8 +152,7 @@ def test_step_on_secret_guard_covers_four_combinations(solver):
     tt, tf, ft, ff = successors
     assert not isinstance(tt.control, Diverged) and not isinstance(ff.control, Diverged)
     assert isinstance(tf.control, Diverged) and isinstance(ft.control, Diverged)
-    p0 = proj_expr(0, rho2["priv"])
-    p1 = proj_expr(1, rho2["priv"])
+    p0, p1 = rho2["priv"].left, rho2["priv"].right
     assert tf.kappa2.path == pand(
         pcmp(">", p0, SConst(0)), pcmp("<=", p1, SConst(0))
     )
@@ -334,11 +332,10 @@ def test_flag_true_finals_replay_as_two_runs(solver):
             continue
         nu = res.valuation()
         for x, e in rho2_0.items():
-            for i in (0, 1):
-                expr = proj_expr(i, e)
-                nu.setdefault(expr.sym, 0)
-        mu0 = {x: eval_sym(proj_expr(0, e), nu) for x, e in rho2_0.items()}
-        mu1 = {x: eval_sym(proj_expr(1, e), nu) for x, e in rho2_0.items()}
+            for side in (e.left, e.right):
+                nu.setdefault(side.sym, 0)
+        mu0 = {x: eval_sym(e, nu) for x, e in proj(0, rho2_0).items()}
+        mu1 = {x: eval_sym(e, nu) for x, e in proj(1, rho2_0).items()}
         out0 = run_capped(program.body, mu0, 10_000)
         out1 = run_capped(program.body, mu1, 10_000)
         assert isinstance(out0, Final) and isinstance(out1, Final)
@@ -429,7 +426,7 @@ def test_one_walk_evaluation_matches_the_projections():
         got = rel_eval_expr(expr, rho2)
         assert got == Pair(sym_eval_expr(expr, proj(0, rho2)), sym_eval_expr(expr, proj(1, rho2)))
         bexpr = random_cmp(rng, variables, 2)
-        g0, g1 = rel_eval_bool(bexpr, rho2)
+        g0, g1 = rel_eval_bool(bexpr, rho2, {})
         assert (g0, g1) == (sym_eval_bool(bexpr, proj(0, rho2)), sym_eval_bool(bexpr, proj(1, rho2)))
         if all(rho2[v].left is rho2[v].right for v in used_vars(expr)):
             both_shared += 1
@@ -448,7 +445,7 @@ def test_equal_guard_leaves_are_one_object_per_run():
     rho2 = {"x": shared(x), "h": Pair(h0, h1)}
     leaves = {}
     first = rel_eval_bool(guard, rho2, leaves)
-    assert first == rel_eval_bool(guard, rho2) and first[0] is not first[1]
+    assert first == rel_eval_bool(guard, rho2, {}) and first[0] is not first[1]
     equal = {"x": shared(x), "h": Pair(h0, h1)}
     again = rel_eval_bool(guard, equal, leaves)
     assert again[0] is first[0] and again[1] is first[1]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import subprocess
 import sys
 
 from niverify import solver as solver_module
@@ -88,6 +89,14 @@ def test_prove_equal():
         SBinOp("+", SVal(i0), SConst(1)), SBinOp("+", SVal(i1), SConst(1)), same
     )
     assert not solver.prove_equal(SVal(i0), SVal(i1), TRUE)
+    # Equal terms, distinct objects, are proved by the solver on any path.
+    product = SBinOp("*", SVal(i0), SVal(i1))
+    positive = pcmp(">", SVal(i0), SConst(0))
+    assert solver.may_sat(positive)
+    assert solver.prove_equal(product, SBinOp("*", SVal(i0), SVal(i1)), positive)
+    empty = pand(positive, pcmp("<", SVal(i0), SConst(0)))
+    assert isinstance(solver.check_sat(empty), Unsat)
+    assert solver.prove_equal(product, SBinOp("*", SVal(i0), SVal(i1)), empty)
 
 
 def test_emit_smtlib_shapes():
@@ -108,6 +117,15 @@ def test_emit_smtlib_picks_nonlinear_logic():
     assert "(set-logic QF_LIA)" in linear
     nonlinear = emit_smtlib(pcmp("==", SBinOp("*", SVal(x), SVal(y)), SConst(4)), {x, y})
     assert "(set-logic QF_NIA)" in nonlinear
+    # Eight disequalities expand past MAX_CLAUSES, and are still linear.
+    wide = TRUE
+    for c in range(8):
+        wide = pand(wide, pcmp("!=", SVal(x), SConst(c)))
+    assert wide.clause_counts[0] is None
+    assert "(set-logic QF_LIA)" in emit_smtlib(wide, {x})
+    # A product under a negation is found.
+    negated = pnot(pand(wide, pcmp(">", SBinOp("*", SVal(x), SVal(y)), SConst(0))))
+    assert "(set-logic QF_NIA)" in emit_smtlib(negated, {x, y})
 
 
 def test_parse_model_output_negative_literals():
@@ -336,6 +354,21 @@ def test_subprocess_shell_decides_long_paths():
         expected = InternalBackend().check(query)
         assert isinstance(expected, (Sat, Unsat))
         assert type(backend.check(query)) is type(expected)
+
+
+def test_shell_answers_deeply_nested_negations():
+    """``(not (and (> x 0) (not (and ... (> x 1)))))``, 3000 deep: every
+    ``x <= 0`` satisfies it, and the shell finds such a model."""
+    formula = "(> x 1)"
+    for _ in range(3000):
+        formula = f"(not (and (> x 0) {formula}))"
+    script = f"(declare-const x Int)\n(assert {formula})\n(check-sat)\n(get-model)\n"
+    done = subprocess.run(SHELL, input=script, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    answer, model = done.stdout.split("\n", 1)
+    assert answer == "sat"
+    _, (x, *_) = _symbols(1)
+    assert parse_model_output(model, {x})[x] <= 0
 
 
 def test_unavailable_solver_is_unknown():

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from niverify import symcore
-from niverify.lang import Assign, BinOp, Cmp, Const, Seq, Var
+from niverify.lang import Assign, BinOp, Cmp, Const, Seq, Var, apply_cmp
 from niverify.symcore import (
     MissingSymbol,
+    PAnd,
+    PCmp,
+    PNot,
     PreciseStore,
     SBinOp,
     SConst,
@@ -190,6 +193,81 @@ def test_long_paths_are_walked_without_recursion():
     assert pand(path, leaves[0]) != path
     script = emit_smtlib(path, {x, z})
     assert script.count("(and ") == 4999
+
+
+def test_deep_negations_are_walked_without_recursion():
+    """``not (s_k > 0 and not (... and x > 1))``, 20 000 negations deep."""
+    factory = SymbolFactory()
+    x = factory.initial("x")
+    steps = [factory.fresh("s") for _ in range(20_000)]
+
+    def nested(last):
+        path = pcmp(">", SVal(x), SConst(last))
+        for s in steps:
+            path = pnot(pand(pcmp(">", SVal(s), SConst(0)), path))
+        return path
+
+    path = nested(1)
+    assert path == nested(1) and path != nested(2)
+    assert path.symbols == {x, *steps}
+    ones = dict.fromkeys(steps, 1)
+    # With every s_k > 0 each negation flips its operand, an even number of times.
+    assert eval_path(path, {**ones, x: 5}) and not eval_path(path, {**ones, x: 1})
+    # The outermost s_k <= 0 decides it before any symbol below is read.
+    assert eval_path(path, {steps[-1]: 0})
+    with pytest.raises(MissingSymbol):
+        eval_path(path, {steps[-1]: 1})
+
+
+def _ref_symbols(path):
+    """The recursive definition ``PAnd.symbols``/``PNot.symbols`` had."""
+    if isinstance(path, PAnd):
+        return frozenset().union(*(_ref_symbols(leaf) for leaf in conjuncts(path)))
+    if isinstance(path, PNot):
+        return _ref_symbols(path.operand)
+    return path.symbols
+
+
+def _ref_eval_path(path, valuation):
+    """The recursive definition ``eval_path`` had, short cut left to right."""
+    for leaf in conjuncts(path):
+        if isinstance(leaf, PCmp):
+            if not apply_cmp(leaf.op, eval_sym(leaf.left, valuation), eval_sym(leaf.right, valuation)):
+                return False
+        elif isinstance(leaf, PNot) and _ref_eval_path(leaf.operand, valuation):
+            return False
+    return True
+
+
+def _random_nested_path(rng, symbols, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        if rng.random() < 0.1:
+            return TRUE
+        return PCmp(rng.choice(("<", "<=", "==", "!=", ">", ">=")), SVal(rng.choice(symbols)), SConst(rng.randint(-2, 2)))
+    if roll < 0.55:
+        return PNot(_random_nested_path(rng, symbols, depth - 1))
+    return PAnd(_random_nested_path(rng, symbols, depth - 1), _random_nested_path(rng, symbols, depth - 1))
+
+
+def test_nested_path_walks_match_the_recursive_definitions():
+    """Symbols (as sets, and in iteration order) and truth, or the missing
+    symbol raised, agree with the recursive walks on random nested paths."""
+    rng = random.Random(61)
+    for _ in range(2000):
+        factory = SymbolFactory()
+        symbols = [factory.fresh(v) for v in "abcdefghij"]
+        path = _random_nested_path(rng, symbols, 6)
+        assert list(path.symbols) == list(_ref_symbols(path))
+        valuation = {s: rng.randint(-3, 3) for s in symbols if rng.random() < 0.8}
+        try:
+            expected = _ref_eval_path(path, valuation)
+        except MissingSymbol as exc:
+            with pytest.raises(MissingSymbol) as raised:
+                eval_path(path, valuation)
+            assert raised.value.args == exc.args
+        else:
+            assert eval_path(path, valuation) == expected
 
 
 def _deep_term(n, last=0):
