@@ -7,8 +7,8 @@ abstract state non-bottom).  The reduction operator injects the abstract
 constraints into the symbolic path, substituting each program variable by
 its current symbolic expression; it runs at branch points and at
 loop-summarization steps.  A reduction asserts again only the variables
-whose term or interval changed since the reduction that returned its path
-or a near prefix; the others' conjuncts are already on the path (see
+whose term or interval changed since the reduction whose record its store
+carries; the others' conjuncts are already on the path (see
 ``reduction``).  The relational engine reduces each trace with the same
 function, reading that trace's side of its pair store in place.
 
@@ -25,7 +25,6 @@ from niverify.lang import Assign, BExpr, Command, Expr, If, Program, SKIP, Seq, 
 from niverify.solver import Solver
 from niverify.soundse import explore, focus, modif, plug
 from niverify.symcore import (
-    PAnd,
     PreciseStore,
     SConst,
     SymbolFactory,
@@ -45,24 +44,6 @@ class ProductState:
     kappa: PreciseStore
     astate: AbstractState | None
     precise: bool
-
-
-# How many conjunctions back from the path it is given ``reduction`` looks
-# for an earlier reduction's record: a step conjoins one or two guards to
-# the path it reduced last before it reduces again.
-RECORD_REACH = 4
-
-
-def _record(path: SymPath) -> tuple | None:
-    """The record of the nearest reduction that returned ``path`` or a near prefix."""
-    node = path
-    for _ in range(RECORD_REACH):
-        if node.__class__ is not PAnd:
-            return None
-        if node._reduced is not None:
-            return node._reduced
-        node = node.left
-    return None
 
 
 def _unmatched(positions, terms: list, env: tuple, seen_terms: tuple, seen_env: tuple) -> list[int]:
@@ -89,16 +70,15 @@ def reduction(kappa: PreciseStore, astate: AbstractState, side: int | None = Non
     with ``unshared`` a variable whose two sides are equal is left out, as
     a variable the store does not bind is.  No projected store is built.
 
-    Only what changed is asserted again.  The returned path, when it is a
-    conjunction (so never ``TRUE`` or ``FALSE``), records the interval env
-    and the term of each bounded variable, by position in the env, and
-    keeps the newer entry of the record this call found, so that the two
-    traces of a relational step each find their own.  A later call looks
-    for a record on its path or a near prefix, and skips each variable
-    whose term object and env entry (hence interval object) are the ones
-    recorded at its position.  That is exact: a path only grows by
-    conjunction, so the conjuncts of a recorded pair are leaves of the
-    prefix that holds the record, hence of the path, and asking for them
+    Only what changed is asserted again.  The returned store records the
+    interval env and the term of each bounded variable, by position in the
+    env, and keeps the newer entry of ``kappa``'s record, so that the two
+    traces of a relational step each find their own.  A step hands its
+    store's record on to the stores it builds on its path, and a call skips
+    each variable whose term object and env entry (hence interval object)
+    are the ones recorded at its position.  That is exact: a path only
+    grows by conjunction, so the conjuncts of a recorded pair are leaves of
+    the path the record was made on, hence of this one, and asking for them
     again would add nothing; or the path is already ``false``.
     """
     env = astate.env
@@ -107,7 +87,7 @@ def reduction(kappa: PreciseStore, astate: AbstractState, side: int | None = Non
     rho, path = kappa.store(), kappa.path
     positions = astate.bounded()
     if not positions:
-        return PreciseStore(kappa.rho, path)
+        return kappa
     terms = [None] * len(env)
     if side is None:
         for i in positions:
@@ -117,7 +97,7 @@ def reduction(kappa: PreciseStore, astate: AbstractState, side: int | None = Non
             pair = rho.get(env[i][0])
             if pair is not None and not (unshared and pair.shared):
                 terms[i] = pair.right if side else pair.left
-    record = _record(path)
+    record = kappa.reduced
     if record is not None:
         env0, terms0, env1, terms1 = record
         # The older entry first: in a relational step each trace's own
@@ -134,15 +114,8 @@ def reduction(kappa: PreciseStore, astate: AbstractState, side: int | None = Non
             conjunct = pcmp(op, term, SConst(bound))
             if not has_conjunct(path, conjunct):
                 path = pand(path, conjunct)
-    if path.__class__ is PAnd:
-        path._reduced = (env, tuple(terms)) + ((None, None) if record is None else record[:2])
-    return PreciseStore(kappa.rho, path)
-
-
-def forget_reduction(path: SymPath) -> None:
-    """Drop the record ``reduction`` left on ``path``, if any."""
-    if path.__class__ is PAnd:
-        path._reduced = None
+    record = (env, tuple(terms)) + ((None, None) if record is None else record[:2])
+    return PreciseStore(kappa.rho, path, record)
 
 
 # None-aware transfer functions: with no domain (None) they do nothing.
@@ -165,6 +138,7 @@ def product_step(state: ProductState, k: int, solver: Solver, factory: SymbolFac
     out: list[ProductState] = []
     redex, rest = focus(state.cmd)
     rho, path, astate = state.kappa.store(), state.kappa.path, state.astate
+    record = state.kappa.reduced
 
     def feasible(path2: SymPath, astate2: AbstractState | None) -> bool:
         return not dead(astate2) and solver.may_sat(path2)
@@ -185,7 +159,7 @@ def product_step(state: ProductState, k: int, solver: Solver, factory: SymbolFac
             rho2 = dict(rho)
             rho2[var] = sym_eval_expr(expr, rho)
             astate2 = assign(var, expr, astate)
-            emit(SKIP, PreciseStore.of(rho2, path), astate2, state.precise, reduce=False)
+            emit(SKIP, PreciseStore(rho2, path, record), astate2, state.precise, reduce=False)
         case If(cond, then_branch, else_branch):
             beta = sym_eval_bool(cond, rho)
             cases = ((then_branch, beta, cond), (else_branch, pnot(beta), cond.negate()))
@@ -193,7 +167,7 @@ def product_step(state: ProductState, k: int, solver: Solver, factory: SymbolFac
                 path2 = pand(path, sign)
                 astate2 = guard(bguard, astate)
                 if feasible(path2, astate2):
-                    emit(branch, PreciseStore.of(rho, path2), astate2, state.precise)
+                    emit(branch, PreciseStore(rho, path2, record), astate2, state.precise)
         case While(cond, body, unrolled):
             beta = sym_eval_bool(cond, rho)
             path_t = pand(path, beta)
@@ -201,18 +175,18 @@ def product_step(state: ProductState, k: int, solver: Solver, factory: SymbolFac
             if feasible(path_t, astate_t):
                 if unrolled < k:
                     again = Seq(body, While(cond, body, unrolled + 1))
-                    emit(again, PreciseStore.of(rho, path_t), astate_t, state.precise)
+                    emit(again, PreciseStore(rho, path_t, record), astate_t, state.precise)
                 else:
                     # Summarize the remaining iterations: havoc the write
                     # set, analyze the loop abstractly, then reduce.  The
                     # path is left unchanged.
                     rho2 = modif(rho, redex, factory)
                     astate2 = None if astate is None else analyze(redex, astate)
-                    emit(SKIP, PreciseStore.of(rho2, path), astate2, False)
+                    emit(SKIP, PreciseStore(rho2, path, record), astate2, False)
             path_f = pand(path, pnot(beta))
             astate_f = guard(cond.negate(), astate)
             if feasible(path_f, astate_f):
-                emit(SKIP, PreciseStore.of(rho, path_f), astate_f, state.precise)
+                emit(SKIP, PreciseStore(rho, path_f, record), astate_f, state.precise)
         case _:
             raise ValueError(f"unknown command {redex!r}")
     return out

@@ -27,18 +27,19 @@ intervals alone, and the skip is exact there too.  A branch on a guard
 both traces share never tries the two mixed sign pairs: their path is
 false, so no interval or solver work is spent on them.
 
-The reduction pays for what a step changed.  Each reduced path records
-the terms and interval entries it was reduced with, and the next
-reduction along it asserts again only the variables whose term or
-interval object differs (``redsoundse.reduction``); since a path only
-grows by conjunction, the skipped conjuncts are already on it.  The
-calls of ``_reduce2`` read each trace's side of the pair store in place,
-with no projected store, and find each trace's entry in the same record.
-Skipping trace 1's call leaves trace 0's record on the path, which is
-exact too: every entry a record holds was asserted on a prefix, and a
-conjunct asserted again is dropped (``has_conjunct``).  A record serves
-the successors of the state whose path holds it, so the step drops it
-once that state is expanded, and drops a final's at once.
+The reduction pays for what a step changed.  A reduced store records
+the terms and interval entries it was reduced with, a step hands the
+record on to every store it builds on its path, and the next reduction
+asserts again only the variables whose term or interval object differs
+(``redsoundse.reduction``); since a path only grows by conjunction, the
+skipped conjuncts are already on it.  The calls of ``_reduce2`` read
+each trace's side of the pair store in place, with no projected store,
+and find each trace's entry in the same record; a trace run alone after
+a split reads the pair store's record too.  Skipping trace 1's call
+keeps trace 0's record, which is exact as well: every entry a record
+holds was asserted on a prefix, and a conjunct asserted again is
+dropped (``has_conjunct``).  A record dies with its store, and the
+finals are returned without one.
 
 A fork pays for its guard once per run.  The engine hash-conses guard
 leaves in one table per run (``RelEngine.leaves``): ``rel_eval_bool``
@@ -254,21 +255,8 @@ def _signed(path: SymPath, guard: tuple[SymPath, SymPath], s0: bool, s1: bool) -
 
 def srse_step(state: RelState, engine: RelEngine) -> list[RelState]:
     if isinstance(state.control, Diverged):
-        out = _diverged_step(state, engine)
-    else:
-        out = _unified_step(state, engine)
-    # A reduction record serves the successors of the state whose path
-    # holds it: drop it once the state is expanded, unless a successor
-    # keeps the path, and drop a final's at once, as nothing extends it.
-    path = state.kappa2.path
-    kept = False
-    for nxt in out:
-        kept = kept or nxt.kappa2.path is path
-        if nxt.final:
-            redsoundse.forget_reduction(nxt.kappa2.path)
-    if not kept:
-        redsoundse.forget_reduction(path)
-    return out
+        return _diverged_step(state, engine)
+    return _unified_step(state, engine)
 
 
 # The four ways two traces can take a branch, trace 0's choice first.
@@ -280,7 +268,7 @@ def _unified_step(state: RelState, engine: RelEngine) -> list[RelState]:
     out: list[RelState] = []
     redex, rest = focus(state.control)
     rho2 = state.kappa2.store()
-    path = state.kappa2.path
+    path, record = state.kappa2.path, state.kappa2.reduced
 
     # One interval state for both traces, as long as they agree.
     one_domain = state.a1 is state.a0
@@ -299,7 +287,7 @@ def _unified_step(state: RelState, engine: RelEngine) -> list[RelState]:
             c0 = taken if s0 else not_taken
             c1 = taken if s1 else not_taken
             control = plug(c0, rest) if s0 == s1 else Diverged(c0, c1, plug(SKIP, rest))
-            kappa2 = _reduce2(PreciseStore.of(rho2, path2), a0, a1)
+            kappa2 = _reduce2(PreciseStore(rho2, path2, record), a0, a1)
             out.append(RelState(control, kappa2, a0, a1, state.precise))
 
     match redex:
@@ -312,7 +300,7 @@ def _unified_step(state: RelState, engine: RelEngine) -> list[RelState]:
             store[var] = rel_eval_expr(expr, rho2)
             a0 = redsoundse.assign(var, expr, state.a0)
             a1 = a0 if one_domain else redsoundse.assign(var, expr, state.a1)
-            kappa2 = PreciseStore.of(store, path)
+            kappa2 = PreciseStore(store, path, record)
             out.append(RelState(plug(SKIP, rest), kappa2, a0, a1, state.precise))
         case If(bguard, then_branch, else_branch):
             fork(bguard, rel_eval_bool(bguard, rho2, engine.leaves), SIGNS, then_branch, else_branch)
@@ -331,7 +319,7 @@ def _unified_step(state: RelState, engine: RelEngine) -> list[RelState]:
                     a0 = analyze(redex, a0)
                     a1 = a0 if one_domain else analyze(redex, a1)
                 if not redsoundse.dead(a0) and not redsoundse.dead(a1) and solver.may_sat(path2):
-                    kappa2 = _reduce2(PreciseStore.of(rho2h, path2), a0, a1)
+                    kappa2 = _reduce2(PreciseStore(rho2h, path2, record), a0, a1)
                     out.append(RelState(plug(SKIP, rest), kappa2, a0, a1, False))
             # Normal exit stays available regardless of the budget.
             fork(bguard, beta, SIGNS[3:], again, SKIP)
@@ -377,7 +365,7 @@ def _diverged_step(state: RelState, engine: RelEngine) -> list[RelState]:
     other = proj(1 - side, rho2)
     sub = ProductState(
         control.left if side == 0 else control.right,
-        PreciseStore.of(proj(side, rho2), state.kappa2.path),
+        PreciseStore(proj(side, rho2), state.kappa2.path, state.kappa2.reduced),
         state.a0 if side == 0 else state.a1,
         state.precise,
     )
@@ -395,7 +383,7 @@ def _diverged_step(state: RelState, engine: RelEngine) -> list[RelState]:
             control2 = Diverged(control.left, nxt.cmd, control.cont)
             a0, a1 = state.a0, nxt.astate
         out.append(
-            RelState(control2, PreciseStore.of(paired, nxt.kappa.path), a0, a1, nxt.precise)
+            RelState(control2, PreciseStore(paired, nxt.kappa.path, nxt.kappa.reduced), a0, a1, nxt.precise)
         )
     return out
 
@@ -406,8 +394,9 @@ def srse_explore(
     engine: RelEngine,
     path_cap: int,
 ) -> list[tuple[PreciseStore, bool]]:
-    """All final relational precise stores with their precision flags."""
+    """All final relational precise stores, with their precision flags and
+    without reduction records: a final is never reduced again."""
     a_top = AbstractState.top(program.all_vars) if engine.use_intervals else None
     start = RelState(program.body, PreciseStore.of(rho2_0, TRUE), a_top, a_top, True)
     finals = explore(start, lambda state: srse_step(state, engine), lambda state: state.final, path_cap)
-    return [(state.kappa2, state.precise) for state in finals]
+    return [(PreciseStore.of(state.kappa2.rho, state.kappa2.path), state.precise) for state in finals]

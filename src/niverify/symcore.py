@@ -24,7 +24,8 @@ engine hash-conses guard leaves in one table per run
 (``relational.RelEngine.leaves``), so every equal guard leaf of a run is
 one object and its rows are built once per run.  A negation is built
 fresh each time.  All of it hangs off the nodes of one run, or off its
-engine; no table outlives it.
+engine; no table outlives it.  A node caches only values of the path
+itself; what a reduction asserted on it rides on its ``PreciseStore``.
 
 Value types.  The records an exploration builds for every state (terms,
 paths, stores, interval states, commands, relational and product states)
@@ -474,14 +475,13 @@ class PCmp:
 class PAnd:
     left: SymPath
     right: SymPath
+    # The other slots cache values of the path itself, never engine state.
     size: int = field(init=False, repr=False)
     _positive: int | None = field(init=False, repr=False)
     _negated: int | None = field(init=False, repr=False)
     _hash: int = field(init=False, repr=False)
     _index: _ConjunctIndex | None = field(init=False, repr=False)
     _normal: NormalForm | None = field(init=False, repr=False)
-    # What ``redsoundse.reduction`` asserted on this node, if it returned it.
-    _reduced: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         left, right = self.left, self.right
@@ -492,7 +492,6 @@ class PAnd:
         self._hash = hash((left, right))
         self._index = None
         self._normal = None
-        self._reduced = None
 
     @property
     def clause_counts(self) -> tuple[int | None, int | None]:
@@ -838,11 +837,13 @@ class PreciseStore:
     """A symbolic store plus the path that contextualizes it.
 
     The store is held as given, neither copied nor sorted: whoever changes
-    a store copies it first.
+    a store copies it first.  ``reduced`` is the record of the reduction
+    that built it (``redsoundse.reduction``), not part of its value.
     """
 
     rho: SymStore
     path: SymPath
+    reduced: tuple | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def of(rho: SymStore, path: SymPath) -> PreciseStore:

@@ -655,6 +655,22 @@ def test_wide_branches_check_reduces_once_per_fork_and_reads_each_guard_once(mon
     assert calls == {"reduction": 1022, "rows_of_cmp": 9}
 
 
+def test_wide_branches_check_builds_one_bound_per_reduction(monkeypatch):
+    """wide-9's 1022 reductions each find the record their store carries
+    and build 1022 bound conjuncts in all (1024 when records hung on path
+    nodes and a walk of four conjunctions missed two of them)."""
+    asked = []
+    plain_pcmp = redsoundse.pcmp
+
+    def counted(op, left, right):
+        asked.append(op)
+        return plain_pcmp(op, left, right)
+
+    monkeypatch.setattr(redsoundse, "pcmp", counted)
+    assert isinstance(_STRESS_RUNS["wide-9"](), Secure)
+    assert len(asked) == 1022
+
+
 @pytest.mark.parametrize("name", list(_STRESS_RUNS))
 def test_kept_comparison_values_equal_fresh_ones(monkeypatch, name):
     """The rows a comparison keeps are shared by every path that reuses

@@ -1,8 +1,10 @@
 import random
 
-from niverify import redsoundse
+import pytest
+
+from niverify import driver, redsoundse
 from niverify.absint import AbstractState, Interval, a_guard, state_holds
-from niverify.driver import MATRIX, AnalysisConfig, config_for, verify_ni
+from niverify.driver import MATRIX, AnalysisConfig, Insecure, config_for, verify_ni
 from niverify.lang import Cmp, Const, If, SKIP, Var, parse_program
 from niverify.redsoundse import ProductState, product_explore, product_step, reduction
 from niverify.solver import Solver, Unsat
@@ -40,14 +42,6 @@ def test_reduction_appends_substituted_constraints():
     )
 
 
-def _unrecorded(path):
-    """An equal path built anew, so it holds no reduction record."""
-    out = TRUE
-    for leaf in conjuncts(path):
-        out = pand(out, leaf)
-    return out
-
-
 def test_reduction_of_an_extension_asks_only_for_what_changed(monkeypatch):
     factory = SymbolFactory()
     x, y, z = (SVal(factory.initial(v)) for v in "xyz")
@@ -66,44 +60,50 @@ def test_reduction_of_an_extension_asks_only_for_what_changed(monkeypatch):
         return plain_pcmp(op, left, right)
 
     monkeypatch.setattr(redsoundse, "pcmp", counted)
-    got = reduction(PreciseStore.of(rho2, path2), a2)
+    got = reduction(PreciseStore(rho2, path2, first.reduced), a2)
     assert asked == [(">=", y), ("<=", y), ("<=", rho2["z"])]
     monkeypatch.setattr(redsoundse, "pcmp", plain_pcmp)
-    assert got.path == reduction(PreciseStore.of(rho2, _unrecorded(path2)), a2).path
+    assert got.path == reduction(PreciseStore.of(rho2, path2), a2).path
 
 
-def test_reduction_records_live_on_conjunctions_only():
+def test_reduction_records_live_on_the_returned_store():
     factory = SymbolFactory()
     x = SVal(factory.initial("x"))
     a = env(x=(0, None))
     bound = pcmp(">=", x, SConst(0))
-    assert reduction(PreciseStore.of({"x": x}, TRUE), a).path == bound
+    single = reduction(PreciseStore.of({"x": x}, TRUE), a)
+    assert single.path == bound and single.reduced is not None
+    assert single == PreciseStore.of({"x": x}, bound)  # the record is not part of the value
     assert reduction(PreciseStore.of({"x": x}, pnot(TRUE)), a).path == pnot(TRUE)
-    # A bound the path contradicts makes it false, which keeps no record.
+    # A bound the path contradicts makes it false.
     assert reduction(PreciseStore.of({"x": x}, pcmp("<", x, SConst(0))), a).path == pnot(TRUE)
-    longer = reduction(PreciseStore.of({"x": x}, pand(pcmp("<", x, SConst(5)), pcmp("!=", x, SConst(2)))), a)
-    assert longer.path.right == bound and redsoundse._record(longer.path) is not None
-    redsoundse.forget_reduction(longer.path)
-    assert redsoundse._record(longer.path) is None
+    # Reducing again with what the record holds asserts nothing.
+    again = reduction(single, a)
+    assert again.path is single.path and again.reduced[2:] == single.reduced[:2]
+    # With no bounded variable the store comes back as given.
+    assert reduction(single, AbstractState.top({"x"})) is single
 
 
 def test_delta_reduction_gives_the_paths_of_full_reduction(monkeypatch):
     """The configs with a domain explore the same final paths whether a
-    reduction skips what its path's record covers or asserts every bound."""
+    reduction skips what its store's record covers or asserts every bound."""
     programs = [random_program(random.Random(f"cmp:{i}"), 3, 3) for i in range(40)]
-    programs.append(parse_program("low x, y; high h; while (x < 6) { if (h > x) { y := y + x; } x := x + 1; }"))
+    programs.append(parse_program(_DIVERGING_LOOP))
     configs = [config_for(e, s, AnalysisConfig(), path_cap=1024) for e, s in MATRIX if s == "redsoundse"]
     runs, asked = {}, {True: 0, False: 0}
-    plain_pcmp = redsoundse.pcmp
+    plain_pcmp, plain_reduction = redsoundse.pcmp, redsoundse.reduction
 
     def counted(op, left, right):
         asked[recorded] += 1
         return plain_pcmp(op, left, right)
 
+    def unrecorded(kappa, astate, side=None, unshared=False):
+        return plain_reduction(PreciseStore.of(kappa.rho, kappa.path), astate, side, unshared)
+
     monkeypatch.setattr(redsoundse, "pcmp", counted)
     for recorded in (True, False):
         if not recorded:
-            monkeypatch.setattr(redsoundse, "_record", lambda path: None)
+            monkeypatch.setattr(redsoundse, "reduction", unrecorded)
         with recorded_final_paths() as lines:
             for program in programs:
                 for config in configs:
@@ -112,6 +112,43 @@ def test_delta_reduction_gives_the_paths_of_full_reduction(monkeypatch):
     assert runs[True] == runs[False]
     assert len(runs[True]) > 250
     assert asked[True] < asked[False] * 0.8
+
+
+# The traces split on a high guard in every iteration of a low loop.
+_DIVERGING_LOOP = "low x, y; high h; while (x < 6) { if (h > x) { y := y + x; } x := x + 1; }"
+
+
+@pytest.mark.parametrize("engine, built", [("soundrse", 122), ("redsoundrse", 118)])
+def test_diverged_steps_keep_their_reduction_record(monkeypatch, engine, built):
+    """A trace run alone after a split reduces against the record its pair
+    state carried, so the diverging loop builds as few bound conjuncts as
+    when the record hung on the path."""
+    asked = []
+    plain_pcmp = redsoundse.pcmp
+
+    def counted(op, left, right):
+        asked.append(op)
+        return plain_pcmp(op, left, right)
+
+    monkeypatch.setattr(redsoundse, "pcmp", counted)
+    verdict = verify_ni(parse_program(_DIVERGING_LOOP), config_for(engine, "redsoundse", AnalysisConfig()))
+    assert isinstance(verdict, Insecure)
+    assert len(asked) == built
+
+
+@pytest.mark.parametrize("engine", ["soundrse", "redsoundrse"])
+def test_relational_finals_carry_no_reduction_record(monkeypatch, engine):
+    """A final is never reduced again, so its store drops the record."""
+    finals = []
+    plain_explore = driver.srse_explore
+
+    def kept(*args):
+        finals.extend(plain_explore(*args))
+        return finals
+
+    monkeypatch.setattr(driver, "srse_explore", kept)
+    verify_ni(parse_program(_DIVERGING_LOOP), config_for(engine, "redsoundse", AnalysisConfig()))
+    assert finals and all(kappa2.reduced is None for kappa2, _ in finals)
 
 
 def test_reduction_with_top_is_identity():
