@@ -16,8 +16,8 @@ Two backends sit behind one facade:
 The facade answers each question with the least work.  ``may_sat`` and
 ``prove_equal`` need only a definite Unsat, so they never search.  With the
 internal backend they, and ``check_sat``, answer incrementally, since a
-path is its parent plus a conjunct (``Solver._decide``).  The answer comes
-from the first of:
+path is its parent plus a conjunct (``Solver._decide``); an Unknown of
+that procedure is returned as it is.  The answer comes from the first of:
 
 1. the cache of answers for the path itself;
 2. Unsat, when the longest decided prefix is Unsat;
@@ -691,23 +691,20 @@ class Solver:
         """Sat with some model, Unsat, or Unknown.
 
         The model is whichever the solver found first; ``model`` gives the
-        backend's own.  What the internal procedure leaves Unknown goes to
-        the backend.
+        backend's own.  With the internal backend this is the incremental
+        procedure's answer, so what it leaves Unknown stays Unknown.
         """
-        if self._incremental:
-            known = self._decide(path)
-            if isinstance(known, dict):
-                return Sat(_model_tuple(known))
-            if isinstance(known, Unsat):
-                return known
-        return self._backend_check(path)
+        if not self._incremental:
+            return self._backend_check(path)
+        known = self._decide(path)
+        return Sat(_model_tuple(known)) if isinstance(known, dict) else known
 
     def model(self, path: SymPath) -> SatResult:
         """The backend's answer, then a bounded search for a model if that was Unknown.
 
         Only a refutation needs a model, so only it pays for the search.  A
-        cached Unknown is searched again: ``check_sat`` may have cached the
-        very same path without searching.
+        cached Unknown is searched again: with a process backend,
+        ``check_sat`` may have cached the very same path without searching.
         """
         result = self._backend_check(path)
         if isinstance(result, Unknown):

@@ -1,8 +1,10 @@
-"""Every module-level name of ``src/niverify`` is used somewhere in ``src``.
+"""Every module-level name of ``src/niverify`` is used somewhere in ``src``,
+and every name a module imports is used in that module.
 
 A function, class or constant that only tests reach is code the verifier
 carries for nothing, so it belongs in the tests.  The exceptions are the
-oracles that the acceptance tests import from the package.
+oracles that the acceptance tests import from the package.  A name that
+``__all__`` lists counts as used: that is how ``__init__`` re-exports.
 """
 
 import ast
@@ -47,4 +49,36 @@ def test_every_module_level_name_is_used_in_src():
         for name in _defined(tree) - loaded - PINNED
         if not name.startswith("__")  # __all__, __version__: read from outside
     )
+    assert unused == []
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    return names
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in stmt.targets
+        ):
+            return set(ast.literal_eval(stmt.value))
+    return set()
+
+
+def _names_loaded(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_imported_name_is_used_in_its_module():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = _names_loaded(tree) | _exported(tree)
+        unused += [f"{path.name}:{name}" for name in sorted(_imported(tree) - used)]
     assert unused == []

@@ -273,7 +273,7 @@ def test_check_sat_does_not_search_past_the_relaxation():
     found = solver.model(square)
     assert isinstance(found, Sat) and eval_path(square, found.valuation())
     assert found.valuation()[x] == -3
-    assert solver.check_sat(square) == found  # the model is cached
+    assert isinstance(solver.check_sat(square), Unknown)  # the incremental answer stands
 
 
 def test_model_stays_unknown_out_of_range():
@@ -282,8 +282,8 @@ def test_model_stays_unknown_out_of_range():
     assert isinstance(Solver().model(square), Unknown)
 
 
-def test_model_searches_again_after_a_cached_unknown():
-    """``prove_equal`` caches the Unknown of the query a refutation asks a model of."""
+def test_model_searches_where_the_incremental_procedure_gave_unknown():
+    """``prove_equal`` and ``check_sat`` leave the query a refutation asks a model of Unknown."""
     _, (x, *_) = _symbols(1)
     square = pcmp("==", SBinOp("*", SVal(x), SVal(x)), SConst(9))
     solver = Solver()
@@ -291,6 +291,35 @@ def test_model_searches_again_after_a_cached_unknown():
     query = pand(square, pcmp("!=", SVal(x), SConst(3)))
     assert isinstance(solver.check_sat(query), Unknown)
     found = solver.model(query)
+    assert isinstance(found, Sat) and found.valuation()[x] == -3
+
+
+def test_check_sat_with_the_internal_backend_never_asks_it(monkeypatch):
+    """An Unknown of the incremental procedure is not decided again from scratch."""
+    _, (x, *_) = _symbols(1)
+    square = pcmp("==", SBinOp("*", SVal(x), SVal(x)), SConst(9))
+    solver = Solver()
+    asked = []
+    monkeypatch.setattr(solver.backend, "check", asked.append)
+    assert isinstance(solver.check_sat(square), Unknown)
+    assert isinstance(solver.check_sat(pand(square, pcmp(">", SVal(x), SConst(0)))), Unknown)
+    assert asked == []
+
+
+class _GivesUp:
+    """A stand-in process backend that never decides anything."""
+
+    def check(self, path):
+        return Unknown("gave up")
+
+
+def test_model_searches_again_after_a_process_backend_cached_unknown():
+    """With any other backend ``check_sat`` caches the backend's Unknown; ``model`` searches anyway."""
+    _, (x, *_) = _symbols(1)
+    square = pcmp("==", SBinOp("*", SVal(x), SVal(x)), SConst(9))
+    solver = Solver(_GivesUp())
+    assert isinstance(solver.check_sat(square), Unknown)
+    found = solver.model(square)
     assert isinstance(found, Sat) and found.valuation()[x] == -3
 
 
