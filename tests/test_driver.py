@@ -639,8 +639,10 @@ def test_wide_branches_check_reduces_once_per_fork_and_reads_each_guard_once(mon
     variable is shared, so trace 1's reduction is never called (the two
     traces made 2044 calls), and each of the nine guards gets its rows
     once per run (511 times, once per repair, when every fork built new
-    guard leaves)."""
-    calls = dict.fromkeys(("reduction", "rows_of_cmp"), 0)
+    guard leaves).  Each reduction finds the record its store carries, and
+    the 1022 build 1022 bound conjuncts (1024 when records hung on path
+    nodes and a walk of four conjunctions missed two of them)."""
+    calls = dict.fromkeys(("reduction", "rows_of_cmp", "bound"), 0)
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -651,24 +653,9 @@ def test_wide_branches_check_reduces_once_per_fork_and_reads_each_guard_once(mon
 
     monkeypatch.setattr(redsoundse, "reduction", counted("reduction", redsoundse.reduction))
     monkeypatch.setattr(symcore, "rows_of_cmp", counted("rows_of_cmp", symcore.rows_of_cmp))
+    monkeypatch.setattr(redsoundse, "pcmp", counted("bound", redsoundse.pcmp))
     assert isinstance(_STRESS_RUNS["wide-9"](), Secure)
-    assert calls == {"reduction": 1022, "rows_of_cmp": 9}
-
-
-def test_wide_branches_check_builds_one_bound_per_reduction(monkeypatch):
-    """wide-9's 1022 reductions each find the record their store carries
-    and build 1022 bound conjuncts in all (1024 when records hung on path
-    nodes and a walk of four conjunctions missed two of them)."""
-    asked = []
-    plain_pcmp = redsoundse.pcmp
-
-    def counted(op, left, right):
-        asked.append(op)
-        return plain_pcmp(op, left, right)
-
-    monkeypatch.setattr(redsoundse, "pcmp", counted)
-    assert isinstance(_STRESS_RUNS["wide-9"](), Secure)
-    assert len(asked) == 1022
+    assert calls == {"reduction": 1022, "rows_of_cmp": 9, "bound": 1022}
 
 
 @pytest.mark.parametrize("name", list(_STRESS_RUNS))

@@ -84,6 +84,10 @@ def test_reduction_records_live_on_the_returned_store():
     assert reduction(single, AbstractState.top({"x"})) is single
 
 
+# The traces split on a high guard in every iteration of a low loop.
+_DIVERGING_LOOP = "low x, y; high h; while (x < 6) { if (h > x) { y := y + x; } x := x + 1; }"
+
+
 def test_delta_reduction_gives_the_paths_of_full_reduction(monkeypatch):
     """The configs with a domain explore the same final paths whether a
     reduction skips what its store's record covers or asserts every bound."""
@@ -114,15 +118,11 @@ def test_delta_reduction_gives_the_paths_of_full_reduction(monkeypatch):
     assert asked[True] < asked[False] * 0.8
 
 
-# The traces split on a high guard in every iteration of a low loop.
-_DIVERGING_LOOP = "low x, y; high h; while (x < 6) { if (h > x) { y := y + x; } x := x + 1; }"
-
-
 @pytest.mark.parametrize("engine, built", [("soundrse", 122), ("redsoundrse", 118)])
 def test_diverged_steps_keep_their_reduction_record(monkeypatch, engine, built):
     """A trace run alone after a split reduces against the record its pair
-    state carried, so the diverging loop builds as few bound conjuncts as
-    when the record hung on the path."""
+    state carried and hands its own on to the re-paired store; dropping
+    either record makes the diverging loop build 24 more bound conjuncts."""
     asked = []
     plain_pcmp = redsoundse.pcmp
 
@@ -143,8 +143,9 @@ def test_relational_finals_carry_no_reduction_record(monkeypatch, engine):
     plain_explore = driver.srse_explore
 
     def kept(*args):
-        finals.extend(plain_explore(*args))
-        return finals
+        out = plain_explore(*args)
+        finals.extend(out)
+        return out
 
     monkeypatch.setattr(driver, "srse_explore", kept)
     verify_ni(parse_program(_DIVERGING_LOOP), config_for(engine, "redsoundse", AnalysisConfig()))

@@ -282,8 +282,8 @@ def test_model_stays_unknown_out_of_range():
     assert isinstance(Solver().model(square), Unknown)
 
 
-def test_model_searches_where_the_incremental_procedure_gave_unknown():
-    """``prove_equal`` and ``check_sat`` leave the query a refutation asks a model of Unknown."""
+def test_model_searches_again_after_a_cached_unknown():
+    """``prove_equal`` caches the Unknown of the query a refutation asks a model of."""
     _, (x, *_) = _symbols(1)
     square = pcmp("==", SBinOp("*", SVal(x), SVal(x)), SConst(9))
     solver = Solver()
