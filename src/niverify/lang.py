@@ -8,6 +8,9 @@ declared variable is high.
 
 The small-step interpreter in this module is the oracle every analysis is
 tested against: it is deterministic and total over declared variables.
+
+The expression nodes double as the nodes of symbolic terms (``symcore``):
+a term is a ``Const`` or a ``BinOp`` over terms, or a symbol leaf.
 """
 
 from __future__ import annotations
@@ -86,9 +89,16 @@ class BinOp:
     left: Expr
     right: Expr
     _hash: int = field(init=False, repr=False, compare=False)
+    # The values ``symcore._kept`` stores on a nested term: its polynomial
+    # and its symbols.  Terms are built afresh, so on a program expression
+    # both stay None.
+    _poly: dict | None = field(init=False, repr=False, compare=False)
+    _symbols: frozenset | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._hash = hash((self.op, self.left, self.right))
+        self._poly = None
+        self._symbols = None
 
     def __hash__(self) -> int:
         return self._hash
@@ -99,20 +109,19 @@ class BinOp:
         return same_tree(self, other)
 
     def __str__(self) -> str:
-        return fold(self, str, str, lambda op, left, right: f"({left} {op} {right})")
+        return fold_tree(self, str, lambda op, left, right: f"({left} {op} {right})")
 
 
 Expr = Const | Var | BinOp
 
 
-# Expressions can nest thousands deep (a long sum), so no walk over an
-# expression recurses on its depth.
+# Expressions and terms can nest thousands deep (a long sum, or ``x := x *
+# 2`` in a long loop), so no walk over either recurses on its depth.
 
 
-def same_tree(a, b) -> bool:
-    """The dataclass equality of two operation nodes of one class (``BinOp``
-    or ``symcore.SBinOp``), hashes first, walked without recursion."""
-    node = a.__class__
+def same_tree(a: BinOp, b: BinOp) -> bool:
+    """The dataclass equality of two operation nodes, hashes first, walked
+    without recursion; the leaves compare with their own equality."""
     pairs = [(a, b)]
     while pairs:
         a, b = pairs.pop()
@@ -120,7 +129,7 @@ def same_tree(a, b) -> bool:
             continue
         if a.__class__ is not b.__class__ or a._hash != b._hash:
             return False
-        if a.__class__ is node:
+        if a.__class__ is BinOp:
             if a.op != b.op:
                 return False
             pairs += ((a.right, b.right), (a.left, b.left))
@@ -129,10 +138,29 @@ def same_tree(a, b) -> bool:
     return True
 
 
+def fold_tree(expr, leaf: Callable, node: Callable):
+    """``leaf(t)`` at each leaf of any kind, ``node(op, l, r)`` at each
+    operation over its operands' results, bottom up and without recursion."""
+    out: list = []
+    stack: list = [expr]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is BinOp:
+            stack += (item.op, item.right, item.left)
+        elif item.__class__ is str:
+            right = out.pop()
+            out[-1] = node(item, out[-1], right)
+        else:
+            out.append(leaf(item))
+    return out[0]
+
+
 def fold(expr: Expr, const: Callable, var: Callable, node: Callable):
     """``const(value)`` at each constant, ``var(name)`` at each variable and
     ``node(op, l, r)`` at each operation over its operands' results, left
-    operand first, bottom up and without recursion."""
+    operand first, bottom up and without recursion.  It dispatches on the
+    two leaf kinds inline, as ``fold_tree`` with a leaf callback is slower
+    on the engines' evaluation of every assignment and guard."""
     cls = expr.__class__
     if cls is Var:
         return var(expr.name)

@@ -52,7 +52,7 @@ import math
 import subprocess
 from dataclasses import dataclass
 
-from niverify.lang import apply_cmp
+from niverify.lang import apply_cmp, fold_tree
 from niverify.symcore import (
     Blowup,
     Clause,
@@ -78,7 +78,6 @@ from niverify.symcore import (
     conjuncts,
     eval_path,
     eval_sym,
-    fold,
     normal_form,
     normalize_row,
     pand,
@@ -288,7 +287,7 @@ def _smt_atom(term: SymExpr) -> str:
 
 
 def _smt_expr(expr: SymExpr) -> str:
-    return fold(expr, _smt_atom, lambda op, left, right: f"({op} {left} {right})")
+    return fold_tree(expr, _smt_atom, lambda op, left, right: f"({op} {left} {right})")
 
 
 def _smt_leaf(path: SymPath) -> str:

@@ -29,14 +29,15 @@ itself; what a reduction asserted on it rides on its ``PreciseStore``.
 
 Value types.  The records an exploration builds for every state (terms,
 paths, stores, interval states, commands, relational and product states)
-are ``@dataclass(slots=True)``, not frozen: nothing mutates them, slots
-stop stray attributes, and a frozen ``__init__`` costs about four times as
-much.  They must still hash exactly as frozen dataclasses did, because set
-and dict iteration order picks the solver's elimination order, and with it
-Unsat strength, blowups and models.  So a record hashes as the hash of its
-field tuple (``unsafe_hash=True``, or a hash cached at construction with
-that same formula, as the terms and path nodes do), and a symbol hashes as
-its uid.  A ``PreciseStore`` holds its store dict as given, so it and the
+are ``@dataclass(slots=True)``, not frozen: nothing changes their values,
+slots stop stray attributes, and a frozen ``__init__`` costs about four
+times as much.  A record hashes as a frozen dataclass would, as the hash
+of its field tuple (``unsafe_hash=True``, or a hash cached at construction
+with that same formula, as the terms and path nodes do), and a symbol
+hashes as its uid.  The sets the code iterates hold symbols, monomials or
+variable names, so set order, which picks the solver's elimination order,
+never depends on a term's or a path's hash: terms and paths are only
+looked up.  A ``PreciseStore`` holds its store dict as given, so it and the
 states around it are not hashable.  Stores keep sorted variable order, and
 havoc mints fresh symbols in that order.
 """
@@ -115,30 +116,13 @@ class SymbolFactory:
 # ---------------------------------------------------------------------------
 
 
-# A term computes its hash once, with the formula a frozen dataclass uses.
-# Equality tries identity, then the hash, then the fields.
+# A term is built from the program's expression nodes, ``SConst`` and
+# ``SBinOp`` here, with a symbol leaf in place of each variable.  A symbol
+# leaf computes its hash once, with the formula a frozen dataclass uses,
+# and its equality tries identity, then the hash, then the field.
 
-
-@dataclass(slots=True)
-class SConst:
-    value: int
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._hash = hash((self.value,))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not SConst:
-            return NotImplemented
-        return self._hash == other._hash and self.value == other.value
-
-    def __str__(self) -> str:
-        return str(self.value)
+SConst = lang.Const
+SBinOp = lang.BinOp
 
 
 @dataclass(slots=True)
@@ -161,34 +145,6 @@ class SVal:
 
     def __str__(self) -> str:
         return str(self.sym)
-
-
-@dataclass(slots=True)
-class SBinOp:
-    op: str
-    left: SymExpr
-    right: SymExpr
-    _hash: int = field(init=False, repr=False, compare=False)
-    # The term's polynomial and symbols, kept by ``_expr_poly`` and
-    # ``symbols_of_expr`` if an operand is an operation.
-    _poly: Poly | None = field(init=False, repr=False, compare=False)
-    _symbols: frozenset[SymValue] | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._hash = hash((self.op, self.left, self.right))
-        self._poly = None
-        self._symbols = None
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not SBinOp:
-            return NotImplemented
-        return lang.same_tree(self, other)
-
-    def __str__(self) -> str:
-        return fold(self, str, lambda op, left, right: f"({left} {op} {right})")
 
 
 SymExpr = SConst | SVal | SBinOp
@@ -230,27 +186,6 @@ def _shifted(expr: SymExpr, shift: int) -> SymExpr:
     if shift > 0:
         return SBinOp("+", expr, SConst(shift))
     return SBinOp("-", expr, SConst(-shift))
-
-
-# Terms can nest thousands deep (``x := x * 2`` in a long loop), so no walk
-# over a term recurses on its depth.
-
-
-def fold(expr: SymExpr, leaf: Callable, node: Callable):
-    """``leaf(t)`` at each constant or symbol term, ``node(op, l, r)`` at each
-    operation over its operands' results, bottom up and without recursion."""
-    out: list = []
-    stack: list = [expr]
-    while stack:
-        item = stack.pop()
-        if item.__class__ is SBinOp:
-            stack += (item.op, item.right, item.left)
-        elif item.__class__ is str:
-            right = out.pop()
-            out[-1] = node(item, out[-1], right)
-        else:
-            out.append(leaf(item))
-    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +810,7 @@ def sym_eval_bool(bexpr: BExpr, rho: SymStore) -> SymPath:
 
 
 def eval_sym(expr: SymExpr, valuation: Valuation) -> int:
-    """The term's value; ``fold`` written out, as every model check runs it."""
+    """The term's value; ``lang.fold_tree`` written out, as every model check runs it."""
     values: list[int] = []
     stack: list = [expr]
     while stack:

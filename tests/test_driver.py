@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -656,6 +657,27 @@ def test_wide_branches_check_reduces_once_per_fork_and_reads_each_guard_once(mon
     monkeypatch.setattr(redsoundse, "pcmp", counted("bound", redsoundse.pcmp))
     assert isinstance(_STRESS_RUNS["wide-9"](), Secure)
     assert calls == {"reduction": 1022, "rows_of_cmp": 9, "bound": 1022}
+
+
+@pytest.mark.parametrize(
+    "source, config, operations",
+    [(_wide_branches(9), AnalysisConfig(), 18), (_PROG_B_LOOP, AnalysisConfig(bound=150), 2)],
+    ids=["wide-9", "prog_b loop, bound 150"],
+)
+def test_program_expressions_keep_no_term_values(source, config, operations):
+    """Terms are built from the program's node classes, but always from new
+    nodes, so a check leaves no polynomial or symbol set on the program."""
+    program = parse_program(source)
+    verify_ni(program, config)
+    nodes, stack = [], [program.body]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is lang.BinOp:
+            nodes.append(node)
+        if dataclasses.is_dataclass(node):
+            stack += (getattr(node, f.name) for f in dataclasses.fields(node) if f.compare)
+    assert len(nodes) == operations
+    assert all(node._poly is None and node._symbols is None for node in nodes)
 
 
 @pytest.mark.parametrize("name", list(_STRESS_RUNS))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from niverify import symcore
 from niverify.lang import (
     Assign,
     BinOp,
@@ -27,7 +28,7 @@ from niverify.lang import (
     same_tree,
     used_vars,
 )
-from niverify.symcore import SBinOp, SConst, SVal, SymbolFactory
+from niverify.symcore import SVal, SymbolFactory
 
 from helpers import random_program, random_store, run_capped
 
@@ -211,38 +212,37 @@ def test_walks_over_deep_expressions_do_not_recurse():
     assert eval_expr(BinOp("*", BinOp("-", Var("a"), Const(2)), Var("b")), {"a": 5, "b": 4}) == 12
 
 
-def test_same_tree_is_both_node_classes_equality():
-    """``BinOp`` and ``SBinOp`` compare through ``same_tree``: a 20 000-deep
-    tree equals its twin without recursing, a tree whose deepest leaf
-    differs does not, even with every hash on the way forced equal, and a
-    node never equals one of the other class."""
+def test_same_tree_is_the_one_equality_of_expressions_and_terms():
+    """Program expressions and symbolic terms are both ``BinOp`` trees and
+    compare through ``same_tree``: for either leaf kind a 20 000-deep tree
+    equals its twin without recursing, a tree whose deepest leaf differs
+    does not, even with every hash on the way forced equal, and a program
+    expression never equals a term."""
+    assert symcore.SConst is Const and symcore.SBinOp is BinOp
     factory = SymbolFactory()
     x, y = factory.fresh("x"), factory.fresh("y")
 
-    def chain(node, const, leaf):
+    def chain(leaf):
         tree = leaf
         for i in range(20_000):
-            tree = node("+" if i % 2 else "*", tree, const(i))
+            tree = BinOp("+" if i % 2 else "*", tree, Const(i))
         return tree
 
-    for node, const, leaf, twin_leaf, other_leaf in (
-        (BinOp, Const, Var("x"), Var("x"), Var("y")),
-        (SBinOp, SConst, SVal(x), SVal(x), SVal(y)),
-    ):
-        tree, twin, odd = chain(node, const, leaf), chain(node, const, twin_leaf), chain(node, const, other_leaf)
+    for leaf, twin_leaf, other_leaf in ((Var("x"), Var("x"), Var("y")), (SVal(x), SVal(x), SVal(y))):
+        tree, twin, odd = chain(leaf), chain(twin_leaf), chain(other_leaf)
         assert tree == twin and not tree != twin and same_tree(tree, twin)
         assert tree != odd and not same_tree(tree, odd)
         a, b = tree, odd
         while True:
             b._hash = a._hash
-            if a.__class__ is not node:
+            if a.__class__ is not BinOp:
                 break
             a, b = a.left, b.left
         assert tree != odd and not same_tree(tree, odd)
     program = BinOp("+", Var("x"), Const(1))
-    term = SBinOp("+", SVal(x), SConst(1))
-    assert program.__eq__(term) is NotImplemented and term.__eq__(program) is NotImplemented
+    term = BinOp("+", SVal(x), Const(1))
     assert program != term and term != program
+    assert not program == term and not term == program
 
 
 def test_step_is_deterministic():
