@@ -192,15 +192,6 @@ def product_step(state: ProductState, k: int, solver: Solver, factory: SymbolFac
     return out
 
 
-def bounded_step(state: ProductState, k: int, solver: Solver, factory: SymbolFactory) -> list[ProductState]:
-    """SoundSE's step: the product step on a state with no domain.
-
-    It keeps its own name so that a tracer can tell the two single-trace
-    engines apart.
-    """
-    return product_step(state, k, solver, factory)
-
-
 def product_explore(
     program: Program,
     kappa0: PreciseStore,

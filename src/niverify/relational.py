@@ -73,7 +73,7 @@ from niverify.absint import AbstractState, analyze
 from niverify import lang
 from niverify.lang import Assign, BExpr, Command, Expr, If, Program, SKIP, Seq, Skip, While, assigned_vars
 from niverify import redsoundse
-from niverify.redsoundse import ProductState, bounded_step, product_step
+from niverify.redsoundse import ProductState, product_step
 from niverify.solver import Solver
 from niverify.soundse import explore, focus, plug
 from niverify.symcore import (
@@ -353,6 +353,10 @@ def _bounds_unshared(rho2: RelSymStore, astate: AbstractState) -> bool:
         if pair is not None and not pair.shared:
             return True
     return False
+
+
+# The name a tracer labels SoundSE's steps, those with no domain, by.
+bounded_step = product_step
 
 
 def _diverged_step(state: RelState, engine: RelEngine) -> list[RelState]:

@@ -41,7 +41,6 @@ class Session:
         self.factory = SymbolFactory()
         self.symbols: dict[str, object] = {}
         self.assertions: SymPath = TRUE
-        self.last: str | None = None
         self.solver = Solver()
         self.model: Sat | None = None
 

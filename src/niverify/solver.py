@@ -233,9 +233,8 @@ def _clause_model(trace: list[_Elimination]) -> dict[Monomial, int] | None:
         lo, hi = _row_bounds(step.var, step.lowers + step.uppers, assignment)
         if lo is not None and hi is not None and lo > hi:
             return None  # rational wedge holds no integer (dark shadow)
-        if lo is None and hi is None:
-            value = 0
-        elif lo is None:
+        # The step's rows hold var, so at least one of them bounds it.
+        if lo is None:
             value = min(hi, 0)
         elif hi is None:
             value = max(lo, 0)
@@ -383,11 +382,14 @@ def parse_model_output(text: str, symbols: set[SymValue]) -> Valuation | None:
     except (ValueError, IndexError):
         return None
 
+    # The output is input from outside: it is walked on a stack, not by
+    # recursion, visiting the nodes in the order a recursive walk would.
     model: Valuation = {}
-
-    def visit(node) -> None:
+    stack = sexps[::-1]
+    while stack:
+        node = stack.pop()
         if not isinstance(node, list):
-            return
+            continue
         if len(node) >= 5 and node[0] == "define-fun":
             name = node[1].strip("|")
             value = node[4]
@@ -396,15 +398,11 @@ def parse_model_output(text: str, symbols: set[SymValue]) -> Valuation | None:
             elif isinstance(value, str) and (value.lstrip("-").isdigit()):
                 value = int(value)
             else:
-                return
+                continue
             if name in by_name:
                 model[by_name[name]] = value
-            return
-        for child in node:
-            visit(child)
-
-    for sexp in sexps:
-        visit(sexp)
+            continue
+        stack += reversed(node)
     for sym in symbols:
         model.setdefault(sym, 0)
     return model

@@ -488,27 +488,19 @@ FALSE = PNot(TRUE)
 
 
 def _path_symbols(path: PAnd | PNot) -> frozenset[SymValue]:
-    """A conjunction's symbols are the union of its conjuncts', a negation's
-    its operand's; computed bottom up on a stack, without recursion.  An int
-    on the stack counts the sets to join: each conjunction's set is built as
-    ``frozenset().union`` of its conjuncts', as the recursive definition
-    built it, so it iterates in the same order."""
-    values: list[frozenset[SymValue]] = []
-    stack: list = [path]
+    """The symbols of every comparison under a conjunction or a negation,
+    gathered into one set in one walk on a stack, without recursion."""
+    symbols: set[SymValue] = set()
+    stack: list[SymPath] = [path]
     while stack:
         node = stack.pop()
-        while node.__class__ is PNot:
-            node = node.operand
         if node.__class__ is PAnd:
-            leaves = list(conjuncts(node))
-            stack.append(len(leaves))
-            stack += reversed(leaves)
-        elif node.__class__ is int:
-            start = len(values) - node
-            values[start:] = [frozenset().union(*values[start:])]
+            stack += (node.right, node.left)
+        elif node.__class__ is PNot:
+            stack.append(node.operand)
         else:
-            values.append(node.symbols)
-    return values[0]
+            symbols |= node.symbols
+    return frozenset(symbols)
 
 
 def pcmp(op: str, left: SymExpr, right: SymExpr) -> SymPath:

@@ -400,6 +400,19 @@ def test_shell_answers_deeply_nested_negations():
     assert parse_model_output(model, {x})[x] <= 0
 
 
+def test_solver_output_nested_5000_deep_is_read_without_recursion():
+    """A model binding nested 5000 lists deep in a solver's output is found
+    by a walk on a stack, not a RecursionError."""
+    _, (x, *_) = _symbols(1)
+    nested = "(" * 5000 + "(define-fun x () Int (- 3))" + ")" * 5000
+    assert parse_model_output(nested, {x}) == {x: -3}
+    assert parse_model_output("(" * 5000 + ")" * 5000, {x}) == {x: 0}
+    negative = pcmp("<", SVal(x), SConst(0))
+    answer = [sys.executable, "-c", f"print('sat'); print({nested!r})"]
+    res = SmtProcessBackend(answer, timeout_ms=30_000).check(negative)
+    assert isinstance(res, Sat) and eval_path(negative, res.valuation())
+
+
 def test_unavailable_solver_is_unknown():
     backend = SmtProcessBackend(["/nonexistent/solver-binary"], timeout_ms=500)
     _, (x, *_) = _symbols(1)

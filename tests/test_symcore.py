@@ -218,6 +218,23 @@ def test_deep_negations_are_walked_without_recursion():
         eval_path(path, {steps[-1]: 1})
 
 
+def test_path_symbols_read_each_comparison_once(monkeypatch):
+    """The symbols of a path n negations deep cost one read of each of its
+    n + 1 comparisons' symbols, which are unioned into one set."""
+    plain = PCmp.symbols
+    reads = []
+    monkeypatch.setattr(PCmp, "symbols", property(lambda leaf: reads.append(leaf) or plain.fget(leaf)))
+    for depth in (1000, 2000, 4000):
+        factory = SymbolFactory()
+        steps = [factory.fresh("s") for _ in range(depth)]
+        path = pcmp(">", SVal(steps[0]), SConst(1))
+        for s in steps:
+            path = pnot(pand(pcmp(">", SVal(s), SConst(0)), path))
+        reads.clear()
+        assert path.symbols == set(steps)
+        assert len(reads) == len(set(map(id, reads))) == depth + 1
+
+
 def _ref_symbols(path):
     """The recursive definition ``PAnd.symbols``/``PNot.symbols`` had."""
     if isinstance(path, PAnd):
@@ -250,14 +267,14 @@ def _random_nested_path(rng, symbols, depth):
 
 
 def test_nested_path_walks_match_the_recursive_definitions():
-    """Symbols (as sets, and in iteration order) and truth, or the missing
-    symbol raised, agree with the recursive walks on random nested paths."""
+    """Symbols and truth, or the missing symbol raised, agree with the
+    recursive walks on random nested paths."""
     rng = random.Random(61)
     for _ in range(2000):
         factory = SymbolFactory()
         symbols = [factory.fresh(v) for v in "abcdefghij"]
         path = _random_nested_path(rng, symbols, 6)
-        assert list(path.symbols) == list(_ref_symbols(path))
+        assert path.symbols == _ref_symbols(path)
         valuation = {s: rng.randint(-3, 3) for s in symbols if rng.random() < 0.8}
         try:
             expected = _ref_eval_path(path, valuation)
