@@ -391,16 +391,15 @@ def parse_model_output(text: str, symbols: set[SymValue]) -> Valuation | None:
         if not isinstance(node, list):
             continue
         if len(node) >= 5 and node[0] == "define-fun":
-            name = node[1].strip("|")
-            value = node[4]
-            if isinstance(value, list) and len(value) == 2 and value[0] == "-":
-                value = -int(value[1])
-            elif isinstance(value, str) and (value.lstrip("-").isdigit()):
-                value = int(value)
-            else:
-                continue
-            if name in by_name:
-                model[by_name[name]] = value
+            name, value = node[1], node[4]
+            negative = isinstance(value, list) and len(value) == 2 and value[0] == "-"
+            if negative:
+                value = value[1]
+            # A binding that is not a name and an integer is skipped.
+            if isinstance(name, str) and isinstance(value, str) and value.lstrip("-").isdecimal():
+                sym = by_name.get(name.strip("|"))
+                if sym is not None:
+                    model[sym] = -int(value) if negative else int(value)
             continue
         stack += reversed(node)
     for sym in symbols:

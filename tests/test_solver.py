@@ -413,6 +413,17 @@ def test_solver_output_nested_5000_deep_is_read_without_recursion():
     assert isinstance(res, Sat) and eval_path(negative, res.valuation())
 
 
+def test_malformed_model_bindings_are_skipped():
+    """A binding whose name or value is not a name and an integer leaves
+    its symbol at 0 instead of raising."""
+    _, (x, y, _) = _symbols(3)
+    y_is_minus_4 = "(define-fun y () Int (- 4))"
+    for binding in ("(- abc)", "(- (- 3))", "(- -)", "\u00b2", "(+ 1 2)"):
+        assert parse_model_output(f"((define-fun x () Int {binding}) {y_is_minus_4})", {x, y}) == {x: 0, y: -4}
+    assert parse_model_output("((define-fun (x) () Int 3) (define-fun |x| () Int -2))", {x}) == {x: -2}
+    assert parse_model_output("((define-fun x () Int (- -3)))", {x}) == {x: 3}
+
+
 def test_unavailable_solver_is_unknown():
     backend = SmtProcessBackend(["/nonexistent/solver-binary"], timeout_ms=500)
     _, (x, *_) = _symbols(1)

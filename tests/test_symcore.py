@@ -220,19 +220,23 @@ def test_deep_negations_are_walked_without_recursion():
 
 def test_path_symbols_read_each_comparison_once(monkeypatch):
     """The symbols of a path n negations deep cost one read of each of its
-    n + 1 comparisons' symbols, which are unioned into one set."""
-    plain = PCmp.symbols
-    reads = []
-    monkeypatch.setattr(PCmp, "symbols", property(lambda leaf: reads.append(leaf) or plain.fget(leaf)))
+    n + 1 comparisons' symbols, unioned into one set: no set is built per
+    conjunction, as the walk that cost O(n^2) did."""
     for depth in (1000, 2000, 4000):
         factory = SymbolFactory()
         steps = [factory.fresh("s") for _ in range(depth)]
-        path = pcmp(">", SVal(steps[0]), SConst(1))
-        for s in steps:
-            path = pnot(pand(pcmp(">", SVal(s), SConst(0)), path))
-        reads.clear()
-        assert path.symbols == set(steps)
+        leaves = [pcmp(">", SVal(steps[0]), SConst(1))] + [pcmp(">", SVal(s), SConst(0)) for s in steps]
+        path = leaves[0]
+        for leaf in leaves[1:]:
+            path = pnot(pand(leaf, path))
+        kept = {id(leaf): leaf.symbols for leaf in leaves}
+        reads, built = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(PCmp, "symbols", property(lambda leaf: reads.append(leaf) or kept[id(leaf)]))
+            patch.setattr(symcore, "frozenset", lambda *args: built.append(args) or frozenset(*args), raising=False)
+            assert path.symbols == set(steps)
         assert len(reads) == len(set(map(id, reads))) == depth + 1
+        assert len(built) <= 1
 
 
 def _ref_symbols(path):
