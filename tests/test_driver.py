@@ -594,6 +594,23 @@ def test_stress_programs_end_on_the_same_final_paths(name, digest):
     assert paths_digest(lines) == digest
 
 
+def test_random_programs_end_on_the_pinned_verdicts_and_final_paths():
+    """Each cell of ``random_program(Random(f"cmp:{i}"), 3, 3)``, i < 40,
+    under every ``MATRIX`` config keeps its verdict JSON and the digest of
+    its final relational paths.  The golden file is the output of
+    ``PYTHONPATH=src python tests/verdict_snapshot.py --programs 40
+    --cpu-limit 0 --paths --out tests/golden/random_paths.json``."""
+    from verdict_snapshot import check_cell
+
+    cells = []
+    for i in range(40):
+        program = random_program(random.Random(f"cmp:{i}"), 3, 3)
+        for engine, single in MATRIX:
+            config = config_for(engine, single, AnalysisConfig())
+            cells.append({"program": f"cmp:{i}", "config": config.label(), **check_cell(program, config, 0, paths=True)})
+    assert cells == json.loads((GOLDEN / "random_paths.json").read_text())
+
+
 _STRESS_RUNS = {
     "wide-9": lambda: verify_ni(parse_program(_wide_branches(9)), AnalysisConfig()),
     "prog_b loop, bound 150": lambda: verify_ni(parse_program(_PROG_B_LOOP), AnalysisConfig(bound=150)),
