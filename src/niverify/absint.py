@@ -203,8 +203,8 @@ def eval_interval(expr: Expr, env: dict[str, Interval]) -> Interval:
     return lang.fold(expr, _point, lambda name: env.get(name, TOP_INTERVAL), _interval_op)
 
 
-def _point(value: int) -> Interval:
-    return Interval(value, value)
+def _point(const: lang.Const) -> Interval:
+    return Interval(const.value, const.value)
 
 
 def _interval_op(op: str, li: Interval, ri: Interval) -> Interval:

@@ -10,11 +10,16 @@ The small-step interpreter in this module is the oracle every analysis is
 tested against: it is deterministic and total over declared variables.
 
 The expression nodes double as the nodes of symbolic terms (``symcore``):
-a term is a ``Const`` or a ``BinOp`` over terms, or a symbol leaf.
+a term is a ``Const`` or a ``BinOp`` over terms, or a symbol leaf.  A
+program constant enters a term as the program's own ``Const`` node; every
+operation node of a term is a new one.  ``fold`` is the one bottom-up walk
+over both kinds of tree, and it builds their values, intervals, terms and
+text.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -90,8 +95,8 @@ class BinOp:
     right: Expr
     _hash: int = field(init=False, repr=False, compare=False)
     # The values ``symcore._kept`` stores on a nested term: its polynomial
-    # and its symbols.  Terms are built afresh, so on a program expression
-    # both stay None.
+    # and its symbols.  A term's operation nodes are built afresh, so on a
+    # program expression both stay None.
     _poly: dict | None = field(init=False, repr=False, compare=False)
     _symbols: frozenset | None = field(init=False, repr=False, compare=False)
 
@@ -109,7 +114,7 @@ class BinOp:
         return same_tree(self, other)
 
     def __str__(self) -> str:
-        return fold_tree(self, str, lambda op, left, right: f"({left} {op} {right})")
+        return fold(self, str, str, lambda op, left, right: f"({left} {op} {right})")
 
 
 Expr = Const | Var | BinOp
@@ -138,34 +143,14 @@ def same_tree(a: BinOp, b: BinOp) -> bool:
     return True
 
 
-def fold_tree(expr, leaf: Callable, node: Callable):
-    """``leaf(t)`` at each leaf of any kind, ``node(op, l, r)`` at each
-    operation over its operands' results, bottom up and without recursion."""
-    out: list = []
-    stack: list = [expr]
-    while stack:
-        item = stack.pop()
-        if item.__class__ is BinOp:
-            stack += (item.op, item.right, item.left)
-        elif item.__class__ is str:
-            right = out.pop()
-            out[-1] = node(item, out[-1], right)
-        else:
-            out.append(leaf(item))
-    return out[0]
-
-
-def fold(expr: Expr, const: Callable, var: Callable, node: Callable):
-    """``const(value)`` at each constant, ``var(name)`` at each variable and
-    ``node(op, l, r)`` at each operation over its operands' results, left
-    operand first, bottom up and without recursion.  It dispatches on the
-    two leaf kinds inline, as ``fold_tree`` with a leaf callback is slower
-    on the engines' evaluation of every assignment and guard."""
+def fold(expr, leaf: Callable, var: Callable, node: Callable):
+    """The one bottom-up walk over expressions and terms: ``var(name)`` at
+    each variable, ``leaf(t)`` at every other leaf ``t`` (a constant or a
+    symbol leaf), and ``node(op, l, r)`` at each operation over its
+    operands' results, left operand first, without recursion."""
     cls = expr.__class__
-    if cls is Var:
-        return var(expr.name)
-    if cls is Const:
-        return const(expr.value)
+    if cls is not BinOp:
+        return var(expr.name) if cls is Var else leaf(expr)
     out: list = []
     stack: list = [expr]
     while stack:
@@ -178,10 +163,8 @@ def fold(expr: Expr, const: Callable, var: Callable, node: Callable):
             out[-1] = node(item, out[-1], right)
         elif cls is Var:
             out.append(var(item.name))
-        elif cls is Const:
-            out.append(const(item.value))
         else:
-            raise LangError(f"unknown expression {item!r}")
+            out.append(leaf(item))
     return out[0]
 
 
@@ -644,8 +627,11 @@ def apply_cmp(op: str, left: int, right: int) -> bool:
     raise LangError(f"unknown comparison {op!r}")
 
 
+_value = operator.attrgetter("value")
+
+
 def eval_expr(expr: Expr, store: Store) -> int:
-    return fold(expr, int, store.__getitem__, apply_op)
+    return fold(expr, _value, store.__getitem__, apply_op)
 
 
 def eval_bool(bexpr: BExpr, store: Store) -> bool:

@@ -132,14 +132,14 @@ def pairing(rho0: SymStore, rho1: SymStore, path: SymPath, solver: Solver) -> Re
 
 
 def rel_eval_expr(expr: Expr, rho2: RelSymStore) -> Pair:
-    """Both traces' terms in one walk; an operation on operands whose sides
-    are one object builds one term, which is then both sides."""
+    """Both traces' terms in one walk; a constant is the program's own node
+    on both sides, and an operation on operands whose sides are one object
+    builds one term, which is then both sides."""
     return lang.fold(expr, _const_pair, rho2.__getitem__, _binop_pair)
 
 
-def _const_pair(value: int) -> Pair:
-    term = SConst(value)
-    return Pair(term, term)
+def _const_pair(const: SConst) -> Pair:
+    return Pair(const, const)
 
 
 def _binop_pair(op: str, lp: Pair, rp: Pair) -> Pair:

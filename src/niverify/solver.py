@@ -52,7 +52,7 @@ import math
 import subprocess
 from dataclasses import dataclass
 
-from niverify.lang import apply_cmp, fold_tree
+from niverify.lang import apply_cmp, fold
 from niverify.symcore import (
     Blowup,
     Clause,
@@ -60,7 +60,6 @@ from niverify.symcore import (
     NormalForm,
     PAnd,
     PCmp,
-    PNot,
     Poly,
     PTrue,
     Row,
@@ -75,6 +74,7 @@ from niverify.symcore import (
     _expr_poly,
     _nested,
     cmp_rows,
+    comparisons,
     conjuncts,
     eval_path,
     eval_sym,
@@ -286,7 +286,7 @@ def _smt_atom(term: SymExpr) -> str:
 
 
 def _smt_expr(expr: SymExpr) -> str:
-    return fold_tree(expr, _smt_atom, lambda op, left, right: f"({op} {left} {right})")
+    return fold(expr, _smt_atom, _smt_atom, lambda op, left, right: f"({op} {left} {right})")
 
 
 def _smt_leaf(path: SymPath) -> str:
@@ -308,19 +308,10 @@ def _smt_path(path: SymPath) -> str:
 
 
 def _is_nonlinear(path: SymPath) -> bool:
-    """Whether a comparison of the path, under conjunctions and negations,
-    has a product of symbols; no normal form is expanded."""
-    stack = [path]
-    while stack:
-        node = stack.pop()
-        if node.__class__ is PAnd:
-            stack += (node.left, node.right)
-        elif node.__class__ is PNot:
-            stack.append(node.operand)
-        elif node.__class__ is PCmp:
-            if any(len(m) > 1 for clause in cmp_rows(node) for coeffs, _ in clause for m in coeffs):
-                return True
-    return False
+    """Whether a comparison of the path has a product of symbols; no normal
+    form is expanded."""
+    rows = (row for leaf in comparisons(path) for clause in cmp_rows(leaf) for row in clause)
+    return any(len(m) > 1 for coeffs, _ in rows for m in coeffs)
 
 
 def emit_smtlib(path: SymPath, symbols: set[SymValue]) -> str:

@@ -31,15 +31,18 @@ Value types.  The records an exploration builds for every state (terms,
 paths, stores, interval states, commands, relational and product states)
 are ``@dataclass(slots=True)``, not frozen: nothing changes their values,
 slots stop stray attributes, and a frozen ``__init__`` costs about four
-times as much.  A record hashes as a frozen dataclass would, as the hash
-of its field tuple (``unsafe_hash=True``, or a hash cached at construction
-with that same formula, as the terms and path nodes do), and a symbol
-hashes as its uid.  The sets the code iterates hold symbols, monomials or
-variable names, so set order, which picks the solver's elimination order,
-never depends on a term's or a path's hash: terms and paths are only
-looked up.  A ``PreciseStore`` holds its store dict as given, so it and the
-states around it are not hashable.  Stores keep sorted variable order, and
-havoc mints fresh symbols in that order.
+times as much.  So a term holds the program's own ``Const`` for each
+program constant it reads, shared with the program and every other term
+evaluated from it; only a term's operation nodes are new, and only they
+keep values (see ``_kept``).  A record hashes as a frozen dataclass
+would, as the hash of its field tuple (``unsafe_hash=True``, or a hash
+cached at construction with that same formula, as the terms and path
+nodes do), and a symbol hashes as its uid.  The sets the code iterates
+hold symbols, monomials or variable names, so set order, which picks the
+solver's elimination order, never depends on a term's or a path's hash:
+terms and paths are only looked up.  A ``PreciseStore`` holds its store
+dict as given, so it and the states around it are not hashable.  Stores
+keep sorted variable order, and havoc mints fresh symbols in that order.
 """
 
 from __future__ import annotations
@@ -117,9 +120,10 @@ class SymbolFactory:
 
 
 # A term is built from the program's expression nodes, ``SConst`` and
-# ``SBinOp`` here, with a symbol leaf in place of each variable.  A symbol
-# leaf computes its hash once, with the formula a frozen dataclass uses,
-# and its equality tries identity, then the hash, then the field.
+# ``SBinOp`` here, with a symbol leaf in place of each variable;
+# ``lang.fold`` walks both kinds of tree.  A symbol leaf computes its hash
+# once, with the formula a frozen dataclass uses, and its equality tries
+# identity, then the hash, then the field.
 
 SConst = lang.Const
 SBinOp = lang.BinOp
@@ -365,6 +369,28 @@ def _plus(a: int | None, b: int | None) -> int | None:
     return a + b
 
 
+def comparisons(path: SymPath) -> Iterator[PCmp]:
+    """The comparisons under a path's conjunctions and negations, left to
+    right, walked on a stack without recursion."""
+    stack: list[SymPath] = [path]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is PAnd:
+            stack += (node.right, node.left)
+        elif node.__class__ is PNot:
+            stack.append(node.operand)
+        elif node.__class__ is PCmp:
+            yield node
+
+
+def _path_symbols(path: PAnd | PNot) -> frozenset[SymValue]:
+    """The symbols of every comparison of the path, gathered into one set."""
+    symbols: set[SymValue] = set()
+    for leaf in comparisons(path):
+        symbols |= leaf.symbols
+    return frozenset(symbols)
+
+
 @dataclass(slots=True, unsafe_hash=True)
 class PTrue:
     size = 1
@@ -432,9 +458,7 @@ class PAnd:
     def clause_counts(self) -> tuple[int | None, int | None]:
         return (self._positive, self._negated)
 
-    @property
-    def symbols(self) -> frozenset[SymValue]:
-        return _path_symbols(self)
+    symbols = property(_path_symbols)
 
     def __hash__(self) -> int:
         return self._hash
@@ -473,9 +497,7 @@ class PNot:
         positive, negated = self.operand.clause_counts
         return (negated, positive)
 
-    @property
-    def symbols(self) -> frozenset[SymValue]:
-        return _path_symbols(self)
+    symbols = property(_path_symbols)
 
     def __str__(self) -> str:
         return render(self)
@@ -485,22 +507,6 @@ SymPath = PTrue | PCmp | PAnd | PNot
 
 TRUE = PTrue()
 FALSE = PNot(TRUE)
-
-
-def _path_symbols(path: PAnd | PNot) -> frozenset[SymValue]:
-    """The symbols of every comparison under a conjunction or a negation,
-    gathered into one set in one walk on a stack, without recursion."""
-    symbols: set[SymValue] = set()
-    stack: list[SymPath] = [path]
-    while stack:
-        node = stack.pop()
-        if node.__class__ is PAnd:
-            stack += (node.right, node.left)
-        elif node.__class__ is PNot:
-            stack.append(node.operand)
-        else:
-            symbols |= node.symbols
-    return frozenset(symbols)
 
 
 def pcmp(op: str, left: SymExpr, right: SymExpr) -> SymPath:
@@ -793,8 +799,13 @@ def initial_sym_store(program: lang.Program, factory: SymbolFactory) -> SymStore
 
 
 def sym_eval_expr(expr: Expr, rho: SymStore) -> SymExpr:
-    """Substitute variables by their store image, folding constants."""
-    return lang.fold(expr, SConst, rho.__getitem__, sbinop)
+    """Substitute variables by their store image, folding constants; a
+    program constant is its own term."""
+    return lang.fold(expr, _itself, rho.__getitem__, sbinop)
+
+
+def _itself(const: SConst) -> SConst:
+    return const
 
 
 def sym_eval_bool(bexpr: BExpr, rho: SymStore) -> SymPath:
@@ -802,7 +813,9 @@ def sym_eval_bool(bexpr: BExpr, rho: SymStore) -> SymPath:
 
 
 def eval_sym(expr: SymExpr, valuation: Valuation) -> int:
-    """The term's value; ``lang.fold_tree`` written out, as every model check runs it."""
+    """The term's value; the first symbol the valuation lacks raises
+    ``MissingSymbol``.  ``lang.fold`` with the leaves read inline, as every
+    model check runs it: a leaf callback made ``deep-loop`` 2.7 % slower."""
     values: list[int] = []
     stack: list = [expr]
     while stack:

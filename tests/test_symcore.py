@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from niverify import symcore
-from niverify.lang import Assign, BinOp, Cmp, Const, Seq, Var, apply_cmp, fold_tree
+from niverify.lang import Assign, BinOp, Cmp, Const, Seq, Var, apply_cmp, fold
 from niverify.symcore import (
     MissingSymbol,
     PAnd,
@@ -343,7 +343,7 @@ def test_each_new_term_node_costs_one_polynomial_step(monkeypatch):
     assert repr(terms[20]) == repr(fresh[20])  # the dataclass repr recurses, so a shallow one
     for term, again in zip(terms, fresh):
         assert term == again and hash(term) == hash(again)
-        assert _expr_poly(term) == fold_tree(again, symcore._leaf_poly, plain_node_poly)
+        assert _expr_poly(term) == fold(again, symcore._leaf_poly, symcore._leaf_poly, plain_node_poly)
 
 
 def test_each_new_term_node_costs_one_symbol_set_step(monkeypatch):
@@ -376,7 +376,7 @@ def test_each_new_term_node_costs_one_symbol_set_step(monkeypatch):
 
 def _rebuilt(term):
     """An equal copy of a term that shares no operation node with it."""
-    return fold_tree(term, lambda leaf: leaf, SBinOp)
+    return fold(term, lambda leaf: leaf, Var, SBinOp)
 
 
 def test_has_conjunct_sees_exactly_the_leaves_of_each_prefix():
