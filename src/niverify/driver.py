@@ -211,7 +211,6 @@ class SecurePath:
 @dataclass(frozen=True)
 class Refutation:
     valuation: tuple[tuple[object, int], ...]
-    witness_var: str
 
 
 PathVerdict = Infeasible | SecurePath | Refutation | Alarm
@@ -220,7 +219,8 @@ PathVerdict = Infeasible | SecurePath | Refutation | Alarm
 def classify_path(
     kappa2: PreciseStore, precise: bool, low_vars: frozenset[str], solver: Solver
 ) -> PathVerdict:
-    """Four-way classification of one final relational path."""
+    """Four-way classification of one final relational path.  A refutation
+    holds the solver's model only; ``replay`` finds the witness."""
     res = solver.check_sat(kappa2.path)
     if isinstance(res, Unsat):
         return Infeasible()
@@ -235,18 +235,7 @@ def classify_path(
         query = pand(kappa2.path, pnot(disagree))
         model = solver.model(query)
         if isinstance(model, Sat):
-            # Folding can take suspicious symbols out of the query (one
-            # constant disagreement makes the conjunction false), so the
-            # model need not bind them.  They are unconstrained: any value
-            # does, and 0 is the one replay gives unbound initial symbols.
-            valuation = model.valuation()
-            for x in suspicious:
-                for sym in symbols_of_expr(rho2[x].left) | symbols_of_expr(rho2[x].right):
-                    valuation.setdefault(sym, 0)
-            witness = next(
-                x for x in suspicious if eval_sym(rho2[x].left, valuation) != eval_sym(rho2[x].right, valuation)
-            )
-            return Refutation(model.model, witness)
+            return Refutation(model.model)
     return Alarm(store=_rho2_str(rho2), path=str(kappa2.path), precise=precise)
 
 
@@ -324,7 +313,7 @@ def verify_ni(program: Program, config: AnalysisConfig) -> Verdict:
         match verdict:
             case Infeasible() | SecurePath():
                 continue
-            case Refutation(model, _):
+            case Refutation(model):
                 return Insecure(replay(dict(model), rho2_0, program, REPLAY_FUEL))
             case Alarm() as alarm:
                 alarms.append(alarm)

@@ -388,6 +388,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.declared: set[str] = set()
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -411,10 +412,16 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "ident" and tok.text not in _KEYWORDS
 
+    def variable(self) -> str:
+        """The identifier at hand, which the header must have declared."""
+        tok = self.next()
+        if tok.text not in self.declared:
+            raise ParseError(f"use of undeclared variable {tok.text!r}", tok.line, tok.col)
+        return tok.text
+
     def parse_program(self) -> Program:
         low: list[str] = []
         high: list[str] = []
-        seen: set[str] = set()
         while self.peek().text in ("low", "high"):
             which = self.next().text
             while True:
@@ -422,9 +429,9 @@ class _Parser:
                 if tok.kind != "ident" or tok.text in _KEYWORDS:
                     raise self.error("expected variable name in declaration")
                 self.next()
-                if tok.text in seen:
+                if tok.text in self.declared:
                     raise ParseError(f"duplicate declaration of {tok.text!r}", tok.line, tok.col)
-                seen.add(tok.text)
+                self.declared.add(tok.text)
                 (low if which == "low" else high).append(tok.text)
                 if self.peek().text == ",":
                     self.next()
@@ -433,12 +440,7 @@ class _Parser:
             self.expect(";")
         body = self.parse_command(stop_at="eof")
         self.expect_eof()
-        program = Program(body, frozenset(low), frozenset(low) | frozenset(high))
-        undeclared = used_vars(body) - program.all_vars
-        if undeclared:
-            name = sorted(undeclared)[0]
-            raise ParseError(f"use of undeclared variable {name!r}", 0, 0)
-        return program
+        return Program(body, frozenset(low), frozenset(low) | frozenset(high))
 
     def expect_eof(self) -> None:
         if self.peek().kind != "eof":
@@ -480,7 +482,7 @@ class _Parser:
             body = self.parse_block()
             return While(guard, body)
         if self.at_ident():
-            name = self.next().text
+            name = self.variable()
             self.expect(":=")
             expr = self.parse_expr()
             self.expect(";")
@@ -537,8 +539,7 @@ class _Parser:
             self.expect(")")
             return expr
         if self.at_ident():
-            self.next()
-            return Var(tok.text)
+            return Var(self.variable())
         raise self.error(f"expected expression, found {tok.text or 'end of input'!r}")
 
 

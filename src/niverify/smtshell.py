@@ -6,7 +6,8 @@ which makes it a drop-in peer for the external-process solver backend
 (``--solver``) when no real SMT solver is installed.  It understands the
 integer fragment this package emits: ``declare-const``/nullary
 ``declare-fun``, ``assert`` over ``and``/``or``/``not``/comparisons and
-``+ - *`` terms, ``check-sat`` and ``get-model``.
+``+ - *`` terms, ``check-sat`` and ``get-model``.  A script it cannot
+read gets ``(error "...")`` and exit code 1 before any answer.
 """
 
 from __future__ import annotations
@@ -73,9 +74,11 @@ class Session:
         if isinstance(node, str) or not node:
             raise ShellError(f"unknown formula {node!r}")
         head, *args = node
-        if isinstance(head, str) and head in _RELATIONS:
-            return pcmp(_RELATIONS[head], self.term(args[0]), self.term(args[1]))
-        raise ShellError(f"unknown formula head {head!r}")
+        if not isinstance(head, str) or head not in _RELATIONS:
+            raise ShellError(f"unknown formula head {head!r}")
+        if len(args) != 2:
+            raise ShellError(f"{head!r} takes two arguments")
+        return pcmp(_RELATIONS[head], self.term(args[0]), self.term(args[1]))
 
     def command(self, node) -> None:
         if not isinstance(node, list) or not node:
@@ -84,9 +87,13 @@ class Session:
         if head in ("set-logic", "set-option", "set-info", "exit"):
             return
         if head in ("declare-const", "declare-fun"):
+            if len(node) < 2 or not isinstance(node[1], str):
+                raise ShellError(f"{head} needs a name")
             self.declare(node[1])
             return
         if head == "assert":
+            if len(node) != 2:
+                raise ShellError("assert takes one formula")
             self.assertions = pand(self.assertions, self.formula(node[1]))
             return
         if head == "check-sat":
@@ -147,6 +154,8 @@ def _arithmetic(head: str, args: list[SymExpr]) -> SymExpr:
 
 def _connective(head: str, args: list[SymPath]) -> SymPath:
     if head == "not":
+        if len(args) != 1:
+            raise ShellError("'not' takes one argument")
         return pnot(args[0])
     out = TRUE
     for arg in args:
@@ -161,7 +170,7 @@ def main() -> int:
     try:
         for node in _parse_sexps(_sexp_tokens(text)):
             session.command(node)
-    except ShellError as exc:
+    except ValueError as exc:  # a ShellError, or a script that does not parse
         print(f'(error "{exc}")')
         return 1
     return 0

@@ -337,7 +337,9 @@ def _sexp_tokens(text: str) -> list[str]:
             tokens.append(ch)
             i += 1
         elif ch == "|":
-            j = text.index("|", i + 1)
+            j = text.find("|", i + 1)
+            if j < 0:
+                raise ValueError("unterminated quoted symbol")
             tokens.append(text[i : j + 1])
             i = j + 1
         elif ch == ";":
@@ -353,15 +355,20 @@ def _sexp_tokens(text: str) -> list[str]:
 
 
 def _parse_sexps(tokens: list[str]) -> list:
+    """The top-level expressions; ``ValueError`` when parentheses do not balance."""
     stack: list[list] = [[]]
     for tok in tokens:
         if tok == "(":
             stack.append([])
         elif tok == ")":
+            if len(stack) == 1:
+                raise ValueError("unexpected ')'")
             done = stack.pop()
             stack[-1].append(done)
         else:
             stack[-1].append(tok)
+    if len(stack) > 1:
+        raise ValueError("unclosed '('")
     return stack[0]
 
 

@@ -118,7 +118,8 @@ def test_classify_refutation_and_alarm():
     kappa2 = PreciseStore.of({"i": shared(i), "y": Pair(y0, y1)}, TRUE)
     verdict = classify_path(kappa2, True, frozenset({"i", "y"}), solver)
     assert isinstance(verdict, Refutation)
-    assert verdict.witness_var == "y"
+    model = dict(verdict.valuation)
+    assert model[y0.sym] != model[y1.sym]
     # Same store on an over-approximated path only warrants an alarm.
     assert isinstance(classify_path(kappa2, False, frozenset({"i", "y"}), solver), Alarm)
 
@@ -695,6 +696,28 @@ def test_program_expressions_keep_no_term_values(source, config, operations):
             stack += (getattr(node, f.name) for f in dataclasses.fields(node) if f.compare)
     assert len(nodes) == operations
     assert all(node._poly is None and node._symbols is None for node in nodes)
+
+
+@pytest.mark.parametrize(
+    "source, config, built",
+    [(_wide_branches(9), AnalysisConfig(), 2555), (_PROG_B_LOOP, AnalysisConfig(bound=150), 450)],
+    ids=["wide-9", "prog_b loop, bound 150"],
+)
+def test_check_builds_constants_only_where_terms_fold_them(monkeypatch, source, config, built):
+    """A program constant enters a term as the program's own node, so a
+    check builds a ``Const`` only where ``sbinop`` folds or shifts one
+    (4088 and 750 were built when every evaluation built each constant)."""
+    program = parse_program(source)
+    consts = []
+    plain_init = lang.Const.__post_init__
+
+    def counted(self):
+        consts.append(self)
+        plain_init(self)
+
+    monkeypatch.setattr(lang.Const, "__post_init__", counted)
+    assert isinstance(verify_ni(program, config), Secure)
+    assert len(consts) == built
 
 
 @pytest.mark.parametrize("name", list(_STRESS_RUNS))

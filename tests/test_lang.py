@@ -41,8 +41,15 @@ def test_parse_single_assignment():
 
 
 def test_parse_rejects_undeclared_variable():
+    """The error points at the first use of an undeclared name, read or written."""
     with pytest.raises(ParseError, match="undeclared"):
         parse_program("low i; i := z;")
+    with pytest.raises(ParseError) as err:
+        parse_program("low l;\nhigh h;\nl := q + 1;\n")
+    assert str(err.value) == "3:6: use of undeclared variable 'q'"
+    with pytest.raises(ParseError) as err:
+        parse_program("low l;\nif (l > 0) {\n  m := l;\n}\n")
+    assert str(err.value) == "3:3: use of undeclared variable 'm'"
 
 
 def test_parse_rejects_duplicate_declaration():

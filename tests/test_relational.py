@@ -436,6 +436,26 @@ def test_one_walk_evaluation_matches_the_projections():
     assert both_shared > 100
 
 
+def test_program_constants_reach_terms_as_the_same_object():
+    """Evaluation gives a term the program's own ``Const`` for each
+    constant it keeps, in one trace and in both, guards included."""
+    program = parse_program("low x; high h; x := 4; x := h * 3; if (h < x * 5) { skip; }")
+    assign_4, assign_h3, branch = program.body.first, program.body.second.first, program.body.second.second
+    factory = SymbolFactory()
+    rho = {v: SVal(factory.initial(v)) for v in ("x", "h")}
+    rho2 = {"x": Pair(rho["x"], rho["x"]), "h": Pair(rho["h"], SVal(factory.fresh("h")))}
+    four, three, five = assign_4.expr, assign_h3.expr.right, branch.guard.right.right
+    assert sym_eval_expr(assign_4.expr, rho) is four
+    assert sym_eval_expr(assign_h3.expr, rho).right is three
+    assert sym_eval_bool(branch.guard, rho).right.right is five
+    pair = rel_eval_expr(assign_4.expr, rho2)
+    assert pair.left is four and pair.right is four
+    pair = rel_eval_expr(assign_h3.expr, rho2)
+    assert pair.left.right is three and pair.right.right is three
+    g0, g1 = rel_eval_bool(branch.guard, rho2, {})
+    assert g0.right.right is five and g1.right.right is five
+
+
 def test_equal_guard_leaves_are_one_object_per_run():
     """The engine's leaf table gives equal guards one object, whatever pair
     objects they were read from; a changed pair gives a different leaf."""

@@ -1,9 +1,12 @@
+import io
 import itertools
 import random
 import subprocess
 import sys
 
-from niverify import solver as solver_module
+import pytest
+
+from niverify import smtshell, solver as solver_module
 from niverify.solver import (
     InternalBackend,
     Sat,
@@ -400,6 +403,30 @@ def test_shell_answers_deeply_nested_negations():
     assert parse_model_output(model, {x})[x] <= 0
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "(assert (< x))",
+        "(declare-const)",
+        "(assert true))",
+        "(assert (> |x 1))",
+        "(assert (< x 1)",
+        "(assert (< x 1 0))",
+        "(assert (distinct x 1 x))",
+        "(assert (not (< x 1) (> x 2)))",
+    ],
+)
+def test_shell_reports_malformed_input_as_an_error(monkeypatch, capsys, command):
+    """A script the shell cannot read gets one ``(error "...")`` line and
+    exit code 1, before any answer: no traceback, no silence, and no
+    ``sat`` from a comparison with more than two arguments, which SMT-LIB
+    reads as a chain (``(< x 1 0)`` is unsat)."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"(declare-const x Int)\n{command}\n(check-sat)\n"))
+    assert smtshell.main() == 1
+    out = capsys.readouterr().out
+    assert out.startswith('(error "') and out.endswith('")\n') and out.count("\n") == 1, out
+
+
 def test_solver_output_nested_5000_deep_is_read_without_recursion():
     """A model binding nested 5000 lists deep in a solver's output is found
     by a walk on a stack, not a RecursionError."""
@@ -422,6 +449,14 @@ def test_malformed_model_bindings_are_skipped():
         assert parse_model_output(f"((define-fun x () Int {binding}) {y_is_minus_4})", {x, y}) == {x: 0, y: -4}
     assert parse_model_output("((define-fun (x) () Int 3) (define-fun |x| () Int -2))", {x}) == {x: -2}
     assert parse_model_output("((define-fun x () Int (- -3)))", {x}) == {x: 3}
+
+
+def test_model_output_that_does_not_close_is_unparseable():
+    """Output cut off inside a list, or with a stray ``)`` or ``|``, gives
+    no model rather than zeros for the bindings it lost."""
+    _, (x, *_) = _symbols(1)
+    for output in ("((define-fun x () Int 3)", "((define-fun x () Int 3)))", "((define-fun |x () Int 3))"):
+        assert parse_model_output(output, {x}) is None, output
 
 
 def test_unavailable_solver_is_unknown():
