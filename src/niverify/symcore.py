@@ -814,8 +814,8 @@ def sym_eval_bool(bexpr: BExpr, rho: SymStore) -> SymPath:
 
 def eval_sym(expr: SymExpr, valuation: Valuation) -> int:
     """The term's value; the first symbol the valuation lacks raises
-    ``MissingSymbol``.  ``lang.fold`` with the leaves read inline, as every
-    model check runs it: a leaf callback made ``deep-loop`` 2.7 % slower."""
+    ``MissingSymbol``.  ``lang.fold`` with the leaves read inline: every
+    model check runs it, and a leaf callback costs a call per leaf."""
     values: list[int] = []
     stack: list = [expr]
     while stack:

@@ -683,8 +683,9 @@ def test_wide_branches_check_reduces_once_per_fork_and_reads_each_guard_once(mon
     ids=["wide-9", "prog_b loop, bound 150"],
 )
 def test_program_expressions_keep_no_term_values(source, config, operations):
-    """Terms are built from the program's node classes, but always from new
-    nodes, so a check leaves no polynomial or symbol set on the program."""
+    """Terms are built from the program's node classes, but every operation
+    node of a term is new, so a check leaves no polynomial or symbol set on
+    the program."""
     program = parse_program(source)
     verify_ni(program, config)
     nodes, stack = [], [program.body]
