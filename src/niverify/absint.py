@@ -250,42 +250,20 @@ def a_assign(var: str, expr: Expr, a: AbstractState) -> AbstractState:
     return _replaced(a.env, {var: value})
 
 
-def _below(iv: Interval, hi: int | None) -> Interval | None:
-    """``iv`` met with ``[-oo, hi]``; ``hi`` None is no bound."""
-    if hi is None or (iv.hi is not None and iv.hi <= hi):
-        return iv
-    if iv.lo is not None and iv.lo > hi:
-        return None
-    return Interval(iv.lo, hi)
-
-
-def _above(iv: Interval, lo: int | None) -> Interval | None:
-    """``iv`` met with ``[lo, +oo]``; ``lo`` None is no bound."""
-    if lo is None or (iv.lo is not None and iv.lo >= lo):
-        return iv
-    if iv.hi is not None and iv.hi < lo:
-        return None
-    return Interval(lo, iv.hi)
-
-
-def _plus(bound: int | None, shift: int) -> int | None:
-    return None if bound is None else bound + shift
-
-
 def _cmp_targets(op: str, li: Interval, ri: Interval) -> tuple[Interval, Interval] | None:
-    """Refined intervals for both operands assuming the comparison holds."""
-    if op == "<":
-        lt = _below(li, _plus(ri.hi, -1))
-        rt = _above(ri, _plus(li.lo, 1))
-    elif op == "<=":
-        lt = _below(li, ri.hi)
-        rt = _above(ri, li.lo)
-    elif op == ">":
-        lt = _above(li, _plus(ri.lo, 1))
-        rt = _below(ri, _plus(li.hi, -1))
-    elif op == ">=":
-        lt = _above(li, ri.lo)
-        rt = _below(ri, li.hi)
+    """Refined intervals for both operands assuming the comparison holds.
+
+    The HC4 projection of an order: each side is met with the half-line
+    that the other side's bound implies.  ``>`` and ``>=`` are ``<`` and
+    ``<=`` with the operands swapped.
+    """
+    swapped = op == ">" or op == ">="
+    if swapped:
+        li, ri, op = ri, li, "<" if op == ">" else "<="
+    if op == "<" or op == "<=":
+        gap = 1 if op == "<" else 0
+        lt = li.meet(TOP_INTERVAL if ri.hi is None else Interval(None, ri.hi - gap))
+        rt = ri.meet(TOP_INTERVAL if li.lo is None else Interval(li.lo + gap, None))
     elif op == "==":
         lt = li.meet(ri)
         rt = ri.meet(li)
@@ -301,7 +279,7 @@ def _cmp_targets(op: str, li: Interval, ri: Interval) -> tuple[Interval, Interva
         raise lang.LangError(f"unknown comparison {op!r}")
     if lt is None or rt is None:
         return None
-    return lt, rt
+    return (rt, lt) if swapped else (lt, rt)
 
 
 def _trim(iv: Interval, value: int) -> Interval | None:
@@ -374,8 +352,7 @@ def _mul_refine(side: Interval, other: Interval, target: Interval) -> Interval |
             hi = None if tl is None else tl // c
         if lo is not None and hi is not None and lo > hi:
             return None
-        low = _above(side, lo)
-        return None if low is None else _below(low, hi)
+        return side.meet(Interval(lo, hi))
     return side
 
 

@@ -210,7 +210,7 @@ class SecurePath:
 
 @dataclass(frozen=True)
 class Refutation:
-    valuation: tuple[tuple[object, int], ...]
+    valuation: Valuation
 
 
 PathVerdict = Infeasible | SecurePath | Refutation | Alarm
@@ -314,7 +314,7 @@ def verify_ni(program: Program, config: AnalysisConfig) -> Verdict:
             case Infeasible() | SecurePath():
                 continue
             case Refutation(model):
-                return Insecure(replay(dict(model), rho2_0, program, REPLAY_FUEL))
+                return Insecure(replay(model, rho2_0, program, REPLAY_FUEL))
             case Alarm() as alarm:
                 alarms.append(alarm)
     if alarms:

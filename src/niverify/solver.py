@@ -94,7 +94,13 @@ BRUTE_MAX_COMBOS = 250_000
 
 @dataclass(frozen=True)
 class Sat:
-    model: tuple[tuple[SymValue, int], ...]
+    """A model that binds every symbol of the path it satisfies.
+
+    The solver keeps and hands out the same answer, so no holder mutates
+    ``model``; ``valuation()`` is a copy to change.
+    """
+
+    model: Valuation
 
     def valuation(self) -> Valuation:
         return dict(self.model)
@@ -222,10 +228,6 @@ def _row_bounds(var: Monomial, rows: list[Row], assignment: dict[Monomial, int])
     return lo, hi
 
 
-def _model_tuple(model: Valuation) -> tuple[tuple[SymValue, int], ...]:
-    return tuple(sorted(model.items()))
-
-
 def _clause_model(trace: list[_Elimination]) -> dict[Monomial, int] | None:
     """Back-substitute an integer point through the elimination trace."""
     assignment: dict[Monomial, int] = {}
@@ -250,8 +252,7 @@ class InternalBackend:
     def check(self, path: SymPath) -> SatResult:
         if path.clause_counts[0] is None:
             return Unknown("normalization blowup")
-        answer = _decide_component(NormalForm(), {}, list(conjuncts(path)))
-        return Sat(_model_tuple(answer)) if isinstance(answer, dict) else answer
+        return _decide_component(NormalForm(), Sat({}), list(conjuncts(path)))
 
 
 def _brute_search(path: SymPath) -> Sat | None:
@@ -263,7 +264,7 @@ def _brute_search(path: SymPath) -> Sat | None:
     for values in itertools.product(range(lo, hi + 1), repeat=len(symbols)):
         model = dict(zip(symbols, values))
         if eval_path(path, model):
-            return Sat(_model_tuple(model))
+            return Sat(model)
     return None
 
 
@@ -433,7 +434,7 @@ class SmtProcessBackend:
             model = parse_model_output(out.split("\n", 1)[1] if "\n" in out else "", symbols)
             if model is None:
                 return Unknown("unparseable model")
-            return Sat(_model_tuple(model))
+            return Sat(model)
         return Unknown(f"solver said {first!r}")
 
 
@@ -442,12 +443,7 @@ class SmtProcessBackend:
 # ---------------------------------------------------------------------------
 
 
-# What the internal procedure knows of a decided path: a model, Unsat, or
-# Unknown.
-Known = Valuation | Unsat | Unknown
-
-
-def _extended(model: Valuation, leaves: list[SymPath], base: SymPath) -> Valuation | None:
+def _extended(model: Valuation, leaves: list[SymPath], base: SymPath) -> Sat | None:
     """A model of ``base`` and ``leaves``, from ``model``, a model of ``base``; or None.
 
     ``model``, with 0 for the new symbols, if it satisfies every leaf;
@@ -462,7 +458,9 @@ def _extended(model: Valuation, leaves: list[SymPath], base: SymPath) -> Valuati
             if failed is not None:
                 return None
             failed = leaf
-    return model if failed is None else _repaired(model, failed, leaves, base, missing)
+    if failed is not None:
+        model = _repaired(model, failed, leaves, base, missing)
+    return None if model is None else Sat(model)
 
 
 def _repaired(
@@ -570,7 +568,7 @@ def _component(
     )
 
 
-def _decide_component(normal: NormalForm, prefix: Known, new: list[SymPath]) -> Known:
+def _decide_component(normal: NormalForm, prefix: SatResult, new: list[SymPath]) -> SatResult:
     """Decide the part of a path connected to its ``new`` leaves.
 
     ``normal`` is a copy of the decided prefix's normal form, and takes the
@@ -594,18 +592,18 @@ def _decide_component(normal: NormalForm, prefix: Known, new: list[SymPath]) -> 
         if not feasible:
             continue
         undecided = True
-        if not isinstance(prefix, dict):
+        if not isinstance(prefix, Sat):
             break
         assignment = _clause_model(trace)
         if assignment is None:
             continue
-        model = dict(prefix)
+        model = dict(prefix.model)
         for sym in reached:
             model[sym] = assignment.get((sym,), 0)
         if all(_row_holds(row, model) for row in rows) and all(
             eval_path(leaf, model) for leaf, _ in disjuncts
         ):
-            return model
+            return Sat(model)
         # Otherwise the nonlinear relaxation gave a spurious point.
     return Unknown("no integer model found") if undecided else UNSAT
 
@@ -626,19 +624,19 @@ class Solver:
         self.backend = backend if backend is not None else InternalBackend()
         self._incremental = isinstance(self.backend, InternalBackend)
         self._cache: dict[SymPath, SatResult] = {}
-        self._known: dict[SymPath, Known] = {}
+        self._known: dict[SymPath, SatResult] = {}
 
     def _backend_check(self, path: SymPath) -> SatResult:
         cached = self._cache.get(path)
         if cached is not None:
             return cached
         result = self.backend.check(path)
-        if isinstance(result, Sat) and not eval_path(path, result.valuation()):
+        if isinstance(result, Sat) and not eval_path(path, result.model):
             result = Unknown("backend returned an invalid model")
         self._cache[path] = result
         return result
 
-    def _decide(self, path: SymPath) -> Known:
+    def _decide(self, path: SymPath) -> SatResult:
         """The internal procedure's answer, built on the longest decided prefix.
 
         In order: the answer known for the path; Unsat under an Unsat
@@ -661,14 +659,14 @@ class Solver:
         if prefix is None:
             # No prefix is decided: start from ``true``, whose model is empty.
             added.append(base)
-            base, prefix = TRUE, {}
+            base, prefix = TRUE, Sat({})
         new = [leaf for sub in reversed(added) for leaf in conjuncts(sub)]
         if path.clause_counts[0] is None:
             answer = Unknown("normalization blowup")
         elif isinstance(prefix, Unsat):
             answer = UNSAT
         else:
-            answer = _extended(prefix, new, base) if isinstance(prefix, dict) else None
+            answer = _extended(prefix.model, new, base) if isinstance(prefix, Sat) else None
             if answer is None:
                 # Only the prefix keeps its normal form: the path's is
                 # needed again only if the path is extended and decided.
@@ -688,10 +686,7 @@ class Solver:
         backend's own.  With the internal backend this is the incremental
         procedure's answer, so what it leaves Unknown stays Unknown.
         """
-        if not self._incremental:
-            return self._backend_check(path)
-        known = self._decide(path)
-        return Sat(_model_tuple(known)) if isinstance(known, dict) else known
+        return self._decide(path) if self._incremental else self._backend_check(path)
 
     def model(self, path: SymPath) -> SatResult:
         """The backend's answer, then a bounded search for a model if that was Unknown.

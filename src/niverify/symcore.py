@@ -601,7 +601,7 @@ class _ConjunctIndex:
     over its index: ``first`` holds the positions past ``base_size``, the
     size of the node extended, and ``base`` answers for the rest, so a
     branch copies nothing.  An extension that would stack more than
-    ``MAX_INDEX_LAYERS`` layers copies the node's conjuncts into one dict
+    ``MAX_INDEX_LAYERS`` layers lists the node's conjuncts into one dict
     instead, so a lookup reads at most that many.
     """
 
@@ -615,21 +615,6 @@ class _ConjunctIndex:
         self.layers = 1 if base is None else base.layers + 1
 
 
-def _flattened(node: PAnd) -> dict[SymPath, int]:
-    """The first positions of ``node``'s conjuncts, from its layered index."""
-    layers = []
-    index, size = node._index, node.size
-    while index is not None:
-        layers.append((index, size))
-        index, size = index.base, index.base_size
-    first: dict[SymPath, int] = {}
-    for index, size in reversed(layers):
-        for conjunct, position in index.first.items():
-            if position <= size:
-                first.setdefault(conjunct, position)
-    return first
-
-
 def _conjunct_index(path: PAnd) -> _ConjunctIndex:
     if path._index is not None:
         return path._index
@@ -638,14 +623,14 @@ def _conjunct_index(path: PAnd) -> _ConjunctIndex:
     while isinstance(node, PAnd) and node._index is None:
         pending.append(node)
         node = node.left
-    if not isinstance(node, PAnd):
-        index = _ConjunctIndex({node: 1}, None, 0)
-    elif node._index.tip is node:
+    if isinstance(node, PAnd) and node._index.tip is node:
         index = node._index
-    elif node._index.layers < MAX_INDEX_LAYERS:
+    elif isinstance(node, PAnd) and node._index.layers < MAX_INDEX_LAYERS:
         index = _ConjunctIndex({}, node._index, node.size)
     else:
-        index = _ConjunctIndex(_flattened(node), None, 0)
+        index = _ConjunctIndex({}, None, 0)
+        for position, leaf in enumerate(conjuncts(node), 1):
+            index.first.setdefault(leaf, position)
     for link in reversed(pending):
         position = link.left.size
         for leaf in conjuncts(link.right):

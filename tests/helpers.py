@@ -41,7 +41,7 @@ from niverify.relational import (
     RelState,
     proj,
 )
-from niverify.solver import Solver
+from niverify.solver import Sat, Solver
 from niverify.soundse import focus
 from niverify.symcore import (
     PreciseStore,
@@ -144,8 +144,8 @@ def decisions_digest(decided) -> str:
     the kind, the sorted model of a Sat and the reason of an Unknown."""
     lines = []
     for _, answer in decided:
-        if isinstance(answer, dict):
-            lines.append("sat " + " ".join(f"{sym}={value}" for sym, value in sorted(answer.items())))
+        if isinstance(answer, Sat):
+            lines.append("sat " + " ".join(f"{sym}={value}" for sym, value in sorted(answer.model.items())))
         else:
             lines.append(f"{type(answer).__name__.lower()} {getattr(answer, 'reason', '')}".rstrip())
     return paths_digest(lines)

@@ -34,7 +34,7 @@ from niverify.driver import (
 )
 from niverify.lang import parse_program
 from niverify.relational import Pair, modif_dep
-from niverify.solver import Solver
+from niverify.solver import Sat, Solver
 from niverify.symcore import PreciseStore, SConst, SVal, SymbolFactory, TRUE, pand, pcmp
 
 from helpers import (
@@ -631,10 +631,10 @@ def test_stress_programs_get_the_same_models_from_fresh_symbol_repairs(name):
     with repairs_checking_every_row(), recorded_decisions() as every_row:
         _STRESS_RUNS[name]()
     assert shortcut == every_row
-    assert any(isinstance(answer, dict) for _, answer in shortcut)
+    assert any(isinstance(answer, Sat) for _, answer in shortcut)
     for path, answer in shortcut:
-        if isinstance(answer, dict):
-            assert set(answer) == path.symbols, path
+        if isinstance(answer, Sat):
+            assert set(answer.model) == path.symbols, path
 
 
 def test_wide_branches_check_builds_no_normal_form(monkeypatch):

@@ -17,7 +17,6 @@ from niverify.solver import (
     emit_smtlib,
     _clause_model,
     _fm_eliminate,
-    _model_tuple,
     parse_model_output,
 )
 from niverify.symcore import (
@@ -62,6 +61,17 @@ def test_check_sat_model_is_valid():
     res = solver.check_sat(path)
     assert isinstance(res, Sat)
     assert eval_path(path, res.valuation())
+
+
+def test_check_sat_returns_the_answer_it_keeps():
+    """Asked twice about one path, ``check_sat`` returns the same answer
+    object, whose model is the valuation dict of every symbol of the path."""
+    solver = Solver()
+    _, (x, y, _) = _symbols()
+    path = pand(pcmp("<", SVal(x), SVal(y)), pcmp(">", SVal(x), SConst(3)))
+    res = solver.check_sat(path)
+    assert res is solver.check_sat(path)
+    assert isinstance(res.model, dict) and set(res.model) == path.symbols and eval_path(path, res.model)
 
 
 def test_may_sat_directions():
@@ -203,7 +213,7 @@ def _per_clause_check(path):
         for sym in path.symbols:
             model.setdefault(sym, 0)
         if eval_path(path, model):
-            return Sat(_model_tuple(model))
+            return Sat(model)
     return Unsat() if all_unsat else Unknown("no integer model found")
 
 
@@ -536,8 +546,8 @@ def test_fresh_symbol_repairs_decide_every_path_alike(monkeypatch):
     assert shortcut == every_row
     assert len(moved_fresh) > 100
     for path, answer in shortcut:
-        if isinstance(answer, dict):
-            assert set(answer) == path.symbols, path
+        if isinstance(answer, Sat):
+            assert set(answer.model) == path.symbols, path
 
 
 def test_each_model_check_on_a_deeper_term_costs_one_polynomial_step(monkeypatch):
@@ -570,7 +580,7 @@ def test_each_model_check_on_a_deeper_term_costs_one_polynomial_step(monkeypatch
     for k, term in enumerate(terms[1:], 1):
         leaf = pcmp("==", term, SBinOp("*", SConst(2**k), x))
         before = len(steps)
-        assert solver_module._extended(model, [leaf], TRUE) == model
+        assert solver_module._extended(model, [leaf], TRUE) == Sat(model)
         assert solver_module._extended(model, [pnot(leaf)], TRUE) is None
         per_level.append(len(steps) - before)
     # Three for the new level, one for the failed leaf's rows, whose right
