@@ -11,6 +11,7 @@ import json
 import os
 import shlex
 import sys
+from pathlib import Path
 
 from niverify import driver, lang
 from niverify.driver import AnalysisConfig, Insecure, Inconclusive, Secure
@@ -115,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "check":
-            program = lang.parse_program(open(args.file).read())
+            program = lang.parse_program(Path(args.file).read_text())
             config = _config_from(args)
             verdict = driver.verify_ni(program, config)
             code, text = EXIT_CODES[type(verdict)], _check_text(verdict, args, config)

@@ -4,10 +4,11 @@
 answers ``sat``/``unsat``/``unknown`` plus a ``(define-fun ...)`` model,
 which makes it a drop-in peer for the external-process solver backend
 (``--solver``) when no real SMT solver is installed.  It understands the
-integer fragment this package emits: ``declare-const``/nullary
-``declare-fun``, ``assert`` over ``and``/``or``/``not``/comparisons and
-``+ - *`` terms, ``check-sat`` and ``get-model``.  A script it cannot
-read gets ``(error "...")`` and exit code 1 before any answer.
+integer fragment this package emits: ``(declare-const x Int)`` and
+``(declare-fun x () Int)``, each name declared once, ``assert`` over
+``and``/``or``/``not``/comparisons and ``+ - *`` terms, ``check-sat`` and
+``get-model``.  A script it cannot read, or a declaration of another sort
+or arity, gets ``(error "...")`` and exit code 1 before any answer.
 """
 
 from __future__ import annotations
@@ -45,10 +46,17 @@ class Session:
         self.solver = Solver()
         self.model: Sat | None = None
 
-    def declare(self, name: str) -> None:
-        name = name.strip("|")
-        if name not in self.symbols:
-            self.symbols[name] = self.factory.fresh(name)
+    def declare(self, node: list) -> None:
+        """``(declare-const x Int)`` or ``(declare-fun x () Int)``, of a name not declared before."""
+        head, *rest = node
+        if not rest or not isinstance(rest[0], str):
+            raise ShellError(f"{head} needs a name")
+        if rest[1:] != (["Int"] if head == "declare-const" else [[], "Int"]):
+            raise ShellError(f"{head} of {rest[0]} is not an integer constant")
+        name = rest[0].strip("|")
+        if name in self.symbols:
+            raise ShellError(f"{name} is declared twice")
+        self.symbols[name] = self.factory.fresh(name)
 
     def term(self, node) -> SymExpr:
         return _fold(node, ("+", "-", "*"), self._constant, _arithmetic)
@@ -87,9 +95,7 @@ class Session:
         if head in ("set-logic", "set-option", "set-info", "exit"):
             return
         if head in ("declare-const", "declare-fun"):
-            if len(node) < 2 or not isinstance(node[1], str):
-                raise ShellError(f"{head} needs a name")
-            self.declare(node[1])
+            self.declare(node)
             return
         if head == "assert":
             if len(node) != 2:

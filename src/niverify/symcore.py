@@ -63,7 +63,7 @@ class MissingSymbol(KeyError):
 class SymValue(int):
     """An opaque integer unknown.
 
-    The integer value is ``uid``, unique within one analysis run and the
+    The integer value is the uid, unique within one analysis run and the
     identity: a symbol hashes, compares and sorts as its uid, all in C.
     ``name`` is a human-readable label (``x`` for the canonical initial
     value of ``x``, ``x#3`` for fresh symbols minted later), and ``str``
@@ -74,10 +74,6 @@ class SymValue(int):
         sym = super().__new__(cls, uid)
         sym.name = name
         return sym
-
-    @property
-    def uid(self) -> int:
-        return int(self)
 
     def __getnewargs__(self) -> tuple[int, str]:
         return (int(self), self.name)

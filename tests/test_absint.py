@@ -30,6 +30,7 @@ from niverify.lang import (
     Seq,
     Var,
     While,
+    apply_cmp,
     eval_bool,
     parse_program,
 )
@@ -159,6 +160,24 @@ def test_guard_inclusion_brute_force():
         for mu in _stores_in(a):
             if eval_bool(guard, mu):
                 assert state_holds(refined, mu), (guard, a, mu)
+
+
+def test_comparison_targets_are_the_hulls_of_the_satisfying_pairs():
+    """For every two intervals with ends in [-3, 3], the targets of ``<``,
+    ``<=``, ``>``, ``>=`` and ``==`` are the hulls of the values each side
+    takes in some pair that satisfies the comparison, and None when no pair
+    does; the targets of ``!=`` hold every such value."""
+    boxes = [Interval(lo, hi) for lo in range(-3, 4) for hi in range(lo, 4)]
+    for a, b, op in itertools.product(boxes, boxes, ("<", "<=", ">", ">=", "==", "!=")):
+        pairs = [(x, y) for x in range(a.lo, a.hi + 1) for y in range(b.lo, b.hi + 1) if apply_cmp(op, x, y)]
+        got = absint._cmp_targets(op, a, b)
+        if not pairs:
+            assert got is None, (op, a, b)
+        elif op == "!=":
+            assert got is not None and all(got[0].contains(x) and got[1].contains(y) for x, y in pairs), (op, a, b)
+        else:
+            xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+            assert got == (Interval(min(xs), max(xs)), Interval(min(ys), max(ys))), (op, a, b)
 
 
 def test_analyze_soundness_brute_force():

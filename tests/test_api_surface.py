@@ -1,16 +1,20 @@
 """Every module-level name of ``src/niverify`` is used somewhere in ``src``,
-and every name a module imports is used in that module.
+every method and property of its classes is read as an attribute somewhere
+in ``src``, and every name a module imports is used in that module.
 
-A function, class or constant that only tests reach is code the verifier
-carries for nothing, so it belongs in the tests.  The exceptions are the
-oracles that the acceptance tests import from the package.  A name that
-``__all__`` lists counts as used: that is how ``__init__`` re-exports.
+A function, class, constant or method that only tests reach is code the
+verifier carries for nothing, so it belongs in the tests.  The exceptions
+are the oracles that the acceptance tests import from the package, the
+dunder methods, which Python calls, and the members the benchmark in
+``perfbench`` reads.  A name that ``__all__`` lists counts as used: that is
+how ``__init__`` re-exports.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "niverify"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Test oracles that tests/test_acceptance.py imports from the package.
 PINNED = {"state_holds", "product_explore", "initial_precise_store", "in_gamma_k"}
@@ -50,6 +54,39 @@ def test_every_module_level_name_is_used_in_src():
         if not name.startswith("__")  # __all__, __version__: read from outside
     )
     assert unused == []
+
+
+def _members(tree: ast.Module) -> set[tuple[str, str]]:
+    """``(class, name)`` of every method and property the module's classes define."""
+    members = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                members.add((cls.name, stmt.name))
+            elif isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call):
+                if isinstance(stmt.value.func, ast.Name) and stmt.value.func.id == "property":
+                    members |= {(cls.name, target.id) for target in stmt.targets if isinstance(target, ast.Name)}
+    return members
+
+
+def _attributes_read(tree: ast.Module) -> set[str]:
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_class_member_is_read_in_src():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    bench = [path for path in sorted(PERFBENCH.glob("*.py")) if not path.name.startswith("test_")]
+    read = set().union(*map(_attributes_read, trees.values()))
+    read |= set().union(*(_attributes_read(ast.parse(path.read_text(), str(path))) for path in bench))
+    unread = sorted(
+        f"{module}:{cls}.{name}"
+        for module, tree in trees.items()
+        for cls, name in _members(tree)
+        if name not in read and not (name.startswith("__") and name.endswith("__"))
+    )
+    assert unread == []
 
 
 def _imported(tree: ast.Module) -> set[str]:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import json
 import os
@@ -6,6 +7,7 @@ import random
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -380,6 +382,16 @@ def test_cli_check_exit_codes(capsys):
     assert cli.main(["check", str(CORPUS / "prog_i.imp")]) == 2
     assert "Inconclusive" in capsys.readouterr().out
     assert cli.main(["check", "/no/such/file.imp"]) == 3
+
+
+def test_cli_check_closes_the_program_file(capsys):
+    """``ni check`` closes the program file it reads, so no ``ResourceWarning``
+    comes when the file object is collected."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert cli.main(["check", str(CORPUS / "prog_a.imp")]) == 0
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_cli_check_json(capsys):

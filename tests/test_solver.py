@@ -424,13 +424,19 @@ def test_shell_answers_deeply_nested_negations():
         "(assert (< x 1 0))",
         "(assert (distinct x 1 x))",
         "(assert (not (< x 1) (> x 2)))",
+        "(declare-const y Real)\n(assert (and (< 0 y) (< y 1)))",
+        "(declare-fun f (Int) Int)",
+        "(declare-const x Int)",
     ],
 )
 def test_shell_reports_malformed_input_as_an_error(monkeypatch, capsys, command):
     """A script the shell cannot read gets one ``(error "...")`` line and
     exit code 1, before any answer: no traceback, no silence, and no
     ``sat`` from a comparison with more than two arguments, which SMT-LIB
-    reads as a chain (``(< x 1 0)`` is unsat)."""
+    reads as a chain (``(< x 1 0)`` is unsat).  A constant of another sort
+    than ``Int``, a function with arguments and a second declaration of a
+    name are errors too: a ``Real`` strictly between 0 and 1 is no
+    ``unsat``, and a function is no constant."""
     monkeypatch.setattr(sys, "stdin", io.StringIO(f"(declare-const x Int)\n{command}\n(check-sat)\n"))
     assert smtshell.main() == 1
     out = capsys.readouterr().out

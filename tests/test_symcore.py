@@ -507,8 +507,8 @@ def test_symbols_hash_and_sort_as_their_uid_and_print_as_their_name():
     factory = SymbolFactory()
     symbols = [factory.fresh("y"), factory.initial("x"), factory.fresh("y")]
     for sym in symbols:
-        assert hash(sym) == hash(sym.uid) and sym.uid == int(sym)
-    assert [s.uid for s in sorted(reversed(symbols))] == [0, 1, 2]
+        assert hash(sym) == hash(int(sym))
+    assert [int(s) for s in sorted(reversed(symbols))] == [0, 1, 2]
     y0 = symbols[0]
     assert str(y0) == f"{y0}" == "%s" % y0 == "{}".format(y0) == "y#0"
     assert repr(y0) == "SymValue(uid=0, name='y#0')"
@@ -528,8 +528,8 @@ def test_havoc_mints_fresh_symbols_in_sorted_variable_order():
     for order in (("x", "y", "z"), ("z", "y", "x")):
         factory = SymbolFactory()
         out = modif({v: SConst(0) for v in order}, body, factory)
-        assert [out[v].sym.uid for v in ("x", "y", "z")] == [0, 1, 2]
+        assert [int(out[v].sym) for v in ("x", "y", "z")] == [0, 1, 2]
         factory = SymbolFactory()
         out2 = modif_dep({v: Pair(SConst(0), SConst(0)) for v in order}, body, {"y"}, factory)
-        uids = [e.sym.uid for v in ("x", "y", "z") for e in (out2[v].left, out2[v].right)]
+        uids = [int(e.sym) for v in ("x", "y", "z") for e in (out2[v].left, out2[v].right)]
         assert uids == [0, 1, 2, 2, 3, 4]
