@@ -92,12 +92,13 @@ BRUTE_DEFAULT_RANGE = (-8, 8)
 BRUTE_MAX_COMBOS = 250_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sat:
     """A model that binds every symbol of the path it satisfies.
 
-    The solver keeps and hands out the same answer, so no holder mutates
-    ``model``; ``valuation()`` is a copy to change.
+    The solver keeps one answer per decided path, and a path whose
+    prefix's model satisfies it shares the prefix's answer; so no holder
+    mutates ``model``, and ``valuation()`` is a copy to change.
     """
 
     model: Valuation
@@ -443,12 +444,14 @@ class SmtProcessBackend:
 # ---------------------------------------------------------------------------
 
 
-def _extended(model: Valuation, leaves: list[SymPath], base: SymPath) -> Sat | None:
-    """A model of ``base`` and ``leaves``, from ``model``, a model of ``base``; or None.
+def _extended(prefix: Sat, leaves: list[SymPath], base: SymPath) -> Sat | None:
+    """A model of ``base`` and ``leaves``, from ``prefix``, the answer for ``base``; or None.
 
-    ``model``, with 0 for the new symbols, if it satisfies every leaf;
-    otherwise, if exactly one leaf fails, ``model`` repaired on that leaf.
+    ``prefix`` itself if its model binds and satisfies every leaf; its
+    model with 0 for the new symbols, if that satisfies every leaf;
+    otherwise, if exactly one leaf fails, that model repaired on the leaf.
     """
+    model = prefix.model
     missing = {s for leaf in leaves for s in leaf.symbols if s not in model}
     if missing:
         model = {**model, **dict.fromkeys(missing, 0)}
@@ -458,8 +461,9 @@ def _extended(model: Valuation, leaves: list[SymPath], base: SymPath) -> Sat | N
             if failed is not None:
                 return None
             failed = leaf
-    if failed is not None:
-        model = _repaired(model, failed, leaves, base, missing)
+    if failed is None:
+        return Sat(model) if missing else prefix
+    model = _repaired(model, failed, leaves, base, missing)
     return None if model is None else Sat(model)
 
 
@@ -666,7 +670,7 @@ class Solver:
         elif isinstance(prefix, Unsat):
             answer = UNSAT
         else:
-            answer = _extended(prefix.model, new, base) if isinstance(prefix, Sat) else None
+            answer = _extended(prefix, new, base) if isinstance(prefix, Sat) else None
             if answer is None:
                 # Only the prefix keeps its normal form: the path's is
                 # needed again only if the path is extended and decided.
@@ -683,8 +687,9 @@ class Solver:
         """Sat with some model, Unsat, or Unknown.
 
         The model is whichever the solver found first; ``model`` gives the
-        backend's own.  With the internal backend this is the incremental
-        procedure's answer, so what it leaves Unknown stays Unknown.
+        backend's own.  With the internal backend this is the answer the
+        incremental procedure keeps for the path, the same object on every
+        call, so what it leaves Unknown stays Unknown.
         """
         return self._decide(path) if self._incremental else self._backend_check(path)
 
