@@ -565,7 +565,7 @@ def test_each_model_check_on_a_deeper_term_costs_one_polynomial_step(monkeypatch
 
     factory = SymbolFactory()
     x, h = SVal(factory.initial("x")), SVal(factory.initial("h"))
-    model = {x.sym: 3, h.sym: 5}
+    prefix = Sat({x.sym: 3, h.sym: 5})
     terms = [x]
     for _ in range(400):
         terms.append(symcore.sbinop("-", symcore.sbinop("+", symcore.sbinop("*", terms[-1], SConst(2)), h), h))
@@ -586,8 +586,8 @@ def test_each_model_check_on_a_deeper_term_costs_one_polynomial_step(monkeypatch
     for k, term in enumerate(terms[1:], 1):
         leaf = pcmp("==", term, SBinOp("*", SConst(2**k), x))
         before = len(steps)
-        assert solver_module._extended(Sat(model), [leaf], TRUE) == Sat(model)
-        assert solver_module._extended(Sat(model), [pnot(leaf)], TRUE) is None
+        assert solver_module._extended(prefix, [leaf], TRUE) is prefix
+        assert solver_module._extended(prefix, [pnot(leaf)], TRUE) is None
         per_level.append(len(steps) - before)
     # Three for the new level, one for the failed leaf's rows, whose right
     # side is an operation over two leaves and keeps no polynomial.
