@@ -14,7 +14,8 @@ a term is a ``Const`` or a ``BinOp`` over terms, or a symbol leaf.  A
 program constant enters a term as the program's own ``Const`` node; every
 operation node of a term is a new one.  ``fold`` is the one bottom-up walk
 over both kinds of tree, and it builds their values, intervals, terms and
-text.
+text.  Expression and comparison nodes compare as trees; commands compare
+and hash by identity.
 """
 
 from __future__ import annotations
@@ -199,13 +200,13 @@ class Cmp:
 BExpr = Cmp
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True, eq=False)
 class Skip:
     def __str__(self) -> str:
         return "skip"
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True, eq=False)
 class Assign:
     var: str
     expr: Expr
@@ -214,7 +215,7 @@ class Assign:
         return f"{self.var} := {self.expr}"
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True, eq=False)
 class If:
     guard: BExpr
     then_branch: Command
@@ -224,7 +225,7 @@ class If:
         return f"if ({self.guard}) {{ {self.then_branch} }} else {{ {self.else_branch} }}"
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True, eq=False)
 class While:
     guard: BExpr
     body: Command
@@ -242,14 +243,12 @@ class Seq:
     """``first; second``.
 
     A sequence nests on its ``second`` side once per statement, so its
-    hash, equality, ``repr`` and ``str`` walk that spine without recursing.
-    They give what the dataclass methods give: the hash is that of
-    ``(first, second)``, kept once computed, from the innermost node out.
+    ``repr`` and ``str`` walk that spine without recursing.  They give
+    what the dataclass methods give.
     """
 
     first: Command
     second: Command
-    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def _spine(self) -> tuple[list[Command], Command]:
         """The ``first`` of each node along the spine, and the last ``second``."""
@@ -259,31 +258,6 @@ class Seq:
             firsts.append(node.first)
             node = node.second
         return firsts, node
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            spine: list[Seq] = []
-            node: Command = self
-            while node.__class__ is Seq and node._hash is None:
-                spine.append(node)
-                node = node.second
-            for seq in reversed(spine):
-                seq._hash = hash((seq.first, seq.second))
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Seq:
-            return NotImplemented
-        a, b = self, other
-        while a.__class__ is Seq and b.__class__ is Seq:
-            if a is b:
-                return True
-            if a._hash is not None and b._hash is not None and a._hash != b._hash:
-                return False
-            if a.first != b.first:
-                return False
-            a, b = a.second, b.second
-        return a == b
 
     def __repr__(self) -> str:
         firsts, last = self._spine()
@@ -557,25 +531,18 @@ def parse_program(text: str) -> Program:
 # no walk over a command recurses on their length.
 
 
-def used_vars(node: Expr | BExpr | Command) -> set[str]:
-    """All variable names occurring anywhere in the given tree."""
+def used_vars(node: Expr | BExpr) -> set[str]:
+    """All variable names occurring anywhere in the given expression or comparison."""
     names: set[str] = set()
     stack = [node]
     while stack:
         match stack.pop():
-            case Const() | Skip():
+            case Const():
                 pass
             case Var(name):
                 names.add(name)
-            case BinOp(_, left, right) | Cmp(_, left, right) | Seq(left, right):
+            case BinOp(_, left, right) | Cmp(_, left, right):
                 stack += (left, right)
-            case Assign(var, expr):
-                names.add(var)
-                stack.append(expr)
-            case If(guard, then_branch, else_branch):
-                stack += (guard, then_branch, else_branch)
-            case While(guard, body):
-                stack += (guard, body)
             case other:
                 raise LangError(f"unknown node {other!r}")
     return names

@@ -189,7 +189,7 @@ def modif_dep(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True, eq=False)
 class Diverged:
     """The traces split at a condition: each runs its own side, then ``cont``."""
 

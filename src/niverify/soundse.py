@@ -27,7 +27,6 @@ from niverify.symcore import (
     SymbolFactory,
     SymStore,
     SVal,
-    initial_sym_store,
     TRUE,
 )
 
@@ -90,4 +89,5 @@ def explore(
 
 
 def initial_precise_store(program: Program, factory: SymbolFactory) -> PreciseStore:
-    return PreciseStore.of(initial_sym_store(program, factory), TRUE)
+    """Every variable bound to the symbol for its own initial value."""
+    return PreciseStore.of({x: SVal(factory.initial(x)) for x in sorted(program.all_vars)}, TRUE)

@@ -774,11 +774,6 @@ class PreciseStore:
 Valuation = dict[SymValue, int]
 
 
-def initial_sym_store(program: lang.Program, factory: SymbolFactory) -> SymStore:
-    """Every variable bound to the symbol for its own initial value."""
-    return {x: SVal(factory.initial(x)) for x in sorted(program.all_vars)}
-
-
 def sym_eval_expr(expr: Expr, rho: SymStore) -> SymExpr:
     """Substitute variables by their store image, folding constants; a
     program constant is its own term."""
