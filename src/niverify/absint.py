@@ -254,16 +254,16 @@ def _cmp_targets(op: str, li: Interval, ri: Interval) -> tuple[Interval, Interva
     """Refined intervals for both operands assuming the comparison holds.
 
     The HC4 projection of an order: each side is met with the half-line
-    that the other side's bound implies.  ``>`` and ``>=`` are ``<`` and
-    ``<=`` with the operands swapped.
+    that the other side's finite bound implies.  ``>`` and ``>=`` are
+    ``<`` and ``<=`` with the operands swapped.
     """
     swapped = op == ">" or op == ">="
     if swapped:
         li, ri, op = ri, li, "<" if op == ">" else "<="
     if op == "<" or op == "<=":
         gap = 1 if op == "<" else 0
-        lt = li.meet(TOP_INTERVAL if ri.hi is None else Interval(None, ri.hi - gap))
-        rt = ri.meet(TOP_INTERVAL if li.lo is None else Interval(li.lo + gap, None))
+        lt = li if ri.hi is None else li.meet(Interval(None, ri.hi - gap))
+        rt = ri if li.lo is None else ri.meet(Interval(li.lo + gap, None))
     elif op == "==":
         lt = li.meet(ri)
         rt = ri.meet(li)

@@ -50,6 +50,7 @@ from __future__ import annotations
 import itertools
 import math
 import subprocess
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from niverify.lang import apply_cmp, fold
@@ -316,11 +317,11 @@ def _is_nonlinear(path: SymPath) -> bool:
     return any(len(m) > 1 for coeffs, _ in rows for m in coeffs)
 
 
-def emit_smtlib(path: SymPath, symbols: set[SymValue]) -> str:
+def emit_smtlib(path: SymPath) -> str:
     """Render a complete SMT-LIB2 script for the given path."""
     logic = "QF_NIA" if _is_nonlinear(path) else "QF_LIA"
     lines = [f"(set-logic {logic})"]
-    for sym in sorted(symbols):
+    for sym in sorted(path.symbols):
         lines.append(f"(declare-const {_smt_name(sym)} Int)")
     lines.append(f"(assert {_smt_path(path)})")
     lines.append("(check-sat)")
@@ -410,17 +411,15 @@ def parse_model_output(text: str, symbols: set[SymValue]) -> Valuation | None:
 class SmtProcessBackend:
     """One external solver process per query, speaking SMT-LIB2 on stdio."""
 
-    def __init__(self, command: list[str], timeout_ms: int = 5000):
+    def __init__(self, command: list[str], timeout_ms: int):
         self.command = command
         self.timeout_ms = timeout_ms
 
     def check(self, path: SymPath) -> SatResult:
-        symbols = path.symbols
-        script = emit_smtlib(path, symbols)
         try:
             proc = subprocess.run(
                 self.command,
-                input=script,
+                input=emit_smtlib(path),
                 capture_output=True,
                 text=True,
                 timeout=self.timeout_ms / 1000.0,
@@ -432,7 +431,7 @@ class SmtProcessBackend:
         if first == "unsat":
             return UNSAT
         if first == "sat":
-            model = parse_model_output(out.split("\n", 1)[1] if "\n" in out else "", symbols)
+            model = parse_model_output(out.split("\n", 1)[1] if "\n" in out else "", path.symbols)
             if model is None:
                 return Unknown("unparseable model")
             return Sat(model)
@@ -508,13 +507,9 @@ def _repaired(
             if mono[0] not in fresh and normal is None:
                 normal = normal_form(base)
             try:
-                if (
-                    mono[0] in fresh
-                    or (
-                        all(_row_holds(row, candidate) for row in normal.rows.values())
-                        and all(_holds(other, candidate) for other, _ in normal.disjuncts)
-                    )
-                ) and all(_holds(other, candidate) for other in leaves):
+                if (mono[0] in fresh or _satisfies(candidate, normal.rows.values(), normal.disjuncts)) and all(
+                    _holds(other, candidate) for other in leaves
+                ):
                     return candidate
             except KeyError:  # a symbol of the prefix the model does not bind
                 return None
@@ -543,6 +538,11 @@ def _holds(leaf: SymPath, valuation: Valuation) -> bool:
         _value(_expr_poly(left), valuation) if left.__class__ is SBinOp and _nested(left) else eval_sym(left, valuation),
         _value(_expr_poly(right), valuation) if right.__class__ is SBinOp and _nested(right) else eval_sym(right, valuation),
     )
+
+
+def _satisfies(model: Valuation, rows: Iterable[Row], disjuncts: list[tuple[SymPath, list[Clause]]]) -> bool:
+    """Whether the model satisfies every row and every disjunct leaf."""
+    return all(_row_holds(row, model) for row in rows) and all(_holds(leaf, model) for leaf, _ in disjuncts)
 
 
 def _component(
@@ -604,9 +604,7 @@ def _decide_component(normal: NormalForm, prefix: SatResult, new: list[SymPath])
         model = dict(prefix.model)
         for sym in reached:
             model[sym] = assignment.get((sym,), 0)
-        if all(_row_holds(row, model) for row in rows) and all(
-            eval_path(leaf, model) for leaf, _ in disjuncts
-        ):
+        if _satisfies(model, rows, disjuncts):
             return Sat(model)
         # Otherwise the nonlinear relaxation gave a spurious point.
     return Unknown("no integer model found") if undecided else UNSAT
@@ -678,10 +676,8 @@ class Solver:
         known[path] = answer
         return answer
 
-    def _refuted(self, path: SymPath) -> bool:
-        if self._incremental:
-            return isinstance(self._decide(path), Unsat)
-        return isinstance(self._backend_check(path), Unsat)
+    def _answer(self, path: SymPath) -> SatResult:
+        return self._decide(path) if self._incremental else self._backend_check(path)
 
     def check_sat(self, path: SymPath) -> SatResult:
         """Sat with some model, Unsat, or Unknown.
@@ -691,7 +687,7 @@ class Solver:
         incremental procedure keeps for the path, the same object on every
         call, so what it leaves Unknown stays Unknown.
         """
-        return self._decide(path) if self._incremental else self._backend_check(path)
+        return self._answer(path)
 
     def model(self, path: SymPath) -> SatResult:
         """The backend's answer, then a bounded search for a model if that was Unknown.
@@ -709,8 +705,8 @@ class Solver:
 
     def may_sat(self, path: SymPath) -> bool:
         """False only on a definite Unsat; Unknown stays may-satisfiable."""
-        return not self._refuted(path)
+        return not isinstance(self._answer(path), Unsat)
 
     def prove_equal(self, e0: SymExpr, e1: SymExpr, path: SymPath) -> bool:
         """True only if ``path and e0 != e1`` is definitely unsatisfiable."""
-        return self._refuted(pand(path, pcmp("!=", e0, e1)))
+        return isinstance(self._answer(pand(path, pcmp("!=", e0, e1))), Unsat)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from niverify import cli, driver, lang, redsoundse, relational, symcore
+from niverify import absint, cli, driver, lang, redsoundse, relational, symcore
 from niverify.driver import (
     Alarm,
     AnalysisConfig,
@@ -731,6 +731,32 @@ def test_check_builds_constants_only_where_terms_fold_them(monkeypatch, source, 
     monkeypatch.setattr(lang.Const, "__post_init__", counted)
     assert isinstance(verify_ni(program, config), Secure)
     assert len(consts) == built
+
+
+@pytest.mark.parametrize(
+    "name, meets, built",
+    [("wide-9", 2044, 3066), ("prog_b loop, bound 150", 10, 4), ("corpus", 1878, 3391)],
+)
+def test_comparison_guards_meet_only_where_a_bound_cuts(monkeypatch, name, meets, built):
+    """An order guard meets an operand with the half-line the other side's
+    bound implies only where that bound is finite, and keeps the operand
+    as it is otherwise (3066, 20 and 2178 meets when it was met with the
+    top interval).  The intervals built are the same either way."""
+    calls = dict.fromkeys(("meet", "built"), 0)
+    plain_meet, plain_init = absint.Interval.meet, absint.Interval.__init__
+
+    def meet(self, other):
+        calls["meet"] += 1
+        return plain_meet(self, other)
+
+    def init(self, *args):
+        calls["built"] += 1
+        plain_init(self, *args)
+
+    monkeypatch.setattr(absint.Interval, "meet", meet)
+    monkeypatch.setattr(absint.Interval, "__init__", init)
+    _STRESS_RUNS[name]()
+    assert calls == {"meet": meets, "built": built}
 
 
 @pytest.mark.parametrize("name", list(_STRESS_RUNS))

@@ -114,31 +114,31 @@ def test_prove_equal():
 
 def test_emit_smtlib_shapes():
     _, (x, *_) = _symbols(1)
-    script = emit_smtlib(TRUE, set())
+    script = emit_smtlib(TRUE)
     assert "(assert true)" in script and "(check-sat)" in script
-    script = emit_smtlib(pcmp(">", SVal(x), SConst(0)), {x})
+    script = emit_smtlib(pcmp(">", SVal(x), SConst(0)))
     assert "(declare-const |x| Int)" in script
     assert "(assert (> |x| 0))" in script
     assert script.rstrip().endswith("(get-model)")
-    neg = emit_smtlib(pcmp("<", SVal(x), SConst(-3)), {x})
+    neg = emit_smtlib(pcmp("<", SVal(x), SConst(-3)))
     assert "(- 3)" in neg
 
 
 def test_emit_smtlib_picks_nonlinear_logic():
     _, (x, y, *_) = _symbols(2)
-    linear = emit_smtlib(pcmp("<", SVal(x), SVal(y)), {x, y})
+    linear = emit_smtlib(pcmp("<", SVal(x), SVal(y)))
     assert "(set-logic QF_LIA)" in linear
-    nonlinear = emit_smtlib(pcmp("==", SBinOp("*", SVal(x), SVal(y)), SConst(4)), {x, y})
+    nonlinear = emit_smtlib(pcmp("==", SBinOp("*", SVal(x), SVal(y)), SConst(4)))
     assert "(set-logic QF_NIA)" in nonlinear
     # Eight disequalities expand past MAX_CLAUSES, and are still linear.
     wide = TRUE
     for c in range(8):
         wide = pand(wide, pcmp("!=", SVal(x), SConst(c)))
     assert wide.clause_counts[0] is None
-    assert "(set-logic QF_LIA)" in emit_smtlib(wide, {x})
+    assert "(set-logic QF_LIA)" in emit_smtlib(wide)
     # A product under a negation is found.
     negated = pnot(pand(wide, pcmp(">", SBinOp("*", SVal(x), SVal(y)), SConst(0))))
-    assert "(set-logic QF_NIA)" in emit_smtlib(negated, {x, y})
+    assert "(set-logic QF_NIA)" in emit_smtlib(negated)
 
 
 def test_parse_model_output_negative_literals():

@@ -190,7 +190,7 @@ def test_long_paths_are_walked_without_recursion():
     again, _, _ = _chain(5000)
     assert again == path and hash(again) == hash(path)
     assert pand(path, leaves[0]) != path
-    script = emit_smtlib(path, {x, z})
+    script = emit_smtlib(path)
     assert script.count("(and ") == 4999
 
 
