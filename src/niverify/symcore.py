@@ -37,10 +37,11 @@ evaluated from it; only a term's operation nodes are new, and only they
 keep values (see ``_kept``).  A record hashes as a frozen dataclass
 would, as the hash of its field tuple (``unsafe_hash=True``, or a hash
 cached at construction with that same formula, as the terms and path
-nodes do), and a symbol hashes as its uid.  The sets the code iterates
-hold symbols, monomials or variable names, so set order, which picks the
-solver's elimination order, never depends on a term's or a path's hash:
-terms and paths are only looked up.  A ``PreciseStore`` holds its store
+nodes do), and a symbol hashes as its uid.  Commands, and the
+``relational.Diverged`` control, compare and hash by identity.  The sets
+the code iterates hold symbols, monomials or variable names, so set
+order, which picks the solver's elimination order, never depends on a
+term's or a path's hash: terms and paths are only looked up.  A ``PreciseStore`` holds its store
 dict as given, so it and the states around it are not hashable.  Stores
 keep sorted variable order, and havoc mints fresh symbols in that order.
 """
