@@ -3,7 +3,6 @@ import random
 import pytest
 
 from niverify import symcore
-from niverify.relational import Diverged
 from niverify.lang import (
     Assign,
     BinOp,
@@ -30,6 +29,7 @@ from niverify.lang import (
     same_tree,
     used_vars,
 )
+from niverify.relational import Diverged
 from niverify.symcore import SVal, SymbolFactory
 
 from helpers import random_program, random_store, run_capped
@@ -182,7 +182,12 @@ def test_commands_compare_and_hash_by_identity():
 
 
 def test_used_vars_reads_expressions_and_comparisons_only():
-    assert used_vars(Cmp("<", BinOp("*", Var("x"), Const(2)), Var("y"))) == {"x", "y"}
+    """``used_vars`` walks an expression or comparison without recursing,
+    and rejects a command."""
+    deep = Var("x")
+    for i in range(20_000):
+        deep = BinOp("+", deep, Var("y") if i == 7 else Const(i))
+    assert used_vars(Cmp("<", deep, Var("z"))) == {"x", "y", "z"}
     assert used_vars(Const(3)) == set()
     with pytest.raises(LangError, match="unknown node"):
         used_vars(SKIP)
